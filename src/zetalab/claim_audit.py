@@ -1,12 +1,23 @@
 """Registry binding each numbered numerical claim to an executable check.
 
-Every claim carries an id, a human description, a check kind and a tolerance,
-and produces one of four verdicts:
+A claim is declared at its check, with the ``_claim`` decorator::
+
+    @_claim("EQ13A", "anchor value", "M*(1/2) = 1.07215 to 1e-4", "equality", 1e-4)
+    def _check_eq13a(cfg, ctx):
+        v = ctx.m_star_half
+        return abs(v - V_M_STAR_HALF) < 1e-4, v, "M*(1/2) vs printed 1.07215"
+
+The arguments are the id, the paper reference, a human description, the
+check kind and the tolerance.  The check takes the config and the shared
+``_Context`` and returns (passed, observed, note).  Each claim produces one
+of four verdicts:
 
 * PASS / FAIL    -- the check ran and the assertion held / did not hold;
-* NOT_NUMERIC    -- the claim is in the fixed flag list of expressions with
-  no finite numerical reading (a Dirac-delta derivative and the three
-  inequalities quoting it); these are registered, never executed;
+* NOT_NUMERIC    -- the claim is declared with check kind "flagged": an
+  expression with no finite numerical reading (a Dirac-delta derivative and
+  the three inequalities quoting it).  It is never checked; its declaration
+  carries the explanatory note, and its function only returns a value to
+  report in its place, or None;
 * SKIPPED        -- infrastructure gave out (quadrature budget, phase
   tracking); the reason is recorded and the audit continues.
 
@@ -25,7 +36,9 @@ import cmath
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,8 +60,6 @@ __all__ = [
     "report_to_json",
     "report_to_lines",
 ]
-
-FLAGGED_CLAIMS = frozenset({"EQ32", "EQ34G-DELTA", "EQ34J", "EQ34K"})
 
 # Printed anchor values (5-6 significant digits) and their exact counterparts.
 V_M_STAR_HALF = 1.07215
@@ -78,89 +89,62 @@ class AuditReport:
 
 
 class _Context:
-    """Lazily computed shared inputs, reused across claims."""
+    """Shared inputs, each computed on first use and reused across claims."""
 
     def __init__(self, cfg: AuditConfig):
         self.cfg = cfg
-        self._cache: dict[str, object] = {}
 
-    def _get(self, key: str, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def m_star_half(self) -> float:
-        return self._get("msh", lambda: quad.m_star(0.5, 1e-10))
+        return quad.m_star_half()
 
-    @property
+    @cached_property
     def m_star_one(self) -> float:
-        return self._get("ms1", lambda: quad.m_star(1.0, 1e-10))
+        return quad.m_star(1.0, 1e-10)
 
-    @property
+    @cached_property
     def zeros30(self) -> za.CriticalZeroList:
-        return self._get(
-            "z30", lambda: za.critical_line_zeros(30.0, self.cfg.zero_tol)
-        )
+        return za.critical_line_zeros(30.0, self.cfg.zero_tol)
 
-    @property
+    @cached_property
     def scan16(self) -> za.RoucheScanResult:
-        def build():
-            cfg = self.cfg
-            lam = za.lambda_choice(cfg.rouche_theta_abs, cfg.rouche_epsilon, cfg.rouche_nu)
-            return za.rouche_scan(
-                cfg.rouche_tau,
-                lam,
-                cfg.rouche_epsilon,
-                zeros=self.zeros30.betas,
-                zero_tol=cfg.zero_tol,
-                quad_tol=min(cfg.quad_tol, 1e-10),
-                pole_tol=cfg.pole_tol,
-                exclusion_tol=cfg.exclusion_tol,
-                boundary_min_modulus=cfg.boundary_min_modulus,
-                density=cfg.boundary_density,
-                budget=cfg.eval_budget,
-            )
+        cfg = self.cfg
+        lam = za.lambda_choice(cfg.rouche_theta_abs, cfg.rouche_epsilon, cfg.rouche_nu,
+                               m_star_half_value=self.m_star_half)
+        return za.rouche_scan(cfg.rouche_tau, lam, cfg.rouche_epsilon, zeros=self.zeros30.betas,
+                              **cfg.rouche_options())
 
-        return self._get("scan16", build)
-
-    @property
+    @cached_property
     def upper_sweep(self):
         """Random upper-half-strip points with |F|, M*(alpha) at each."""
+        cfg = self.cfg
+        rng = _claim_rng(cfg.seed, "UPPER-SWEEP")
+        re = rng.uniform(cfg.sample_re_lo, cfg.sample_re_hi, cfg.n_samples)
+        im = rng.uniform(cfg.sample_im_lo, cfg.sample_im_hi, cfg.n_samples)
+        f_abs = np.empty(cfg.n_samples)
+        ms = np.empty(cfg.n_samples)
+        for k in range(cfg.n_samples):
+            s = complex(re[k], im[k])
+            f_abs[k] = abs(quad.fermi_mellin(s, 1e-7, budget=cfg.eval_budget).value)
+            ms[k] = quad.m_star(re[k], 1e-7, budget=cfg.eval_budget)
+        return re, im, f_abs, ms
 
-        def build():
-            cfg = self.cfg
-            rng = _claim_rng(cfg.seed, "UPPER-SWEEP")
-            re = rng.uniform(cfg.sample_re_lo, cfg.sample_re_hi, cfg.n_samples)
-            im = rng.uniform(cfg.sample_im_lo, cfg.sample_im_hi, cfg.n_samples)
-            f_abs = np.empty(cfg.n_samples)
-            ms = np.empty(cfg.n_samples)
-            for k in range(cfg.n_samples):
-                s = complex(re[k], im[k])
-                f_abs[k] = abs(quad.fermi_mellin(s, 1e-7, budget=cfg.eval_budget).value)
-                ms[k] = quad.m_star(re[k], 1e-7, budget=cfg.eval_budget)
-            return re, im, f_abs, ms
-
-        return self._get("sweep", build)
-
-    @property
+    @cached_property
     def poly_corpus(self):
-        """100 random polynomials with roots in 0.05 <= |z| <= 0.9."""
-
-        def build():
-            rng = _claim_rng(self.cfg.seed, "POLY-CORPUS")
-            corpus = []
-            while len(corpus) < 100:
-                deg = int(rng.integers(1, 5))
-                roots = []
-                while len(roots) < deg:
-                    z = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
-                    if 0.05 <= abs(z) <= 0.9:
-                        roots.append(z)
-                corpus.append(tuple(roots))
-            return corpus
-
-        return self._get("polys", build)
+        """100 random polynomials with roots in 0.05 <= |z| <= 0.9, as
+        (roots, |f(0)|, M) with M the larger of |f(0)| and max |f| on |z| = 1."""
+        rng = _claim_rng(self.cfg.seed, "POLY-CORPUS")
+        corpus = []
+        while len(corpus) < 100:
+            deg = int(rng.integers(1, 5))
+            roots = []
+            while len(roots) < deg:
+                z = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
+                if 0.05 <= abs(z) <= 0.9:
+                    roots.append(z)
+            f0 = abs(_poly_fn(roots)(0.0 + 0.0j))
+            corpus.append((tuple(roots), f0, max(_poly_circle_max(roots), f0)))
+        return corpus
 
 
 def _claim_rng(seed: int, claim_id: str) -> np.random.Generator:
@@ -183,10 +167,40 @@ def _poly_circle_max(roots, radius: float = 1.0, n: int = 1024) -> float:
     return max(abs(fn(radius * cmath.exp(2j * math.pi * k / n))) for k in range(n))
 
 
+# id -> (unexecuted record, check or observer, note of a flagged claim)
+_CLAIMS: dict[str, tuple[ClaimRecord, Callable, str]] = {}
+
+
+def _claim(id: str, paper_ref: str, description: str, check_kind: str, tolerance: float,
+           note: str = ""):
+    """Register the decorated function for one claim.
+
+    check_kind is one of equality | inequality | limit | monotonicity | count
+    | flagged.  A check takes (cfg, ctx) and returns (passed, observed, note).
+    A flagged claim is never checked: its function only returns the value to
+    report (or None), and the record carries the declared note.
+    """
+    def register(fn):
+        _CLAIMS[id] = (ClaimRecord(id, paper_ref, description, check_kind, tolerance), fn, note)
+        return fn
+
+    return register
+
+
+def _unobserved(cfg, ctx):
+    """Observer of a flagged claim with no finite value to report."""
+    return None
+
+
+_INHERITS_DELTA = "inherits the Dirac-delta factor of the G expansion; no finite numerical reading"
+
+
 # ---------------------------------------------------------------------------
-# Check implementations.  Each returns (passed, observed, note).
+# The claims.  Each check returns (passed, observed, note).
 # ---------------------------------------------------------------------------
 
+@_claim("EQ3", "gamma modulus product",
+        "truncated product formula matches |gamma| and stays positive", "equality", 1e-6)
 def _check_eq3(cfg, ctx):
     worst = 0.0
     for alpha in np.linspace(0.1, 0.9, 5):
@@ -199,6 +213,9 @@ def _check_eq3(cfg, ctx):
     return worst < 1e-6, worst, "max |product - |gamma|| over 5x5 grid, n = 1e6"
 
 
+@_claim("EQ4", "integral equals gamma*eta",
+        "Mellin integral reproduces the product of gamma and eta on a strip grid",
+        "equality", 1e-8)
 def _check_eq4(cfg, ctx):
     worst = 0.0
     for re in np.linspace(0.45, 0.95, cfg.grid_re_n):
@@ -209,6 +226,8 @@ def _check_eq4(cfg, ctx):
     return worst < 1e-8, worst, "max |F - gamma*eta| over the strip grid"
 
 
+@_claim("EQ6", "integral bounded",
+        "|F(s)| bounded by the closed-form M(Re s) on the open strip", "inequality", 1e-6)
 def _check_eq6(cfg, ctx):
     rng = _claim_rng(cfg.seed, "EQ6")
     worst = -math.inf
@@ -219,6 +238,8 @@ def _check_eq6(cfg, ctx):
     return worst < 1e-6, worst, "max |F(s)| - M(Re s), full open strip"
 
 
+@_claim("EQ7", "closed-form bound",
+        "M(alpha) = 1/(2 alpha) + 1/e evaluates exactly", "equality", 1e-12)
 def _check_eq7(cfg, ctx):
     diffs = [
         abs(quad.m_bound(0.5) - (1.0 + math.exp(-1.0))),
@@ -228,11 +249,14 @@ def _check_eq7(cfg, ctx):
     return max(diffs) < 1e-12, max(diffs), "closed form 1/(2 alpha) + 1/e"
 
 
+@_claim("EQ8A", "bound value at 1/2", "M(1/2) = 1 + 1/e = 1.36788", "equality", 1e-4)
 def _check_eq8a(cfg, ctx):
     v = quad.m_bound(0.5)
     return abs(v - V_M_HALF) < 1e-4, v, "M(1/2) vs printed 1.36788"
 
 
+@_claim("EQ8B", "sharper bound",
+        "|F(s)| never exceeds F(1/2) on the upper half strip (sampled)", "inequality", 1e-6)
 def _check_eq8b(cfg, ctx):
     re, im, f_abs, _ = ctx.upper_sweep
     cap = ctx.m_star_half
@@ -242,11 +266,14 @@ def _check_eq8b(cfg, ctx):
     return ok, float(f_abs[k]), note
 
 
+@_claim("EQ8C", "positivity", "F(1/2) > 0", "inequality", 0.0)
 def _check_eq8c(cfg, ctx):
     v = ctx.m_star_half
     return v > 0.0, v, "F(1/2) strictly positive"
 
 
+@_claim("EQ9", "bound chain",
+        "|F| <= M*(Re s) <= M*(1/2) <= M(1/2) on the sampled upper half strip", "inequality", 1e-6)
 def _check_eq9(cfg, ctx):
     _, _, f_abs, ms = ctx.upper_sweep
     cap = ctx.m_star_half
@@ -259,21 +286,26 @@ def _check_eq9(cfg, ctx):
     return ok, worst, "chain |F| <= M*(alpha) <= M*(1/2) <= M(1/2) on the sweep"
 
 
+@_claim("EQ10B", "bound tightening", "M*(1/2) < M(1/2)", "inequality", 0.0)
 def _check_eq10b(cfg, ctx):
     gap = quad.m_bound(0.5) - ctx.m_star_half
     return gap > 0.0, gap, "M(1/2) - M*(1/2)"
 
 
+@_claim("EQ10C", "first derivative negative", "dM*/dalpha < 0 on [1/2, 1]", "inequality", 0.0)
 def _check_eq10c(cfg, ctx):
     vals = [quad.m_star_derivative(a, 1, 1e-8) for a in np.linspace(0.5, 1.0, 11)]
     return max(vals) < 0.0, max(vals), "max dM*/dalpha on [1/2, 1]"
 
 
+@_claim("EQ10D", "second derivative positive", "d2M*/dalpha2 > 0 on [1/2, 1]", "inequality", 0.0)
 def _check_eq10d(cfg, ctx):
     vals = [quad.m_star_derivative(a, 2, 1e-8) for a in np.linspace(0.5, 1.0, 11)]
     return min(vals) > 0.0, min(vals), "min d2M*/dalpha2 on [1/2, 1]"
 
 
+@_claim("EQ11B", "convexity chord",
+        "M* lies below its endpoint chords on [1/2, 1]", "inequality", 1e-8)
 def _check_eq11b(cfg, ctx):
     worst = -math.inf
     for t in np.linspace(0.0, 1.0, 25):
@@ -284,11 +316,14 @@ def _check_eq11b(cfg, ctx):
     return worst < 1e-8, worst, "max M*(alpha) - chord over endpoint chords"
 
 
+@_claim("EQ12A", "endpoint comparison", "M*(1/2) > M*(1)", "inequality", 0.0)
 def _check_eq12a(cfg, ctx):
     gap = ctx.m_star_half - ctx.m_star_one
     return gap > 0.0, gap, "M*(1/2) - M*(1)"
 
 
+@_claim("EQ12B", "strict decrease",
+        "M* strictly decreasing on a 50-point grid of [1/2, 1]", "monotonicity", 0.0)
 def _check_eq12b(cfg, ctx):
     grid = np.linspace(0.5, 1.0, 50)
     vals = [quad.m_star(float(a), 1e-9) for a in grid]
@@ -296,17 +331,20 @@ def _check_eq12b(cfg, ctx):
     return bool(np.all(diffs < 0.0)), float(np.max(diffs)), "max consecutive difference on 50-grid"
 
 
+@_claim("EQ13A", "anchor value", "M*(1/2) = 1.07215 to 1e-4", "equality", 1e-4)
 def _check_eq13a(cfg, ctx):
     v = ctx.m_star_half
     return abs(v - V_M_STAR_HALF) < 1e-4, v, "M*(1/2) vs printed 1.07215"
 
 
+@_claim("EQ13B", "anchor value", "M*(1) = log 2 = 0.69315", "equality", 1e-4)
 def _check_eq13b(cfg, ctx):
     v = ctx.m_star_one
     ok = abs(v - V_M_STAR_ONE) < 1e-4 and abs(v - math.log(2.0)) < 1e-10
     return ok, v, "M*(1) vs log 2 (exact to 1e-10, printed to 1e-4)"
 
 
+@_claim("EQ14", "chord cap", "endpoint chords stay below M*(1/2)", "inequality", 1e-8)
 def _check_eq14(cfg, ctx):
     worst = -math.inf
     for t in np.linspace(0.0, 1.0, 25):
@@ -315,11 +353,14 @@ def _check_eq14(cfg, ctx):
     return worst < 1e-8, worst, "chord right-hand side never exceeds M*(1/2)"
 
 
+@_claim("EQ15A", "derivative anchor", "dM*/dalpha(1/2) = -1.76259 to 1e-4", "equality", 1e-4)
 def _check_eq15a(cfg, ctx):
     v = quad.m_star_derivative(0.5, 1, 1e-9)
     return abs(v - V_D1_HALF) < 1e-4, v, "dM*/dalpha at 1/2 vs printed -1.76259"
 
 
+@_claim("EQ15B", "derivative anchor",
+        "dM*/dalpha(1) = -(1/2)(log 2)^2 = -0.240227", "equality", 1e-6)
 def _check_eq15b(cfg, ctx):
     v = quad.m_star_derivative(1.0, 1, 1e-9)
     exact = -0.5 * math.log(2.0) ** 2
@@ -327,6 +368,8 @@ def _check_eq15b(cfg, ctx):
     return ok, v, "dM*/dalpha at 1 vs -(1/2)(log 2)^2"
 
 
+@_claim("EQ16", "supremum transfer",
+        "|F(s)| <= M*(1/2) on the sampled upper half strip", "inequality", 1e-6)
 def _check_eq16(cfg, ctx):
     _, _, f_abs, _ = ctx.upper_sweep
     cap = ctx.m_star_half
@@ -334,6 +377,8 @@ def _check_eq16(cfg, ctx):
     return worst < 1e-6, worst, "max |F| - M*(1/2) over the sweep"
 
 
+@_claim("EQ17B", "denominator nonvanishing",
+        "(1 - 2^(1-s)) gamma(s) bounded away from zero on the strip grid", "inequality", 0.0)
 def _check_eq17b(cfg, ctx):
     lo = math.inf
     for re in np.linspace(0.1, 0.9, cfg.grid_re_n):
@@ -343,6 +388,8 @@ def _check_eq17b(cfg, ctx):
     return lo > 0.0, lo, "min |(1 - 2^(1-s)) gamma(s)| on the strip grid"
 
 
+@_claim("EQ17D", "zero equivalence",
+        "zeta and the Mellin integral share zeros (sampled + located zeros)", "equality", 1e-8)
 def _check_eq17d(cfg, ctx):
     # At polished zeros both indicators fire; at random points neither does.
     threshold = 1e-8
@@ -368,6 +415,8 @@ def _check_eq17d(cfg, ctx):
     return True, worst_zero, "max |zeta| across the three located zeros"
 
 
+@_claim("RVM30", "zero-count comparison",
+        "argument-principle count at height 30 matches the counting formula", "count", 1.5)
 def _check_rvm30(cfg, ctx):
     rect = za.RectangleRegion(0.1, 0.9, 0.0, 30.0)
     count = za.winding_count(lambda s: sf.eta(s), rect)
@@ -376,25 +425,29 @@ def _check_rvm30(cfg, ctx):
     return ok, count, f"winding count vs closed-form estimate {estimate:.3f}"
 
 
+@_claim("EQ19A", "disk zero-count identity",
+        "Jensen identity exact on the random polynomial corpus", "equality", 1e-8)
 def _check_eq19a(cfg, ctx):
     worst = 0.0
-    for roots in ctx.poly_corpus:
+    for roots, _, _ in ctx.poly_corpus:
         lhs, rhs = za.jensen_check(_poly_fn(roots), list(roots), 1.0, 512)
         worst = max(worst, abs(lhs - rhs))
     return worst < 1e-8, worst, "max |lhs - rhs| over 100 random polynomials"
 
 
+@_claim("EQ19B", "zero-free disk identity",
+        "circle average equals log|f(0)| for the composed integral", "equality", 1e-4)
 def _check_eq19b(cfg, ctx):
     fn = lambda z: smap.f_on_disk(z, 0.9, 1e-8, budget=cfg.eval_budget)
     lhs, rhs = za.jensen_check(fn, [], 0.95, cfg.jensen_samples)
     return abs(lhs - rhs) < 1e-4, abs(lhs - rhs), "zero-free disk identity for the composed integral"
 
 
+@_claim("EQ20A", "zero-count bound",
+        "disk zero count never exceeds log(M/|f(0)|)/log(1/delta)", "inequality", 0.0)
 def _check_eq20a(cfg, ctx):
     worst = -math.inf
-    for roots in ctx.poly_corpus:
-        f0 = abs(_poly_fn(roots)(0.0 + 0.0j))
-        big_m = max(_poly_circle_max(roots), f0)
+    for roots, f0, big_m in ctx.poly_corpus:
         for delta in (0.5, 0.7, 0.9):
             bound = za.titchmarsh_zero_bound(big_m, f0, delta)
             count = sum(1 for r in roots if abs(r) <= delta)
@@ -402,10 +455,10 @@ def _check_eq20a(cfg, ctx):
     return worst <= 0.0, worst, "max (actual count - bound) over corpus x delta"
 
 
+@_claim("EQ20D", "zero-free predicate",
+        "delta*M < |f(0)| implies an empty delta-subdisk", "inequality", 0.0)
 def _check_eq20d(cfg, ctx):
-    for roots in ctx.poly_corpus:
-        f0 = abs(_poly_fn(roots)(0.0 + 0.0j))
-        big_m = max(_poly_circle_max(roots), f0)
+    for roots, f0, big_m in ctx.poly_corpus:
         for delta in (0.5, 0.7, 0.9):
             if za.titchmarsh_zero_free(big_m, f0, delta):
                 if any(abs(r) <= delta for r in roots):
@@ -413,10 +466,10 @@ def _check_eq20d(cfg, ctx):
     return True, None, "predicate delta*M < |f(0)| never contradicted by an actual zero"
 
 
+@_claim("EQ20F", "predicate arithmetic",
+        "delta < |f(0)|/M <= 1 whenever the predicate holds", "inequality", 0.0)
 def _check_eq20f(cfg, ctx):
-    for roots in ctx.poly_corpus:
-        f0 = abs(_poly_fn(roots)(0.0 + 0.0j))
-        big_m = max(_poly_circle_max(roots), f0)
+    for _, f0, big_m in ctx.poly_corpus:
         for delta in (0.5, 0.7, 0.9):
             if za.titchmarsh_zero_free(big_m, f0, delta):
                 if not (delta < f0 / big_m <= 1.0):
@@ -424,19 +477,23 @@ def _check_eq20f(cfg, ctx):
     return True, None, "delta < |f(0)|/M <= 1 whenever the predicate holds"
 
 
+@_claim("EQ25A", "map centre", "phi(0,b) = 1/4 - arctan(b)/pi, purely real", "equality", 1e-14)
 def _check_eq25a(cfg, ctx):
     worst = 0.0
     for b in np.linspace(0.05, 0.95, 21):
         w = smap.phi(0.0 + 0.0j, float(b))
-        worst = max(worst, abs(w.real - (0.25 - math.atan(b) / math.pi)), abs(w.imag))
+        worst = max(worst, abs(w.real - quad.omega0(float(b))), abs(w.imag))
     return worst < 1e-14, worst, "phi(0,b) vs arctan closed form, Im exactly 0"
 
 
+@_claim("EQ25B", "centre limit", "phi(0,b) -> 0 as b -> 1", "limit", 1e-5)
 def _check_eq25b(cfg, ctx):
     w = smap.phi(0.0 + 0.0j, 1.0 - 1e-6)
     return abs(w) < 1e-5, abs(w), "|phi(0, 1-1e-6)|"
 
 
+@_claim("EQ26A", "strip range",
+        "Re(phi) stays in (0, 1/2) on random disk samples", "inequality", 0.0)
 def _check_eq26a(cfg, ctx):
     rng = _claim_rng(cfg.seed, "EQ26A")
     im_lo, im_hi = math.inf, -math.inf
@@ -454,6 +511,8 @@ def _check_eq26a(cfg, ctx):
     return True, None, note
 
 
+@_claim("EQ26B", "argument range",
+        "Arg[(1+theta)/(1-theta)] stays in (-pi/2, pi/2)", "inequality", 0.0)
 def _check_eq26b(cfg, ctx):
     rng = _claim_rng(cfg.seed, "EQ26B")
     worst = 0.0
@@ -469,11 +528,15 @@ def _check_eq26b(cfg, ctx):
     return True, worst, "max |Arg[(1+theta)/(1-theta)]| observed"
 
 
+@_claim("EQ28A", "centre value limit",
+        "composed integral at the centre approaches M*(1/2) as b -> 1", "limit", 1e-4)
 def _check_eq28a(cfg, ctx):
     v = smap.f_on_disk(0.0 + 0.0j, 1.0 - 1e-6, 1e-9, budget=cfg.eval_budget)
     return abs(v - ctx.m_star_half) < 1e-4, v, "composed integral at the centre, b -> 1"
 
 
+@_claim("EQ28B", "disk bound",
+        "|composed integral| <= M*(1/2) on random (z, b)", "inequality", 1e-3)
 def _check_eq28b(cfg, ctx):
     rng = _claim_rng(cfg.seed, "EQ28B")
     cap = ctx.m_star_half
@@ -489,6 +552,7 @@ def _check_eq28b(cfg, ctx):
     return worst < 1e-3, worst, "max |F_on_disk| - M*(1/2) over 500 samples"
 
 
+@_claim("EQ30C", "G bounded", "G(b) <= M*(1/2) for all b", "inequality", 1e-8)
 def _check_eq30c(cfg, ctx):
     cap = ctx.m_star_half
     worst = -math.inf
@@ -497,6 +561,8 @@ def _check_eq30c(cfg, ctx):
     return worst < 1e-8, worst, "max G(b) - M*(1/2)"
 
 
+@_claim("EQ31", "G increasing",
+        "G strictly increasing on (0, 1) via the arctangent route", "monotonicity", 0.0)
 def _check_eq31(cfg, ctx):
     grid = np.linspace(0.01, 0.99, 50)
     vals = [quad.g_of_b(float(b), 1e-9) for b in grid]
@@ -504,6 +570,15 @@ def _check_eq31(cfg, ctx):
     return bool(np.all(diffs > 0.0)), float(np.min(diffs)), "min consecutive increase of G on 50-grid"
 
 
+_claim("EQ32", "derivative via Dirac delta",
+       "d omega0/db written with a Dirac delta factor", "flagged", 0.0,
+       note="no finite numerical reading: the expression evaluates a Dirac delta at an interior "
+            "complex point; the artifact uses the elementary closed form "
+            "omega0'(b) = -1/(pi (1+b^2)) instead")(_unobserved)
+
+
+@_claim("EQ33A", "gauge existence",
+        "for each delta < 1 some b has G(b) > delta * M*(1/2)", "limit", 0.0)
 def _check_eq33a(cfg, ctx):
     cap = ctx.m_star_half
     found = {}
@@ -520,11 +595,25 @@ def _check_eq33a(cfg, ctx):
     return True, found[0.99], "b(0.99); existence for delta in {0.5, 0.9, 0.99}"
 
 
+@_claim("EQ33B", "G limit", "G(b)/M*(1/2) -> 1 as b -> 1", "limit", 1e-4)
 def _check_eq33b(cfg, ctx):
     ratio = quad.g_of_b(1.0 - 1e-6, 1e-10) / ctx.m_star_half
     return abs(ratio - 1.0) < 1e-4, ratio, "G(b)/M*(1/2) at b = 1 - 1e-6"
 
 
+@_claim("EQ34G-DELTA", "Taylor coefficient via Dirac delta",
+        "first-order G expansion quoting Delta(-i) = 4.66920", "flagged", 0.0,
+        note="no finite numerical reading: Delta(-i) is not a number; a finite-difference "
+             "dG/db near b = 1 is reported in the observed payload instead")
+def _observe_eq34g_delta(cfg, ctx):
+    """Central-difference slope of G just below b = 1."""
+    h = 1e-4
+    b = 0.999
+    return (quad.g_of_b(b + h, 1e-10) - quad.g_of_b(b - h, 1e-10)) / (2.0 * h)
+
+
+@_claim("EQ34H", "disk modulus closed form",
+        "H(theta; b) equals |theta_inverse| exactly", "equality", 1e-12)
 def _check_eq34h(cfg, ctx):
     rng = _claim_rng(cfg.seed, "EQ34H")
     worst = 0.0
@@ -537,6 +626,8 @@ def _check_eq34h(cfg, ctx):
     return worst < 1e-12, worst, "max |H(t;b) - |theta_inverse(t,b)||"
 
 
+@_claim("EQ34I", "map inversion",
+        "phi_inverse inverts phi to 1e-10 on random samples", "equality", 1e-10)
 def _check_eq34i(cfg, ctx):
     rng = _claim_rng(cfg.seed, "EQ34I")
     worst = 0.0
@@ -550,6 +641,16 @@ def _check_eq34i(cfg, ctx):
     return worst < 1e-10, worst, "max inversion error phi_inverse(phi(z,b)) - z"
 
 
+_claim("EQ34J", "expansion comparison",
+       "inequality comparing two Taylor expansions, one quoting Delta(-i)", "flagged", 0.0,
+       note=_INHERITS_DELTA)(_unobserved)
+_claim("EQ34K", "contradiction inequality",
+       "final inequality quoting Delta(-i) = 4.66920", "flagged", 0.0,
+       note=_INHERITS_DELTA)(_unobserved)
+
+
+@_claim("EQ42B", "unit-modulus product",
+        "conjugate-ratio product has modulus 1 away from its poles", "equality", 1e-12)
 def _check_eq42b(cfg, ctx):
     rng = _claim_rng(cfg.seed, "EQ42B")
     betas = list(ctx.zeros30.betas)
@@ -566,6 +667,8 @@ def _check_eq42b(cfg, ctx):
     return worst < 1e-12, worst, "max | |L| - 1 | over random (omega, zero-list) pairs"
 
 
+@_claim("EQ43", "boundary nonvanishing",
+        "|f| positive on the scan boundary away from neutralized zeros", "inequality", 0.0)
 def _check_eq43(cfg, ctx):
     scan = ctx.scan16
     ok = scan.min_f_abs > 0.0
@@ -573,6 +676,8 @@ def _check_eq43(cfg, ctx):
     return ok, scan.min_f_abs, note
 
 
+@_claim("EQ45", "comparison function nonvanishing",
+        "g = lam*(eps+omega) has no zeros on or inside K(tau)", "count", 0.0)
 def _check_eq45(cfg, ctx):
     cfg_eps = cfg.rouche_epsilon
     scan = ctx.scan16
@@ -584,6 +689,8 @@ def _check_eq45(cfg, ctx):
     return wind == 0, wind, "winding of g over K(tau); Re(eps+omega) > 0 throughout"
 
 
+@_claim("EQ46A", "triangle margin",
+        "min |f|+|g|-|f+g| >= -1e-12 over the scanned boundary", "inequality", 1e-12)
 def _check_eq46a(cfg, ctx):
     scan = ctx.scan16
     return scan.min_margin >= -1e-12, scan.min_margin, (
@@ -591,6 +698,8 @@ def _check_eq46a(cfg, ctx):
     )
 
 
+@_claim("EQ50C", "contradiction arithmetic",
+        "(M*+nu)|eps+omega|/eps exceeds M*(1/2) on the boundary", "inequality", 0.0)
 def _check_eq50c(cfg, ctx):
     cap = ctx.m_star_half
     nu, eps = cfg.rouche_nu, cfg.rouche_epsilon
@@ -606,6 +715,8 @@ def _check_eq50c(cfg, ctx):
     return worst > 0.0, worst, "min (M*+nu)*|eps+omega|/eps - M*(1/2) on the boundary"
 
 
+@_claim("P1A", "bound chain proof",
+        "integral bound M*(alpha) stays below the closed form M(alpha)", "inequality", 0.0)
 def _check_p1a(cfg, ctx):
     worst = -math.inf
     for alpha in np.linspace(0.05, 0.95, 19):
@@ -613,6 +724,8 @@ def _check_p1a(cfg, ctx):
     return worst < 0.0, worst, "max M*(alpha) - M(alpha) on (0,1): integral below closed bound"
 
 
+@_claim("P2A", "convexity lemma",
+        "chord inequality on random triples in [1/2, 1]", "inequality", 1e-8)
 def _check_p2a(cfg, ctx):
     rng = _claim_rng(cfg.seed, "P2A")
     worst = -math.inf
@@ -628,6 +741,8 @@ def _check_p2a(cfg, ctx):
     return worst < 1e-8, worst, "max chord violation over random triples"
 
 
+@_claim("P4A", "triangle equality condition",
+        "equality in the triangle bound forces a real ratio (sign gap noted)", "equality", 1e-9)
 def _check_p4a(cfg, ctx):
     if not za.triangle_equality_condition(2.0 + 2.0j, 1.0 + 1.0j, 1e-9):
         return False, None, "collinear positive-ratio case failed"
@@ -653,158 +768,39 @@ def _check_p4a(cfg, ctx):
     return True, worst, note
 
 
-_CheckFn = Callable[[AuditConfig, _Context], tuple[bool, object, str]]
-
-
-@dataclass(frozen=True)
-class _Entry:
-    id: str
-    paper_ref: str
-    description: str
-    check_kind: str
-    tolerance: float
-    fn: Optional[_CheckFn]
-    flag_note: str = ""
-
-
-_REGISTRY: tuple[_Entry, ...] = (
-    _Entry("EQ3", "gamma modulus product", "truncated product formula matches |gamma| and stays positive", "equality", 1e-6, _check_eq3),
-    _Entry("EQ4", "integral equals gamma*eta", "Mellin integral reproduces the product of gamma and eta on a strip grid", "equality", 1e-8, _check_eq4),
-    _Entry("EQ6", "integral bounded", "|F(s)| bounded by the closed-form M(Re s) on the open strip", "inequality", 1e-6, _check_eq6),
-    _Entry("EQ7", "closed-form bound", "M(alpha) = 1/(2 alpha) + 1/e evaluates exactly", "equality", 1e-12, _check_eq7),
-    _Entry("EQ8A", "bound value at 1/2", "M(1/2) = 1 + 1/e = 1.36788", "equality", 1e-4, _check_eq8a),
-    _Entry("EQ8B", "sharper bound", "|F(s)| never exceeds F(1/2) on the upper half strip (sampled)", "inequality", 1e-6, _check_eq8b),
-    _Entry("EQ8C", "positivity", "F(1/2) > 0", "inequality", 0.0, _check_eq8c),
-    _Entry("EQ9", "bound chain", "|F| <= M*(Re s) <= M*(1/2) <= M(1/2) on the sampled upper half strip", "inequality", 1e-6, _check_eq9),
-    _Entry("EQ10B", "bound tightening", "M*(1/2) < M(1/2)", "inequality", 0.0, _check_eq10b),
-    _Entry("EQ10C", "first derivative negative", "dM*/dalpha < 0 on [1/2, 1]", "inequality", 0.0, _check_eq10c),
-    _Entry("EQ10D", "second derivative positive", "d2M*/dalpha2 > 0 on [1/2, 1]", "inequality", 0.0, _check_eq10d),
-    _Entry("EQ11B", "convexity chord", "M* lies below its endpoint chords on [1/2, 1]", "inequality", 1e-8, _check_eq11b),
-    _Entry("EQ12A", "endpoint comparison", "M*(1/2) > M*(1)", "inequality", 0.0, _check_eq12a),
-    _Entry("EQ12B", "strict decrease", "M* strictly decreasing on a 50-point grid of [1/2, 1]", "monotonicity", 0.0, _check_eq12b),
-    _Entry("EQ13A", "anchor value", "M*(1/2) = 1.07215 to 1e-4", "equality", 1e-4, _check_eq13a),
-    _Entry("EQ13B", "anchor value", "M*(1) = log 2 = 0.69315", "equality", 1e-4, _check_eq13b),
-    _Entry("EQ14", "chord cap", "endpoint chords stay below M*(1/2)", "inequality", 1e-8, _check_eq14),
-    _Entry("EQ15A", "derivative anchor", "dM*/dalpha(1/2) = -1.76259 to 1e-4", "equality", 1e-4, _check_eq15a),
-    _Entry("EQ15B", "derivative anchor", "dM*/dalpha(1) = -(1/2)(log 2)^2 = -0.240227", "equality", 1e-6, _check_eq15b),
-    _Entry("EQ16", "supremum transfer", "|F(s)| <= M*(1/2) on the sampled upper half strip", "inequality", 1e-6, _check_eq16),
-    _Entry("EQ17B", "denominator nonvanishing", "(1 - 2^(1-s)) gamma(s) bounded away from zero on the strip grid", "inequality", 0.0, _check_eq17b),
-    _Entry("EQ17D", "zero equivalence", "zeta and the Mellin integral share zeros (sampled + located zeros)", "equality", 1e-8, _check_eq17d),
-    _Entry("EQ19A", "disk zero-count identity", "Jensen identity exact on the random polynomial corpus", "equality", 1e-8, _check_eq19a),
-    _Entry("EQ19B", "zero-free disk identity", "circle average equals log|f(0)| for the composed integral", "equality", 1e-4, _check_eq19b),
-    _Entry("EQ20A", "zero-count bound", "disk zero count never exceeds log(M/|f(0)|)/log(1/delta)", "inequality", 0.0, _check_eq20a),
-    _Entry("EQ20D", "zero-free predicate", "delta*M < |f(0)| implies an empty delta-subdisk", "inequality", 0.0, _check_eq20d),
-    _Entry("EQ20F", "predicate arithmetic", "delta < |f(0)|/M <= 1 whenever the predicate holds", "inequality", 0.0, _check_eq20f),
-    _Entry("EQ25A", "map centre", "phi(0,b) = 1/4 - arctan(b)/pi, purely real", "equality", 1e-14, _check_eq25a),
-    _Entry("EQ25B", "centre limit", "phi(0,b) -> 0 as b -> 1", "limit", 1e-5, _check_eq25b),
-    _Entry("EQ26A", "strip range", "Re(phi) stays in (0, 1/2) on random disk samples", "inequality", 0.0, _check_eq26a),
-    _Entry("EQ26B", "argument range", "Arg[(1+theta)/(1-theta)] stays in (-pi/2, pi/2)", "inequality", 0.0, _check_eq26b),
-    _Entry("EQ28A", "centre value limit", "composed integral at the centre approaches M*(1/2) as b -> 1", "limit", 1e-4, _check_eq28a),
-    _Entry("EQ28B", "disk bound", "|composed integral| <= M*(1/2) on random (z, b)", "inequality", 1e-3, _check_eq28b),
-    _Entry("EQ30C", "G bounded", "G(b) <= M*(1/2) for all b", "inequality", 1e-8, _check_eq30c),
-    _Entry("EQ31", "G increasing", "G strictly increasing on (0, 1) via the arctangent route", "monotonicity", 0.0, _check_eq31),
-    _Entry(
-        "EQ32", "derivative via Dirac delta", "d omega0/db written with a Dirac delta factor", "flagged", 0.0, None,
-        flag_note=(
-            "no finite numerical reading: the expression evaluates a Dirac delta at "
-            "an interior complex point; the artifact uses the elementary closed form "
-            "omega0'(b) = -1/(pi (1+b^2)) instead"
-        ),
-    ),
-    _Entry("EQ33A", "gauge existence", "for each delta < 1 some b has G(b) > delta * M*(1/2)", "limit", 0.0, _check_eq33a),
-    _Entry("EQ33B", "G limit", "G(b)/M*(1/2) -> 1 as b -> 1", "limit", 1e-4, _check_eq33b),
-    _Entry(
-        "EQ34G-DELTA", "Taylor coefficient via Dirac delta", "first-order G expansion quoting Delta(-i) = 4.66920", "flagged", 0.0, None,
-        flag_note=(
-            "no finite numerical reading: Delta(-i) is not a number; a finite-difference "
-            "dG/db near b = 1 is reported in the observed payload instead"
-        ),
-    ),
-    _Entry("EQ34H", "disk modulus closed form", "H(theta; b) equals |theta_inverse| exactly", "equality", 1e-12, _check_eq34h),
-    _Entry("EQ34I", "map inversion", "phi_inverse inverts phi to 1e-10 on random samples", "equality", 1e-10, _check_eq34i),
-    _Entry(
-        "EQ34J", "expansion comparison", "inequality comparing two Taylor expansions, one quoting Delta(-i)", "flagged", 0.0, None,
-        flag_note="inherits the Dirac-delta factor of the G expansion; no finite numerical reading",
-    ),
-    _Entry(
-        "EQ34K", "contradiction inequality", "final inequality quoting Delta(-i) = 4.66920", "flagged", 0.0, None,
-        flag_note="inherits the Dirac-delta factor of the G expansion; no finite numerical reading",
-    ),
-    _Entry("EQ42B", "unit-modulus product", "conjugate-ratio product has modulus 1 away from its poles", "equality", 1e-12, _check_eq42b),
-    _Entry("EQ43", "boundary nonvanishing", "|f| positive on the scan boundary away from neutralized zeros", "inequality", 0.0, _check_eq43),
-    _Entry("EQ45", "comparison function nonvanishing", "g = lam*(eps+omega) has no zeros on or inside K(tau)", "count", 0.0, _check_eq45),
-    _Entry("EQ46A", "triangle margin", "min |f|+|g|-|f+g| >= -1e-12 over the scanned boundary", "inequality", 1e-12, _check_eq46a),
-    _Entry("EQ50C", "contradiction arithmetic", "(M*+nu)|eps+omega|/eps exceeds M*(1/2) on the boundary", "inequality", 0.0, _check_eq50c),
-    _Entry("RVM30", "zero-count comparison", "argument-principle count at height 30 matches the counting formula", "count", 1.5, _check_rvm30),
-    _Entry("P1A", "bound chain proof", "integral bound M*(alpha) stays below the closed form M(alpha)", "inequality", 0.0, _check_p1a),
-    _Entry("P2A", "convexity lemma", "chord inequality on random triples in [1/2, 1]", "inequality", 1e-8, _check_p2a),
-    _Entry(
-        "P4A", "triangle equality condition", "equality in the triangle bound forces a real ratio (sign gap noted)", "equality", 1e-9, _check_p4a,
-    ),
+FLAGGED_CLAIMS = frozenset(
+    cid for cid, (record, _, _) in _CLAIMS.items() if record.check_kind == "flagged"
 )
 
 
 def list_claims() -> list[ClaimRecord]:
     """The full registry, unexecuted (verdict SKIPPED), ordered by id."""
-    records = [
-        ClaimRecord(
-            id=e.id,
-            paper_ref=e.paper_ref,
-            description=e.description,
-            check_kind=e.check_kind,
-            tolerance=e.tolerance,
-        )
-        for e in _REGISTRY
-    ]
-    return sorted(records, key=lambda r: r.id)
-
-
-def _fd_g_slope(cfg: AuditConfig) -> float:
-    h = 1e-4
-    b = 0.999
-    return (quad.g_of_b(b + h, 1e-10) - quad.g_of_b(b - h, 1e-10)) / (2.0 * h)
+    return [_CLAIMS[cid][0] for cid in sorted(_CLAIMS)]
 
 
 def run_audit(config: AuditConfig | None = None) -> AuditReport:
     """Execute every registered check and assemble the report.
 
     Check failures become FAIL verdicts; budget/refinement exhaustion becomes
-    SKIPPED with the reason; flagged claims are never executed.
+    SKIPPED with the reason; flagged claims are never checked, only observed.
     """
     cfg = config or AuditConfig()
     ctx = _Context(cfg)
     records: list[ClaimRecord] = []
-    for entry in sorted(_REGISTRY, key=lambda e: e.id):
-        base = ClaimRecord(
-            id=entry.id,
-            paper_ref=entry.paper_ref,
-            description=entry.description,
-            check_kind=entry.check_kind,
-            tolerance=entry.tolerance,
-        )
-        if entry.id in FLAGGED_CLAIMS:
-            observed = _fd_g_slope(cfg) if entry.id == "EQ34G-DELTA" else None
-            records.append(
-                replace(base, verdict="NOT_NUMERIC", note=entry.flag_note, observed=observed)
-            )
-            continue
-        try:
-            passed, observed, note = entry.fn(cfg, ctx)
-            records.append(
-                replace(
-                    base,
-                    verdict="PASS" if passed else "FAIL",
-                    observed=observed,
-                    note=note,
-                )
-            )
-        except (ToleranceNotMet, NonConvergence) as exc:
-            records.append(replace(base, verdict="SKIPPED", note=f"infrastructure: {exc}"))
-        except ZetaLabError as exc:
-            records.append(replace(base, verdict="FAIL", note=f"error: {exc}"))
-    totals: dict[str, int] = {}
-    for r in records:
-        totals[r.verdict] = totals.get(r.verdict, 0) + 1
+    for cid in sorted(_CLAIMS):
+        base, fn, flag_note = _CLAIMS[cid]
+        if base.check_kind == "flagged":
+            outcome = dict(verdict="NOT_NUMERIC", observed=fn(cfg, ctx), note=flag_note)
+        else:
+            try:
+                passed, observed, note = fn(cfg, ctx)
+                outcome = dict(verdict="PASS" if passed else "FAIL", observed=observed, note=note)
+            except (ToleranceNotMet, NonConvergence) as exc:
+                outcome = dict(verdict="SKIPPED", note=f"infrastructure: {exc}")
+            except ZetaLabError as exc:
+                outcome = dict(verdict="FAIL", note=f"error: {exc}")
+        records.append(replace(base, **outcome))
+    totals = dict(Counter(r.verdict for r in records))
     return AuditReport(tuple(records), cfg.digest(), totals)
 
 

@@ -3,7 +3,8 @@
 Subcommands: eval, bounds, map, zeros, jensen, rouche, audit.  Complex
 arguments are passed as two positional reals (re, im).  Exit codes:
 0 success, 1 FAIL verdicts present in an audit, 2 numerical error,
-3 usage error (including a missing config file).
+3 usage error (including a missing or malformed config file and
+out-of-range flag values).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import claim_audit, quadrature as quad, special_functions as sf
@@ -83,27 +85,20 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_config(args) -> AuditConfig:
-    if args.config is not None:
-        path = Path(args.config)
-        if not path.exists():
-            raise _CliExit(USAGE_EXIT, f"error: config file not found: {path}")
-        cfg = load_config(path)
-    else:
-        cfg = AuditConfig()
-    overrides = {}
-    if args.tol is not None:
-        overrides["quad_tol"] = args.tol
-    if args.budget is not None:
-        overrides["eval_budget"] = args.budget
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.format is not None:
-        overrides["output_format"] = args.format
-    if overrides:
-        from dataclasses import replace
+    """The config file (or the defaults) with the global flags applied.
 
-        cfg = replace(cfg, **overrides)
-    return cfg
+    A missing or malformed config file and an out-of-domain value are usage errors.
+    """
+    path = None if args.config is None else Path(args.config)
+    if path is not None and not path.exists():
+        raise _CliExit(USAGE_EXIT, f"error: config file not found: {path}")
+    flags = {"quad_tol": args.tol, "eval_budget": args.budget, "seed": args.seed,
+             "output_format": args.format}
+    try:
+        cfg = AuditConfig() if path is None else load_config(path)
+        return replace(cfg, **{key: value for key, value in flags.items() if value is not None})
+    except ZetaLabError as exc:
+        raise _CliExit(USAGE_EXIT, f"error: {exc}") from None
 
 
 def _fmt(x: float) -> str:
@@ -192,18 +187,7 @@ def _cmd_rouche(args, cfg: AuditConfig) -> int:
     lam = args.lam
     if lam is None:
         lam = za.lambda_choice(args.theta_abs, args.epsilon, args.nu)
-    result = za.rouche_scan(
-        args.tau,
-        lam,
-        args.epsilon,
-        zero_tol=cfg.zero_tol,
-        quad_tol=min(cfg.quad_tol, 1e-10),
-        pole_tol=cfg.pole_tol,
-        exclusion_tol=cfg.exclusion_tol,
-        boundary_min_modulus=cfg.boundary_min_modulus,
-        density=cfg.boundary_density,
-        budget=cfg.eval_budget,
-    )
+    result = za.rouche_scan(args.tau, lam, args.epsilon, **cfg.rouche_options())
     print(f"tau (after genericity shift) = {_fmt(result.tau)}")
     print(f"lambda = {_fmt(result.lam)}, epsilon = {_fmt(result.epsilon)}")
     print(f"neutralized zeros = {[round(b, 6) for b in result.zeros]}")

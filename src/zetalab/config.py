@@ -48,7 +48,7 @@ class AuditConfig:
     def __post_init__(self):
         for name in ("quad_tol", "zero_tol", "pole_tol", "exclusion_tol",
                      "boundary_min_modulus"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:  # also rejects NaN
                 raise DomainError(f"{name} must be positive")
         if self.eval_budget < 10**3:
             raise DomainError("eval_budget must be >= 1000")
@@ -57,6 +57,21 @@ class AuditConfig:
 
     def digest(self) -> str:
         return hashlib.sha256(dump_config(self).encode()).hexdigest()
+
+    def rouche_options(self) -> dict:
+        """The keyword arguments of zero_analysis.rouche_scan this config sets.
+
+        The scan's quadrature tolerance is capped at 1e-10.
+        """
+        return dict(
+            zero_tol=self.zero_tol,
+            quad_tol=min(self.quad_tol, 1e-10),
+            pole_tol=self.pole_tol,
+            exclusion_tol=self.exclusion_tol,
+            boundary_min_modulus=self.boundary_min_modulus,
+            density=self.boundary_density,
+            budget=self.eval_budget,
+        )
 
 
 def dump_config(config: AuditConfig) -> str:
@@ -69,7 +84,8 @@ def dump_config(config: AuditConfig) -> str:
 def load_config(path: str | Path) -> AuditConfig:
     """Parse a flat key=value file into an AuditConfig.
 
-    Unknown keys raise DomainError; values are coerced to the field's type.
+    Unknown keys and values that do not parse as the field's type raise
+    DomainError naming path:line; values are coerced to the field's type.
     """
     text = Path(path).read_text()
     by_name = {f.name: f for f in fields(AuditConfig)}
@@ -85,11 +101,11 @@ def load_config(path: str | Path) -> AuditConfig:
         value = value.strip().strip("'\"")
         if key not in by_name:
             raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-        ftype = by_name[key].type
-        if ftype in ("int", int):
-            overrides[key] = int(value)
-        elif ftype in ("float", float):
-            overrides[key] = float(value)
-        else:
-            overrides[key] = value
+        coerce = {"int": int, "float": float}.get(by_name[key].type, str)
+        try:
+            overrides[key] = coerce(value)
+        except ValueError:
+            raise DomainError(
+                f"{path}:{lineno}: {key} = {value!r} is not a valid {coerce.__name__}"
+            ) from None
     return AuditConfig(**overrides)

@@ -28,7 +28,7 @@ class ToleranceNotMet(ZetaLabError):
 
 
 class BoundaryZeroError(ZetaLabError):
-    """A contour sample fell below the minimum modulus; winding is undefined."""
+    """A zero lies on a contour: a winding boundary, a Jensen circle or a Rouche scan edge."""
 
 
 class NonConvergence(ZetaLabError):
@@ -43,13 +43,9 @@ class ZeroAtCenter(ZetaLabError):
     """Jensen check requires f(0) != 0."""
 
 
-class BoundaryZero(ZetaLabError):
-    """Jensen check requires no zeros on the circle |z| = R."""
-
-
 class PoleProximity(ZetaLabError):
     """Blaschke product evaluated too close to one of its poles."""
 
 
-class ZeroOnBoundary(ZetaLabError):
-    """Rouche scan found |f| below the minimum modulus away from neutralized zeros."""
+# Former names of BoundaryZeroError, kept for callers that catch them.
+BoundaryZero = ZeroOnBoundary = BoundaryZeroError

@@ -44,6 +44,7 @@ __all__ = [
     "f_shifted",
     "m_bound",
     "m_star",
+    "m_star_half",
     "m_star_derivative",
     "omega0",
     "omega0_prime",
@@ -222,24 +223,27 @@ def _mesh(h: float, x_max: float, beta: float) -> np.ndarray:
     return np.array(pts)
 
 
-def fermi_mellin(s, tol: float = 1e-8, *, budget: int = DEFAULT_BUDGET) -> QuadratureEstimate:
-    """F(s) = integral_0^inf x**(s-1)/(e**x+1) dx for 0 < Re(s) <= 1.
+def _log_moment(s, k: int, tol: float, budget: int) -> QuadratureEstimate:
+    """integral_0^inf x**(s-1) log(x)**k / (e**x+1) dx for 0 < Re(s) <= 1, k in {0, 1, 2}.
 
-    The closed right edge Re(s) = 1 is admitted (F(1) = log 2); the rest of
-    the strip boundary is not.  abs_error includes the discarded head and
-    tail bounds on top of the adaptive rule's own estimate.
+    The one integration route behind fermi_mellin (k = 0) and
+    m_star_derivative (k = 1, 2, real s).  abs_error includes the discarded
+    head and tail bounds on top of the adaptive rule's own estimate.
     """
     s = ensure_finite(s)
     if not 0.0 < s.real <= 1.0:
         raise DomainError(f"Re(s) = {s.real} outside (0, 1]")
-    if tol <= 0.0:
+    if not tol > 0.0:  # also rejects NaN
         raise DomainError("tol must be positive")
     alpha, beta = s.real, s.imag
-    h, head = _head_cut(alpha, 0, tol)
-    x_max, tail = _tail_cut(0, tol)
+    h, head = _head_cut(alpha, k, tol)
+    x_max, tail = _tail_cut(k, tol)
     exponent = s - 1.0
 
-    if beta == 0.0:
+    if k:
+        def integrand(x):
+            return x ** (alpha - 1.0) * np.log(x) ** k / (np.exp(x) + 1.0)
+    elif beta == 0.0:
         def integrand(x):
             return x ** (alpha - 1.0) / (np.exp(x) + 1.0)
     else:
@@ -248,6 +252,16 @@ def fermi_mellin(s, tol: float = 1e-8, *, budget: int = DEFAULT_BUDGET) -> Quadr
 
     value, err, n_evals = _integrate(integrand, _mesh(h, x_max, beta), 0.8 * tol, budget)
     return QuadratureEstimate(complex(value), err + head + tail, n_evals)
+
+
+def fermi_mellin(s, tol: float = 1e-8, *, budget: int = DEFAULT_BUDGET) -> QuadratureEstimate:
+    """F(s) = integral_0^inf x**(s-1)/(e**x+1) dx for 0 < Re(s) <= 1.
+
+    The closed right edge Re(s) = 1 is admitted (F(1) = log 2); the rest of
+    the strip boundary is not.  abs_error includes the discarded head and
+    tail bounds on top of the adaptive rule's own estimate.
+    """
+    return _log_moment(s, 0, tol, budget)
 
 
 def f_shifted(omega, tol: float = 1e-8, *, budget: int = DEFAULT_BUDGET) -> QuadratureEstimate:
@@ -272,8 +286,14 @@ def m_bound(alpha: float) -> float:
 def m_star(alpha: float, tol: float = 1e-8, *, budget: int = DEFAULT_BUDGET) -> float:
     """Integral bound M*(alpha) = F(alpha) for real alpha in (0, 1]."""
     est = fermi_mellin(alpha, tol, budget=budget)
-    assert abs(est.value.imag) < tol, "real integrand produced an imaginary part"
+    if abs(est.value.imag) >= tol:
+        raise DomainError(f"M*(alpha) needs a real alpha; F({alpha}) is not real")
     return est.value.real
+
+
+def m_star_half() -> float:
+    """M*(1/2) to 1e-10, the cap shared by the audit and the boundary-scan scale."""
+    return m_star(0.5, 1e-10)
 
 
 def m_star_derivative(
@@ -286,18 +306,7 @@ def m_star_derivative(
     """
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha = {alpha} outside (0, 1]")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    h, head = _head_cut(alpha, order, tol)
-    x_max, tail = _tail_cut(order, tol)
-
-    def integrand(x):
-        return x ** (alpha - 1.0) * np.log(x) ** order / (np.exp(x) + 1.0)
-
-    value, err, _ = _integrate(integrand, _mesh(h, x_max, 0.0), 0.8 * tol, budget)
-    return float(value.real if np.iscomplexobj(value) else value)
+    return _log_moment(float(alpha), order, tol, budget).value.real
 
 
 def omega0(b: float) -> float:

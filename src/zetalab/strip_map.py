@@ -20,7 +20,7 @@ import cmath
 import math
 
 from .errors import DomainError
-from .quadrature import DEFAULT_BUDGET, f_shifted
+from .quadrature import DEFAULT_BUDGET, f_shifted, omega0
 from .special_functions import ensure_finite
 
 __all__ = [
@@ -70,14 +70,14 @@ def theta_inverse(t, b: float) -> complex:
 
 def phi(z, b: float) -> complex:
     """Map the open disk into the half strip Re(omega) in (0, 1/2)."""
-    w = cmath.log((1.0 + theta(z, b)) / (1.0 - theta(z, b)))
+    t = theta(z, b)
+    w = cmath.log((1.0 + t) / (1.0 - t))
     return complex(0.25 + w.imag / _TWO_PI, -w.real / _TWO_PI)
 
 
 def phi_center(b: float) -> float:
-    """Re(phi(0, b)) in closed form: 1/4 - arctan(b)/pi (Im is exactly 0)."""
-    b = ensure_map_param(b)
-    return 0.25 - math.atan(b) / math.pi
+    """Re(phi(0, b)) in closed form: omega0(b) = 1/4 - arctan(b)/pi (Im is exactly 0)."""
+    return omega0(ensure_map_param(b))
 
 
 def phi_inverse(omega, b: float) -> complex:

@@ -26,22 +26,19 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (
-    BoundaryZero,
     BoundaryZeroError,
     DomainError,
     MultiplicityAmbiguity,
     NonConvergence,
     PoleProximity,
     ZeroAtCenter,
-    ZeroOnBoundary,
 )
-from .quadrature import DEFAULT_BUDGET, f_shifted, m_star
+from .quadrature import DEFAULT_BUDGET, f_shifted, m_star_half
 from .special_functions import ensure_finite, eta
 
 __all__ = [
@@ -340,7 +337,7 @@ def jensen_check(
     for z in zeros:
         z = ensure_finite(z)
         if abs(abs(z) - R) < boundary_tol:
-            raise BoundaryZero(f"zero {z} lies on the circle |z| = {R}")
+            raise BoundaryZeroError(f"zero {z} lies on the circle |z| = {R}")
         if abs(z) > R:
             raise DomainError(f"zero {z} outside the disk of radius {R}")
         lhs += math.log(R / abs(z))
@@ -389,20 +386,20 @@ def blaschke_L(omega, zeros, *, pole_tol: float = 1e-3) -> complex:
     return complex(np.prod((np.conj(omega) + 1j * betas) / den))
 
 
-@lru_cache(maxsize=None)
-def _m_star_half() -> float:
-    return m_star(0.5, 1e-10)
-
-
-def lambda_choice(theta_abs: float, epsilon: float, nu: float) -> float:
+def lambda_choice(
+    theta_abs: float, epsilon: float, nu: float, *, m_star_half_value: float | None = None
+) -> float:
     """Scale factor (M*(1/2) + nu) / (theta_abs * epsilon) for the boundary scan.
 
     Exceeds M*(1/2) / (theta_abs * r) for every boundary point with
-    r = |eps + omega| >= eps, since nu > 0.
+    r = |eps + omega| >= eps, since nu > 0.  A caller that already holds
+    M*(1/2) = m_star_half() passes it as m_star_half_value.
     """
     if theta_abs <= 0.0 or epsilon <= 0.0 or nu <= 0.0:
         raise DomainError("theta_abs, epsilon and nu must all be positive")
-    return (_m_star_half() + nu) / (theta_abs * epsilon)
+    if m_star_half_value is None:
+        m_star_half_value = m_star_half()
+    return (m_star_half_value + nu) / (theta_abs * epsilon)
 
 
 def triangle_equality_condition(w, v, tol: float = 1e-12) -> bool:
@@ -446,7 +443,7 @@ def rouche_scan(
     of tau, tau is shifted up by 5*exclusion_tol (repeatedly if needed) so the
     top edge stays clear.  Samples within pole_tol of a neutralized zero are
     evaluated through the quotient limit; elsewhere |f| must stay above
-    boundary_min_modulus or ZeroOnBoundary is raised.
+    boundary_min_modulus or BoundaryZeroError is raised.
 
     Two facts constrain boundary_min_modulus.  |F_omega| on the left edge
     decays like e^(-pi Im/2) (the gamma-modulus factor), so an absolute floor
@@ -525,7 +522,7 @@ def rouche_scan(
             argmin_omega = omega
         if not near_zero:
             if abs(fv) < boundary_min_modulus:
-                raise ZeroOnBoundary(
+                raise BoundaryZeroError(
                     f"|f({omega})| = {abs(fv):.3e} below {boundary_min_modulus:.1e}"
                 )
             if abs(fv) < min_f_abs:

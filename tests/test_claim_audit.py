@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,11 @@ from zetalab.config import AuditConfig
 # a lighter configuration keeps module tests quick; the acceptance suite
 # runs the default one
 LIGHT = AuditConfig(n_samples=60, jensen_samples=256, boundary_density=24)
+
+# the LIGHT report as the pre-registry code wrote it; a refactor must keep it
+# byte for byte, and a deliberate change regenerates it with each changed line
+# explained in CHANGES.md
+GOLDEN_LIGHT = Path(__file__).parent / "data" / "audit_light.json"
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +109,9 @@ class TestDeterminism:
         assert [(c.id, c.verdict) for c in loose.claims] == [
             (c.id, c.verdict) for c in light_report.claims
         ]
+
+    def test_light_report_matches_golden(self, light_report):
+        assert report_to_json(light_report) == GOLDEN_LIGHT.read_text(encoding="ascii")
 
     def test_doc_keyed_by_id(self, light_report):
         doc = json.loads(report_to_json(light_report))

@@ -149,6 +149,22 @@ class TestAudit:
         assert all("id" in json.loads(l) for l in lines[1:])
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("line", ["quad_tol=abc", "seed=1.5"])
+    def test_malformed_config_value_exit_three(self, capsys, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# comment\n{line}\n")
+        code, _, err = run(capsys, "--config", str(path), "zeros", "--tau", "10")
+        assert code == 3
+        assert f"{path}:2" in err
+
+    @pytest.mark.parametrize("flags", [("--budget", "5"), ("--tol", "nan")])
+    def test_out_of_range_flag_exit_three(self, capsys, flags):
+        code, _, err = run(capsys, *flags, "eval", "F", "0.5", "0.0")
+        assert code == 3
+        assert "must be" in err
+
+
 class TestDeterminism:
     def test_same_flags_same_output(self, capsys):
         _, out1, _ = run(capsys, "eval", "F", "0.6", "2.0")

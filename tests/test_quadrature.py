@@ -153,6 +153,11 @@ class TestMStar:
             rhs = t * m_star(float(a1), 1e-9) + (1.0 - t) * m_star(float(a2), 1e-9)
             assert lhs <= rhs + 1e-8
 
+    def test_complex_alpha_rejected(self):
+        # a check that survives python -O, unlike an assert
+        with pytest.raises(DomainError):
+            m_star(0.5 + 1.0j, 1e-8)
+
 
 class TestMStarDerivative:
     def test_anchor_half(self):
@@ -181,6 +186,11 @@ class TestMStarDerivative:
     def test_order_validation(self):
         with pytest.raises(DomainError):
             m_star_derivative(0.75, 3, 1e-8)
+
+    def test_domain_validation(self):
+        for alpha, tol in ((0.0, 1e-8), (1.5, 1e-8), (0.75, 0.0), (0.75, math.nan)):
+            with pytest.raises(DomainError):
+                m_star_derivative(alpha, 1, tol)
 
 
 class TestBoundChain:
