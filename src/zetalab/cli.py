@@ -3,8 +3,9 @@
 Subcommands: eval, bounds, map, zeros, jensen, rouche, audit.  Complex
 arguments are passed as two positional reals (re, im).  Exit codes:
 0 success, 1 FAIL verdicts present in an audit, 2 numerical error,
-3 usage error (including a missing or malformed config file and
-out-of-range flag values).
+3 usage error (including a missing or malformed config file and an
+out-of-range config value).  A flag that sets a config field (its dest is the
+field name) overrides the config file, which applies to every subcommand.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import claim_audit, quadrature as quad, special_functions as sf
@@ -40,9 +41,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="zetalab", description=__doc__)
-    parser.add_argument("--tol", type=float, default=None, help="quadrature tolerance override")
-    parser.add_argument("--budget", type=int, default=None, help="evaluation budget override")
-    parser.add_argument("--format", choices=("csv", "doc"), default=None, help="output format")
+    parser.add_argument("--tol", dest="quad_tol", type=float, help="quadrature tolerance")
+    parser.add_argument("--budget", dest="eval_budget", type=int, help="evaluation budget")
+    parser.add_argument("--format", dest="output_format", choices=("csv", "doc"))
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -63,20 +64,20 @@ def _build_parser() -> _Parser:
     p_map.add_argument("b", type=float)
 
     p_zeros = sub.add_parser("zeros", help="critical-line zeros up to a height")
-    p_zeros.add_argument("--tau", type=float, default=None, help="height (default: config tau_max)")
-    p_zeros.add_argument("--zero-tol", type=float, default=None, help="default: config zero_tol")
+    p_zeros.add_argument("--tau", dest="tau_max", type=float, help="height")
+    p_zeros.add_argument("--zero-tol", type=float)
 
     p_jensen = sub.add_parser("jensen", help="zero-free disk identity for the composed integral")
     p_jensen.add_argument("--b", type=float, default=0.9)
     p_jensen.add_argument("--radius", type=float, default=0.95)
-    p_jensen.add_argument("--samples", type=int, default=384)
+    p_jensen.add_argument("--samples", dest="jensen_samples", type=int)
 
     p_rouche = sub.add_parser("rouche", help="triangle-margin scan over the K(tau) boundary")
-    p_rouche.add_argument("--tau", type=float, required=True)
+    p_rouche.add_argument("--tau", dest="rouche_tau", type=float, required=True)
     p_rouche.add_argument("--lam", type=float, default=None)
-    p_rouche.add_argument("--epsilon", type=float, default=0.1)
-    p_rouche.add_argument("--nu", type=float, default=0.01)
-    p_rouche.add_argument("--theta-abs", type=float, default=1.0)
+    p_rouche.add_argument("--epsilon", dest="rouche_epsilon", type=float)
+    p_rouche.add_argument("--nu", dest="rouche_nu", type=float)
+    p_rouche.add_argument("--theta-abs", dest="rouche_theta_abs", type=float)
 
     p_audit = sub.add_parser("audit", help="run the full claim audit")
     p_audit.add_argument("--out", type=str, default=None, help="report file (default stdout)")
@@ -85,15 +86,14 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_config(args) -> AuditConfig:
-    """The config file (or the defaults) with the global flags applied.
+    """The config file (or the defaults) with every flag named after a field set.
 
     A missing or malformed config file and an out-of-domain value are usage errors.
     """
     path = None if args.config is None else Path(args.config)
     if path is not None and not path.exists():
         raise _CliExit(USAGE_EXIT, f"error: config file not found: {path}")
-    flags = {"quad_tol": args.tol, "eval_budget": args.budget, "seed": args.seed,
-             "output_format": args.format}
+    flags = {f.name: getattr(args, f.name, None) for f in fields(AuditConfig)}
     try:
         cfg = AuditConfig() if path is None else load_config(path)
         return replace(cfg, **{key: value for key, value in flags.items() if value is not None})
@@ -107,12 +107,11 @@ def _fmt(x: float) -> str:
 
 def _cmd_eval(args, cfg: AuditConfig) -> int:
     s = complex(args.re, args.im)
-    tol = args.tol if args.tol is not None else cfg.quad_tol
     if args.function == "F":
-        est = quad.fermi_mellin(s, tol, budget=cfg.eval_budget)
+        est = quad.fermi_mellin(s, cfg.quad_tol, budget=cfg.eval_budget)
         value, err = est.value, est.abs_error
     elif args.function == "F_shifted":
-        est = quad.f_shifted(s, tol, budget=cfg.eval_budget)
+        est = quad.f_shifted(s, cfg.quad_tol, budget=cfg.eval_budget)
         value, err = est.value, est.abs_error
     elif args.function == "gamma":
         value = sf.gamma(s)
@@ -162,9 +161,8 @@ def _cmd_map(args, cfg: AuditConfig) -> int:
 
 
 def _cmd_zeros(args, cfg: AuditConfig) -> int:
-    tau = args.tau if args.tau is not None else cfg.tau_max
-    zero_tol = args.zero_tol if args.zero_tol is not None else cfg.zero_tol
-    zeros = za.critical_line_zeros(tau, zero_tol)
+    tau = cfg.tau_max
+    zeros = za.critical_line_zeros(tau, cfg.zero_tol)
     print(f"zeros up to tau = {_fmt(tau)}: {len(zeros)}")
     for beta in zeros:
         print(f"  beta = {_fmt(beta)}")
@@ -176,7 +174,7 @@ def _cmd_zeros(args, cfg: AuditConfig) -> int:
 
 def _cmd_jensen(args, cfg: AuditConfig) -> int:
     fn = lambda z: smap.f_on_disk(z, args.b, cfg.quad_tol, budget=cfg.eval_budget)
-    lhs, rhs = za.jensen_check(fn, [], args.radius, args.samples)
+    lhs, rhs = za.jensen_check(fn, [], args.radius, cfg.jensen_samples)
     print(f"lhs (log|f(0)|)        = {_fmt(lhs)}")
     print(f"rhs (circle average)   = {_fmt(rhs)}")
     print(f"|lhs - rhs|            = {abs(lhs - rhs):.3e}")
@@ -186,8 +184,8 @@ def _cmd_jensen(args, cfg: AuditConfig) -> int:
 def _cmd_rouche(args, cfg: AuditConfig) -> int:
     lam = args.lam
     if lam is None:
-        lam = za.lambda_choice(args.theta_abs, args.epsilon, args.nu)
-    result = za.rouche_scan(args.tau, lam, args.epsilon, **cfg.rouche_options())
+        lam = za.lambda_choice(cfg.rouche_theta_abs, cfg.rouche_epsilon, cfg.rouche_nu)
+    result = za.rouche_scan(cfg.rouche_tau, lam, cfg.rouche_epsilon, **cfg.rouche_options())
     print(f"tau (after genericity shift) = {_fmt(result.tau)}")
     print(f"lambda = {_fmt(result.lam)}, epsilon = {_fmt(result.epsilon)}")
     print(f"neutralized zeros = {[round(b, 6) for b in result.zeros]}")

@@ -46,12 +46,14 @@ class AuditConfig:
     rouche_theta_abs: float = 1.0
 
     def __post_init__(self):
-        for name in ("quad_tol", "zero_tol", "pole_tol", "exclusion_tol",
-                     "boundary_min_modulus"):
+        for name in ("quad_tol", "zero_tol", "pole_tol", "exclusion_tol", "boundary_min_modulus",
+                     "tau_max", "rouche_tau", "rouche_epsilon", "rouche_nu", "rouche_theta_abs"):
             if not getattr(self, name) > 0.0:  # also rejects NaN
                 raise DomainError(f"{name} must be positive")
         if self.eval_budget < 10**3:
             raise DomainError("eval_budget must be >= 1000")
+        if self.jensen_samples < 8:
+            raise DomainError("jensen_samples must be >= 8")
         if self.output_format not in ("doc", "csv"):
             raise DomainError("output_format must be 'doc' or 'csv'")
 
@@ -84,8 +86,9 @@ def dump_config(config: AuditConfig) -> str:
 def load_config(path: str | Path) -> AuditConfig:
     """Parse a flat key=value file into an AuditConfig.
 
-    Unknown keys and values that do not parse as the field's type raise
-    DomainError naming path:line; values are coerced to the field's type.
+    Unknown keys, values that do not parse as the field's type and values
+    out of the field's range raise DomainError naming path:line; values are
+    coerced to the field's type.
     """
     text = Path(path).read_text()
     by_name = {f.name: f for f in fields(AuditConfig)}
@@ -108,4 +111,8 @@ def load_config(path: str | Path) -> AuditConfig:
             raise DomainError(
                 f"{path}:{lineno}: {key} = {value!r} is not a valid {coerce.__name__}"
             ) from None
+        try:
+            AuditConfig(**{key: overrides[key]})
+        except DomainError as exc:
+            raise DomainError(f"{path}:{lineno}: {exc}") from None
     return AuditConfig(**overrides)

@@ -34,7 +34,6 @@ from .errors import DomainError, PoleError
 __all__ = [
     "ensure_finite",
     "ensure_strip",
-    "ensure_upper_strip",
     "gamma",
     "gamma_abs_product",
     "eta",
@@ -66,14 +65,6 @@ def ensure_strip(s, *, allow_re_one: bool = False) -> complex:
     return s
 
 
-def ensure_upper_strip(s) -> complex:
-    """Validate Re(s) in [1/2, 1], the closed upper half of the strip."""
-    s = ensure_finite(s)
-    if not (0.5 <= s.real <= 1.0):
-        raise DomainError(f"Re(s) = {s.real} outside [1/2, 1]")
-    return s
-
-
 # Lanczos coefficients, g = 607/128, N = 15 (Godfrey's set).
 _LANCZOS_G = 607.0 / 128.0
 _LANCZOS_C = (
@@ -99,7 +90,8 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 def gamma(s) -> complex:
     """Complex Gamma via Lanczos, reflection formula for Re(s) < 1/2.
 
-    Raises PoleError within 1e-12 of a non-positive integer.
+    Raises PoleError within 1e-12 of a non-positive integer, and DomainError
+    for Re(s) < 1/2 above |Im(s)| ~ 226, where sin(pi s) overflows.
     """
     s = ensure_finite(s)
     n = round(s.real)
@@ -107,7 +99,11 @@ def gamma(s) -> complex:
         raise PoleError(f"gamma pole at {n} (argument {s!r})")
     if s.real < 0.5:
         # Gamma(s) Gamma(1-s) = pi / sin(pi s)
-        return math.pi / (cmath.sin(math.pi * s) * gamma(1.0 - s))
+        try:
+            sin_ps = cmath.sin(math.pi * s)
+        except OverflowError:
+            raise DomainError(f"sin(pi s) overflows in the reflection at s = {s!r}") from None
+        return math.pi / (sin_ps * gamma(1.0 - s))
     z = s - 1.0
     acc = _LANCZOS_C[0]
     for k in range(1, len(_LANCZOS_C)):
@@ -140,7 +136,10 @@ def _cvz_weights(n: int) -> np.ndarray:
     """Coefficients c_k/d of the alternating-series acceleration, cached per n."""
     w = _cvz_cache.get(n)
     if w is None:
-        d = (3.0 + math.sqrt(8.0)) ** n
+        try:
+            d = (3.0 + math.sqrt(8.0)) ** n
+        except OverflowError:
+            raise DomainError(f"eta needs {n} terms; the weights overflow past 402") from None
         d = 0.5 * (d + 1.0 / d)
         b = -1.0
         c = -d
@@ -154,20 +153,26 @@ def _cvz_weights(n: int) -> np.ndarray:
     return w
 
 
-def _eta_terms(s: complex, tol: float) -> int:
-    # error <= (3+sqrt 8)^(-n) * Gamma(sigma)/|Gamma(s)|
-    sigma = s.real
-    ratio = math.lgamma(sigma) - math.log(abs(gamma(s)))
-    need = (ratio + math.log(1.0 / tol)) / _LOG_CVZ
+def _eta_terms(s: complex) -> int:
+    # error <= (3+sqrt 8)^(-n) * Gamma(sigma)/|Gamma(s)|, target 1e-13
+    gamma_abs = abs(gamma(s))
+    if gamma_abs == 0.0:
+        raise DomainError(f"|Gamma(s)| underflows at s = {s!r}; no term count can be chosen")
+    ratio = math.lgamma(s.real) - math.log(gamma_abs)
+    need = (ratio + math.log(1.0 / 1e-13)) / _LOG_CVZ
     return max(12, int(math.ceil(need)) + 4)
 
 
-def eta(s, tol: float = 1e-13) -> complex:
-    """Dirichlet eta via accelerated alternating series, Re(s) > 0."""
+def eta(s) -> complex:
+    """Dirichlet eta via accelerated alternating series, Re(s) > 0.
+
+    Raises DomainError past |Im(s)| ~ 428 at Re(s) = 1/2, where the series
+    weights overflow or |Gamma(s)| underflows, and past gamma's limit.
+    """
     s = ensure_finite(s)
     if s.real <= 0.0:
         raise DomainError(f"eta requires Re(s) > 0, got {s.real}")
-    w = _cvz_weights(_eta_terms(s, tol))
+    w = _cvz_weights(_eta_terms(s))
     k = np.arange(1, len(w) + 1, dtype=float)
     return complex(np.dot(w, k ** (-s)))
 

@@ -124,72 +124,53 @@ class RoucheScanResult:
     zeros: tuple[float, ...]
 
 
-class _EvalBudget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self, n: int = 1):
-        self.used += n
-        if self.used > self.limit:
-            raise NonConvergence(
-                f"boundary refinement budget {self.limit} exhausted"
-            )
+def _boundary_points(rect: RectangleRegion, per_unit: float) -> list[complex]:
+    """Counterclockwise boundary samples, max(8, ceil(per_unit * length)) per side."""
+    corners = rect.corners
+    pts: list[complex] = []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        n = max(8, int(math.ceil(per_unit * abs(b - a))))
+        pts.extend(a + (b - a) * (k / n) for k in range(n))
+    return pts
 
 
-def _checked(fn: AnalyticFn, p: complex, min_mod: float, budget: _EvalBudget) -> complex:
-    budget.spend()
-    v = complex(fn(p))
-    if abs(v) < min_mod:
-        raise BoundaryZeroError(
-            f"|fn({p})| = {abs(v):.3e} below boundary minimum {min_mod:.3e}"
-        )
-    return v
-
-
-def _phase_delta(fn, p1, v1, p2, v2, min_mod, budget, depth=0) -> float:
-    d = cmath.phase(v2 / v1)
-    if abs(d) <= _HALF_PI:
-        return d
-    if depth >= 48:
-        raise NonConvergence("phase step did not settle below pi/2")
-    pm = 0.5 * (p1 + p2)
-    vm = _checked(fn, pm, min_mod, budget)
-    return _phase_delta(fn, p1, v1, pm, vm, min_mod, budget, depth + 1) + _phase_delta(
-        fn, pm, vm, p2, v2, min_mod, budget, depth + 1
-    )
-
-
-def winding_count(
-    fn: AnalyticFn,
-    rect: RectangleRegion,
-    samples_per_side: int | None = None,
-    *,
-    boundary_min_modulus: float = 1e-12,
-    max_evals: int = 500_000,
-) -> int:
+def winding_count(fn: AnalyticFn, rect: RectangleRegion, *, max_evals: int = 500_000) -> int:
     """Winding number of fn along the rectangle boundary (counterclockwise).
 
     For fn analytic without poles this equals the number of zeros inside.
-    samples_per_side = None picks 64 samples per unit of side length (at
-    least 8); adaptive refinement then guarantees phase continuity.
+    The boundary starts at 64 samples per unit of side length (at least 8
+    per side); adaptive refinement then guarantees phase continuity.  A value
+    below 1e-12 in modulus raises BoundaryZeroError, and more than max_evals
+    evaluations raise NonConvergence.
     """
-    corners = rect.corners
-    budget = _EvalBudget(max_evals)
-    pts: list[complex] = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        n = samples_per_side
-        if n is None:
-            n = max(8, int(math.ceil(64.0 * abs(b - a))))
-        for k in range(n):
-            pts.append(a + (b - a) * (k / n))
-    vals = [_checked(fn, p, boundary_min_modulus, budget) for p in pts]
+    evals = 0
+
+    def value(p: complex) -> complex:
+        nonlocal evals
+        evals += 1
+        if evals > max_evals:
+            raise NonConvergence(f"boundary refinement budget {max_evals} exhausted")
+        v = complex(fn(p))
+        if abs(v) < 1e-12:
+            raise BoundaryZeroError(f"|fn({p})| = {abs(v):.3e} below boundary minimum 1e-12")
+        return v
+
+    def phase_delta(p1: complex, v1: complex, p2: complex, v2: complex, depth: int) -> float:
+        d = cmath.phase(v2 / v1)
+        if abs(d) <= _HALF_PI:
+            return d
+        if depth >= 48:
+            raise NonConvergence("phase step did not settle below pi/2")
+        pm = 0.5 * (p1 + p2)
+        vm = value(pm)
+        return phase_delta(p1, v1, pm, vm, depth + 1) + phase_delta(pm, vm, p2, v2, depth + 1)
+
+    pts = _boundary_points(rect, 64.0)
+    vals = [value(p) for p in pts]
     total = 0.0
     for k in range(len(pts)):
         k2 = (k + 1) % len(pts)
-        total += _phase_delta(
-            fn, pts[k], vals[k], pts[k2], vals[k2], boundary_min_modulus, budget
-        )
+        total += phase_delta(pts[k], vals[k], pts[k2], vals[k2], 0)
     turns = total / _TWO_PI
     nearest = round(turns)
     if abs(turns - nearest) > 0.25:
@@ -239,40 +220,27 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float, iters: int = 
     return 0.5 * (a + b)
 
 
-def critical_line_zeros(
-    tau: float,
-    zero_tol: float = 1e-4,
-    *,
-    re_half_width: float = 0.4,
-    boundary_min_modulus: float = 1e-12,
-    max_evals: int = 2_000_000,
-) -> CriticalZeroList:
+def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
     """Locate all eta zeros with 0 < Im(s) <= tau by rectangle bisection.
 
-    Each isolating cell is certified by a winding count of 1, the height is
-    refined below zero_tol, the zero ordinate is polished by golden-section
-    on |eta| along the critical line, and a final certificate confirms the
-    zero sits inside a rectangle of half-width zero_tol around Re(s) = 1/2.
+    The cells span Re(s) in [0.1, 0.9].  Each isolating cell is certified by
+    a winding count of 1, the height is refined below zero_tol, the zero
+    ordinate is polished by golden-section on |eta| along the critical line,
+    and a final certificate confirms the zero sits inside a rectangle of
+    half-width zero_tol around Re(s) = 1/2.
     """
-    if tau <= 0.0:
+    if not tau > 0.0:  # also rejects NaN
         raise DomainError("tau must be positive")
-    if zero_tol <= 0.0:
+    if not zero_tol > 0.0:
         raise DomainError("zero_tol must be positive")
-    re_lo, re_hi = 0.5 - re_half_width, 0.5 + re_half_width
     fn = lambda s: eta(s)
-
-    def cell_count(lo: float, hi: float) -> int:
-        rect = RectangleRegion(re_lo, re_hi, lo, hi)
-        return winding_count(
-            fn, rect, boundary_min_modulus=boundary_min_modulus, max_evals=max_evals
-        )
-
+    re_lo, re_hi = 0.5 - 0.4, 0.5 + 0.4  # 0.09999999999999998: the located zeros depend on it
     betas: list[float] = []
     stack = [(0.0, float(tau))]
     min_height = max(zero_tol / 8.0, 1e-9)
     while stack:
         lo, hi = stack.pop()
-        count = cell_count(lo, hi)
+        count = winding_count(fn, RectangleRegion(re_lo, re_hi, lo, hi), max_evals=2_000_000)
         if count == 0:
             continue
         if count == 1 and hi - lo <= zero_tol:
@@ -292,7 +260,7 @@ def critical_line_zeros(
         cert = RectangleRegion(
             0.5 - zero_tol, 0.5 + zero_tol, beta - zero_tol, beta + zero_tol
         )
-        n = winding_count(fn, cert, boundary_min_modulus=boundary_min_modulus)
+        n = winding_count(fn, cert)
         if n != 1:
             raise MultiplicityAmbiguity(
                 f"certificate cell at beta = {beta} holds {n} zeros"
@@ -312,31 +280,27 @@ def riemann_von_mangoldt(T: float) -> float:
 
 
 def jensen_check(
-    fn: AnalyticFn,
-    zeros: Sequence[complex],
-    R: float,
-    samples: int = 512,
-    *,
-    center_tol: float = 1e-12,
-    boundary_tol: float = 1e-9,
+    fn: AnalyticFn, zeros: Sequence[complex], R: float, samples: int = 512
 ) -> tuple[float, float]:
     """Both sides of the disk zero-count identity for fn on |z| <= R.
 
     lhs = log|fn(0)| + sum log(R/|z_i|) over the provided interior zeros;
     rhs = circle average of log|fn| (trapezoid over equispaced angles, which
     converges geometrically for analytic fn with no zeros on the circle).
+    |fn(0)| < 1e-12 raises ZeroAtCenter, and a zero within 1e-9 of the
+    circle raises BoundaryZeroError.
     """
-    if R <= 0.0:
+    if not R > 0.0:
         raise DomainError("R must be positive")
     if samples < 8:
         raise DomainError("samples must be >= 8")
     f0 = complex(fn(0.0 + 0.0j))
-    if abs(f0) < center_tol:
-        raise ZeroAtCenter(f"|fn(0)| = {abs(f0):.3e} below {center_tol:.1e}")
+    if abs(f0) < 1e-12:
+        raise ZeroAtCenter(f"|fn(0)| = {abs(f0):.3e} below 1.0e-12")
     lhs = math.log(abs(f0))
     for z in zeros:
         z = ensure_finite(z)
-        if abs(abs(z) - R) < boundary_tol:
+        if abs(abs(z) - R) < 1e-9:
             raise BoundaryZeroError(f"zero {z} lies on the circle |z| = {R}")
         if abs(z) > R:
             raise DomainError(f"zero {z} outside the disk of radius {R}")
@@ -395,7 +359,7 @@ def lambda_choice(
     r = |eps + omega| >= eps, since nu > 0.  A caller that already holds
     M*(1/2) = m_star_half() passes it as m_star_half_value.
     """
-    if theta_abs <= 0.0 or epsilon <= 0.0 or nu <= 0.0:
+    if not (theta_abs > 0.0 and epsilon > 0.0 and nu > 0.0):
         raise DomainError("theta_abs, epsilon and nu must all be positive")
     if m_star_half_value is None:
         m_star_half_value = m_star_half()
@@ -423,8 +387,6 @@ def rouche_scan(
     tau: float,
     lam: float,
     epsilon: float,
-    samples_per_side: int | None = None,
-    tol: float = 1e-10,
     *,
     zeros: CriticalZeroList | Sequence[float] | None = None,
     zero_tol: float = 1e-4,
@@ -452,9 +414,10 @@ def rouche_scan(
     the right edge carries genuine zeros of F_omega at Im = 2 pi k / log 2
     (the alternating-series prefactor 1 - 2^(1-s) vanishes there, at
     Re(s) = 1), which no neutralizer covers; samples land on them only with
-    measure zero, and the scan reports whatever minimum it sees.
+    measure zero, and the scan reports whatever minimum it sees.  A margin
+    below -1e-10 raises NonConvergence.
     """
-    if tau <= 0.0 or lam <= 0.0 or epsilon <= 0.0:
+    if not (tau > 0.0 and lam > 0.0 and epsilon > 0.0):
         raise DomainError("tau, lam and epsilon must be positive")
     if zeros is None:
         zlist = critical_line_zeros(tau + 6.0 * exclusion_tol, zero_tol)
@@ -495,20 +458,7 @@ def rouche_scan(
         value = _f_omega_estimate(omega, quad_tol, budget).value
         return value * blaschke_L(omega, betas, pole_tol=pole_tol), near
 
-    corners = [
-        0.0 + 0.0j,
-        0.5 + 0.0j,
-        complex(0.5, tau),
-        complex(0.0, tau),
-    ]
-    samples: list[complex] = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        n = samples_per_side
-        if n is None:
-            n = max(8, int(math.ceil(density * abs(b - a))))
-        for k in range(n):
-            samples.append(a + (b - a) * (k / n))
-
+    samples = _boundary_points(RectangleRegion(0.0, 0.5, 0.0, tau), density)
     min_margin = math.inf
     argmin_omega = samples[0]
     min_f_abs = math.inf
@@ -528,9 +478,9 @@ def rouche_scan(
             if abs(fv) < min_f_abs:
                 min_f_abs = abs(fv)
                 argmin_f = omega
-    if min_margin < -tol:
+    if min_margin < -1e-10:
         raise NonConvergence(
-            f"triangle margin {min_margin:.3e} below -tol; numerical breakdown"
+            f"triangle margin {min_margin:.3e} below -1e-10; numerical breakdown"
         )
     return RoucheScanResult(
         tau=float(tau),

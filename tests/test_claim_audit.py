@@ -140,6 +140,11 @@ class TestConfig:
             AuditConfig(eval_budget=10)
         with pytest.raises(DomainError):
             AuditConfig(output_format="xml")
+        with pytest.raises(DomainError):
+            AuditConfig(jensen_samples=4)
+        for name in ("tau_max", "rouche_tau", "rouche_epsilon", "rouche_nu", "rouche_theta_abs"):
+            with pytest.raises(DomainError):
+                AuditConfig(**{name: float("nan")})
 
     def test_roundtrip_file(self, tmp_path):
         from zetalab.config import dump_config, load_config

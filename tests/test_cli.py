@@ -104,6 +104,13 @@ class TestJensen:
         diff = float(out.split("|lhs - rhs|")[1].split("=")[1])
         assert diff < 1e-3
 
+    def test_samples_from_config(self, capsys, tmp_path):
+        path = tmp_path / "jensen.cfg"
+        path.write_text("jensen_samples=128\n")
+        _, from_config, _ = run(capsys, "--config", str(path), "jensen")
+        _, from_flag, _ = run(capsys, "jensen", "--samples", "128")
+        assert from_config.splitlines()[-1] == from_flag.splitlines()[-1]
+
 
 class TestRouche:
     def test_completes_below_first_zero(self, capsys):
@@ -112,6 +119,13 @@ class TestRouche:
         assert "min_margin" in out
         margin = float(out.split("min_margin = ")[1].split(" ")[0])
         assert margin >= -1e-12
+
+    def test_epsilon_from_config(self, capsys, tmp_path):
+        path = tmp_path / "rouche.cfg"
+        path.write_text("rouche_epsilon=0.2\n")
+        code, out, _ = run(capsys, "--config", str(path), "rouche", "--tau", "10", "--lam", "10")
+        assert code == 0
+        assert "epsilon = 0.2" in out
 
 
 class TestAudit:
@@ -150,7 +164,7 @@ class TestAudit:
 
 
 class TestUsageErrors:
-    @pytest.mark.parametrize("line", ["quad_tol=abc", "seed=1.5"])
+    @pytest.mark.parametrize("line", ["quad_tol=abc", "seed=1.5", "quad_tol=-1"])
     def test_malformed_config_value_exit_three(self, capsys, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(f"# comment\n{line}\n")
@@ -163,6 +177,13 @@ class TestUsageErrors:
         code, _, err = run(capsys, *flags, "eval", "F", "0.5", "0.0")
         assert code == 3
         assert "must be" in err
+
+    @pytest.mark.parametrize("argv", [("zeros", "--tau", "-1"),
+                                      ("zeros", "--tau", "16", "--zero-tol", "nan")])
+    def test_out_of_range_command_flag_exit_three(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "must be positive" in err
 
 
 class TestDeterminism:

@@ -132,6 +132,14 @@ class TestEta:
         with pytest.raises(DomainError):
             eta(-0.5)
 
+    # Past the double-precision limits: gamma's reflection overflows, the
+    # series weights overflow (n > 402 terms), and |Gamma(s)| underflows.
+    @pytest.mark.parametrize("fn, s", [(gamma, 0.3 + 300j), (eta, 0.3 + 300j),
+                                       (eta, 0.5 + 440j), (eta, 0.5 + 500j)])
+    def test_height_limit_is_domain_error(self, fn, s):
+        with pytest.raises(DomainError):
+            fn(s)
+
 
 class TestZeta:
     def test_half(self):

@@ -97,6 +97,12 @@ class TestCriticalLineZeros:
     def test_below_first_zero_empty(self):
         assert critical_line_zeros(10.0, 1e-4).betas == ()
 
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            critical_line_zeros(math.nan, 1e-4)
+        with pytest.raises(DomainError):
+            critical_line_zeros(16.0, math.nan)
+
     def test_invariants_enforced(self):
         with pytest.raises(DomainError):
             CriticalZeroList((2.0, 1.0), 10.0)
@@ -163,6 +169,10 @@ class TestJensen:
     def test_zero_outside_disk_rejected(self):
         with pytest.raises(DomainError):
             jensen_check(lambda z: z - 2.0, [2.0 + 0j], 1.0, 64)
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(DomainError):
+            jensen_check(lambda z: z - 2.0, [], math.nan, 64)
 
 
 class TestTitchmarsh:
@@ -271,6 +281,9 @@ class TestLambdaChoice:
             lambda_choice(0.0, 0.1, 0.01)
         with pytest.raises(DomainError):
             lambda_choice(1.0, -0.1, 0.01)
+        for args in [(math.nan, 0.1, 0.01), (1.0, math.nan, 0.01), (1.0, 0.1, math.nan)]:
+            with pytest.raises(DomainError):
+                lambda_choice(*args, m_star_half_value=1.0)
 
 
 class TestTriangleEquality:
@@ -348,6 +361,9 @@ class TestRoucheScan:
             rouche_scan(0.0, 1.0, 0.1)
         with pytest.raises(DomainError):
             rouche_scan(10.0, -1.0, 0.1)
+        for args in [(math.nan, 1.0, 0.1), (10.0, math.nan, 0.1), (10.0, 1.0, math.nan)]:
+            with pytest.raises(DomainError):
+                rouche_scan(*args, zeros=[])
 
 
 class TestZeroCountTransfer:
