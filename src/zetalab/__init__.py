@@ -29,7 +29,6 @@ from .errors import (
     ZetaLabError,
 )
 from .quadrature import (
-    BoundsSample,
     QuadratureEstimate,
     f_shifted,
     fermi_mellin,
@@ -51,7 +50,6 @@ from .strip_map import (
     disk_modulus_H,
     f_on_disk,
     phi,
-    phi_center,
     phi_inverse,
     theta,
     theta_inverse,

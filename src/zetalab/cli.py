@@ -4,8 +4,9 @@ Subcommands: eval, bounds, map, zeros, jensen, rouche, audit.  Complex
 arguments are passed as two positional reals (re, im).  Exit codes:
 0 success, 1 FAIL verdicts present in an audit, 2 numerical error,
 3 usage error (including a missing or malformed config file and an
-out-of-range config value).  A flag that sets a config field (its dest is the
-field name) overrides the config file, which applies to every subcommand.
+out-of-range config value or flag; a point outside the domain is exit 2).
+A flag that sets a config field (its dest is the field name) overrides the
+config file, which applies to every subcommand.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import Callable
 
 from . import claim_audit, quadrature as quad, special_functions as sf
 from . import strip_map as smap, zero_analysis as za
@@ -39,6 +41,23 @@ class _Parser(argparse.ArgumentParser):
         raise _CliExit(USAGE_EXIT, f"error: {message}")
 
 
+def _float_where(ok: Callable[[float], bool], requirement: str) -> Callable[[str], float]:
+    """An argparse type: a float that ok accepts, else a usage error (NaN fails both)."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} {requirement}")
+        return value
+
+    parse.__name__ = "float"  # argparse names the type in "invalid float value"
+    return parse
+
+
+_positive = _float_where(lambda v: v > 0.0, "must be positive")
+_unit_open = _float_where(lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="zetalab", description=__doc__)
     parser.add_argument("--tol", dest="quad_tol", type=float, help="quadrature tolerance")
@@ -61,20 +80,20 @@ def _build_parser() -> _Parser:
     p_map = sub.add_parser("map", help="disk-to-strip map diagnostics at one point")
     p_map.add_argument("re", type=float)
     p_map.add_argument("im", type=float)
-    p_map.add_argument("b", type=float)
+    p_map.add_argument("b", type=_unit_open)
 
     p_zeros = sub.add_parser("zeros", help="critical-line zeros up to a height")
     p_zeros.add_argument("--tau", dest="tau_max", type=float, help="height")
     p_zeros.add_argument("--zero-tol", type=float)
 
     p_jensen = sub.add_parser("jensen", help="zero-free disk identity for the composed integral")
-    p_jensen.add_argument("--b", type=float, default=0.9)
-    p_jensen.add_argument("--radius", type=float, default=0.95)
+    p_jensen.add_argument("--b", type=_unit_open, default=0.9)
+    p_jensen.add_argument("--radius", type=_unit_open, default=0.95)
     p_jensen.add_argument("--samples", dest="jensen_samples", type=int)
 
     p_rouche = sub.add_parser("rouche", help="triangle-margin scan over the K(tau) boundary")
     p_rouche.add_argument("--tau", dest="rouche_tau", type=float, required=True)
-    p_rouche.add_argument("--lam", type=float, default=None)
+    p_rouche.add_argument("--lam", type=_positive, default=None)
     p_rouche.add_argument("--epsilon", dest="rouche_epsilon", type=float)
     p_rouche.add_argument("--nu", dest="rouche_nu", type=float)
     p_rouche.add_argument("--theta-abs", dest="rouche_theta_abs", type=float)
@@ -133,17 +152,10 @@ def _cmd_bounds(args, cfg: AuditConfig) -> int:
     alpha = args.lo
     while alpha <= args.hi + 1e-12:
         a = min(alpha, 1.0)
-        row = quad.BoundsSample(
-            alpha=a,
-            m=quad.m_bound(a),
-            m_star=quad.m_star(a, cfg.quad_tol, budget=cfg.eval_budget),
-            m_star_d1=quad.m_star_derivative(a, 1, cfg.quad_tol, budget=cfg.eval_budget),
-            m_star_d2=quad.m_star_derivative(a, 2, cfg.quad_tol, budget=cfg.eval_budget),
-        )
-        print(
-            f"{_fmt(row.alpha)},{_fmt(row.m)},{_fmt(row.m_star)},"
-            f"{_fmt(row.m_star_d1)},{_fmt(row.m_star_d2)}"
-        )
+        row = (a, quad.m_bound(a), quad.m_star(a, cfg.quad_tol, budget=cfg.eval_budget),
+               *(quad.m_star_derivative(a, k, cfg.quad_tol, budget=cfg.eval_budget)
+                 for k in (1, 2)))
+        print(",".join(_fmt(x) for x in row))
         alpha += args.step
     return 0
 

@@ -19,25 +19,18 @@ __all__ = ["AuditConfig", "load_config", "dump_config"]
 
 @dataclass(frozen=True)
 class AuditConfig:
+    # the tolerance of the CLI operations; the audit's claims fix their own,
+    # and its boundary scan uses min(quad_tol, 1e-10), so quad_tol reaches the
+    # audit only when it is tighter than 1e-10
     quad_tol: float = 1e-8
     zero_tol: float = 1e-4
-    # random strip sweeps
-    n_samples: int = 1000
-    sample_re_lo: float = 0.5
-    sample_re_hi: float = 1.0
-    sample_im_lo: float = 0.0
-    sample_im_hi: float = 50.0
-    # deterministic grids
-    grid_re_n: int = 7
-    grid_im_n: int = 7
+    n_samples: int = 1000  # random strip sweeps
     eval_budget: int = 10**6
     tau_max: float = 50.0
     seed: int = 20201219
     output_format: str = "doc"  # "doc" (single JSON document) or "csv"
     # boundary-scan knobs
     boundary_density: int = 64
-    pole_tol: float = 1e-3
-    exclusion_tol: float = 1e-2
     boundary_min_modulus: float = 1e-12
     jensen_samples: int = 384
     rouche_tau: float = 16.0
@@ -46,8 +39,8 @@ class AuditConfig:
     rouche_theta_abs: float = 1.0
 
     def __post_init__(self):
-        for name in ("quad_tol", "zero_tol", "pole_tol", "exclusion_tol", "boundary_min_modulus",
-                     "tau_max", "rouche_tau", "rouche_epsilon", "rouche_nu", "rouche_theta_abs"):
+        for name in ("quad_tol", "zero_tol", "boundary_min_modulus", "tau_max",
+                     "rouche_tau", "rouche_epsilon", "rouche_nu", "rouche_theta_abs"):
             if not getattr(self, name) > 0.0:  # also rejects NaN
                 raise DomainError(f"{name} must be positive")
         if self.eval_budget < 10**3:
@@ -68,8 +61,6 @@ class AuditConfig:
         return dict(
             zero_tol=self.zero_tol,
             quad_tol=min(self.quad_tol, 1e-10),
-            pole_tol=self.pole_tol,
-            exclusion_tol=self.exclusion_tol,
             boundary_min_modulus=self.boundary_min_modulus,
             density=self.boundary_density,
             budget=self.eval_budget,

@@ -39,7 +39,6 @@ from .special_functions import ensure_finite
 __all__ = [
     "DEFAULT_BUDGET",
     "QuadratureEstimate",
-    "BoundsSample",
     "fermi_mellin",
     "f_shifted",
     "m_bound",
@@ -61,17 +60,6 @@ class QuadratureEstimate:
     value: complex
     abs_error: float
     n_evals: int
-
-
-@dataclass(frozen=True)
-class BoundsSample:
-    """One row of the bounds table at a given alpha."""
-
-    alpha: float
-    m: float
-    m_star: float
-    m_star_d1: float
-    m_star_d2: float
 
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule.

@@ -52,15 +52,10 @@ def ensure_finite(s) -> complex:
     return s
 
 
-def ensure_strip(s, *, allow_re_one: bool = False) -> complex:
-    """Validate 0 < Re(s) < 1 (the open critical strip).
-
-    ``allow_re_one`` admits the closed right edge Re(s) = 1, needed by the
-    integral operations whose domain extends to the boundary.
-    """
+def ensure_strip(s) -> complex:
+    """Validate 0 < Re(s) < 1 (the open critical strip)."""
     s = ensure_finite(s)
-    hi_ok = s.real <= 1.0 if allow_re_one else s.real < 1.0
-    if not (0.0 < s.real and hi_ok):
+    if not 0.0 < s.real < 1.0:
         raise DomainError(f"Re(s) = {s.real} outside the critical strip")
     return s
 

@@ -20,7 +20,7 @@ import cmath
 import math
 
 from .errors import DomainError
-from .quadrature import DEFAULT_BUDGET, f_shifted, omega0
+from .quadrature import DEFAULT_BUDGET, f_shifted
 from .special_functions import ensure_finite
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "theta",
     "theta_inverse",
     "phi",
-    "phi_center",
     "phi_inverse",
     "disk_modulus_H",
     "f_on_disk",
@@ -73,11 +72,6 @@ def phi(z, b: float) -> complex:
     t = theta(z, b)
     w = cmath.log((1.0 + t) / (1.0 - t))
     return complex(0.25 + w.imag / _TWO_PI, -w.real / _TWO_PI)
-
-
-def phi_center(b: float) -> float:
-    """Re(phi(0, b)) in closed form: omega0(b) = 1/4 - arctan(b)/pi (Im is exactly 0)."""
-    return omega0(ensure_map_param(b))
 
 
 def phi_inverse(omega, b: float) -> complex:

@@ -61,6 +61,12 @@ _HALF_PI = 0.5 * math.pi
 _TWO_PI = 2.0 * math.pi
 _TWO_PI_E = 2.0 * math.pi * math.e
 
+# Radius around a neutralized zero i*b_j inside which the boundary scan uses
+# the quotient limit (and blaschke_L refuses to divide), and the clearance the
+# scan keeps between tau and every zero height.
+POLE_TOL = 1e-3
+EXCLUSION_TOL = 1e-2
+
 AnalyticFn = Callable[[complex], complex]
 
 
@@ -330,12 +336,12 @@ def titchmarsh_zero_free(M: float, f0_abs: float, delta: float) -> bool:
     return delta * M < f0_abs
 
 
-def blaschke_L(omega, zeros, *, pole_tol: float = 1e-3) -> complex:
+def blaschke_L(omega, zeros) -> complex:
     """Product of conjugate-ratio factors (conj(omega)+i b_j)/(omega-i b_j).
 
     Numerator and denominator of each factor are complex conjugates (the
     heights b_j are real), so the product has modulus exactly 1 away from
-    the poles at i*b_j.
+    the poles at i*b_j.  omega within POLE_TOL of a pole raises PoleProximity.
     """
     omega = ensure_finite(omega)
     betas = np.asarray(list(zeros), dtype=float)
@@ -343,9 +349,9 @@ def blaschke_L(omega, zeros, *, pole_tol: float = 1e-3) -> complex:
         return 1.0 + 0.0j
     den = omega - 1j * betas
     gap = float(np.min(np.abs(den)))
-    if gap < pole_tol:
+    if gap < POLE_TOL:
         raise PoleProximity(
-            f"omega within {gap:.3e} of a zero height (pole_tol {pole_tol:.1e})"
+            f"omega within {gap:.3e} of a zero height (pole_tol {POLE_TOL:.1e})"
         )
     return complex(np.prod((np.conj(omega) + 1j * betas) / den))
 
@@ -391,8 +397,6 @@ def rouche_scan(
     zeros: CriticalZeroList | Sequence[float] | None = None,
     zero_tol: float = 1e-4,
     quad_tol: float = 1e-10,
-    pole_tol: float = 1e-3,
-    exclusion_tol: float = 1e-2,
     boundary_min_modulus: float = 1e-12,
     density: int = 64,
     budget: int = DEFAULT_BUDGET,
@@ -401,10 +405,11 @@ def rouche_scan(
 
     K(tau) is the rectangle Re(omega) in [0, 1/2], Im(omega) in [0, tau];
     f = F_omega * L with L built over the critical-line zeros below tau, and
-    g = lam * (epsilon + omega).  If a zero height falls within exclusion_tol
-    of tau, tau is shifted up by 5*exclusion_tol (repeatedly if needed) so the
-    top edge stays clear.  Samples within pole_tol of a neutralized zero are
-    evaluated through the quotient limit; elsewhere |f| must stay above
+    g = lam * (epsilon + omega).  Two module constants fix the geometry around
+    the zeros: if a zero height falls within EXCLUSION_TOL = 1e-2 of tau, tau
+    is shifted up by 5*EXCLUSION_TOL (repeatedly if needed) so the top edge
+    stays clear, and samples within POLE_TOL = 1e-3 of a neutralized zero are
+    evaluated through the quotient limit.  Elsewhere |f| must stay above
     boundary_min_modulus or BoundaryZeroError is raised.
 
     Two facts constrain boundary_min_modulus.  |F_omega| on the left edge
@@ -420,29 +425,29 @@ def rouche_scan(
     if not (tau > 0.0 and lam > 0.0 and epsilon > 0.0):
         raise DomainError("tau, lam and epsilon must be positive")
     if zeros is None:
-        zlist = critical_line_zeros(tau + 6.0 * exclusion_tol, zero_tol)
+        zlist = critical_line_zeros(tau + 6.0 * EXCLUSION_TOL, zero_tol)
         betas = list(zlist.betas)
     else:
         betas = [float(b) for b in zeros]
-    while any(abs(b - tau) < exclusion_tol for b in betas):
-        tau += 5.0 * exclusion_tol
+    while any(abs(b - tau) < EXCLUSION_TOL for b in betas):
+        tau += 5.0 * EXCLUSION_TOL
     betas = [b for b in betas if b <= tau]
     beta_arr = np.asarray(betas, dtype=float)
 
     # Quotient limits F_omega(omega)/(omega - i b_j) near each zero, estimated
-    # once per zero from the symmetric pair of ring points of radius pole_tol
+    # once per zero from the symmetric pair of ring points of radius POLE_TOL
     # that stay inside the half strip (the pair cancels the second-order term,
     # giving a central difference along the edge).
     quotients = []
     for b in betas:
-        up = _f_omega_estimate(1j * (b + pole_tol), quad_tol, budget).value
-        dn = _f_omega_estimate(1j * (b - pole_tol), quad_tol, budget).value
-        quotients.append((up - dn) / (2j * pole_tol))
+        up = _f_omega_estimate(1j * (b + POLE_TOL), quad_tol, budget).value
+        dn = _f_omega_estimate(1j * (b - POLE_TOL), quad_tol, budget).value
+        quotients.append((up - dn) / (2j * POLE_TOL))
 
     def f_at(omega: complex) -> tuple[complex, bool]:
         """Returns (f(omega), near_neutralized_zero).
 
-        The quotient-limit route applies within pole_tol of a zero height;
+        The quotient-limit route applies within POLE_TOL of a zero height;
         the nonvanishing check is waived on a 10x wider neighbourhood, where
         |f| legitimately decays linearly toward the neutralized zero.
         """
@@ -450,13 +455,13 @@ def rouche_scan(
         if beta_arr.size:
             d = omega - 1j * beta_arr
             j = int(np.argmin(np.abs(d)))
-            near = abs(d[j]) < 10.0 * pole_tol
-            if abs(d[j]) < pole_tol:
+            near = abs(d[j]) < 10.0 * POLE_TOL
+            if abs(d[j]) < POLE_TOL:
                 rest = np.delete(beta_arr, j)
-                other = blaschke_L(omega, rest, pole_tol=pole_tol) if rest.size else 1.0
+                other = blaschke_L(omega, rest) if rest.size else 1.0
                 return d[j].conjugate() * quotients[j] * other, True
         value = _f_omega_estimate(omega, quad_tol, budget).value
-        return value * blaschke_L(omega, betas, pole_tol=pole_tol), near
+        return value * blaschke_L(omega, betas), near
 
     samples = _boundary_points(RectangleRegion(0.0, 0.5, 0.0, tau), density)
     min_margin = math.inf

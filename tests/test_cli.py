@@ -164,7 +164,9 @@ class TestAudit:
 
 
 class TestUsageErrors:
-    @pytest.mark.parametrize("line", ["quad_tol=abc", "seed=1.5", "quad_tol=-1"])
+    # pole_tol and grid_re_n name values fixed in the code, not config keys
+    @pytest.mark.parametrize("line", ["quad_tol=abc", "seed=1.5", "quad_tol=-1",
+                                      "pole_tol=1e-3", "grid_re_n=7"])
     def test_malformed_config_value_exit_three(self, capsys, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(f"# comment\n{line}\n")
@@ -184,6 +186,15 @@ class TestUsageErrors:
         code, _, err = run(capsys, *argv)
         assert code == 3
         assert "must be positive" in err
+
+    @pytest.mark.parametrize("argv", [("rouche", "--tau", "10", "--lam", "-1"),
+                                      ("jensen", "--radius", "0"),
+                                      ("jensen", "--b", "2"),
+                                      ("map", "0.3", "0.4", "2")])
+    def test_out_of_range_operation_flag_exit_three(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "argument" in err and "must" in err  # rejected by the parser
 
 
 class TestDeterminism:

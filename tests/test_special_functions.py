@@ -36,9 +36,6 @@ class TestValidation:
         with pytest.raises(DomainError):
             ensure_strip(complex(re, 1.0))
 
-    def test_strip_right_edge_opt_in(self):
-        assert ensure_strip(1.0 + 2j, allow_re_one=True) == 1.0 + 2j
-
 
 class TestGamma:
     def test_half(self):

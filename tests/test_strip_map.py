@@ -12,7 +12,6 @@ from zetalab.strip_map import (
     disk_modulus_H,
     f_on_disk,
     phi,
-    phi_center,
     phi_inverse,
     theta,
     theta_inverse,
@@ -63,7 +62,7 @@ class TestPhi:
     def test_center_closed_form(self):
         for b in np.linspace(0.05, 0.95, 19):
             w = phi(0j, float(b))
-            assert w.real == pytest.approx(phi_center(float(b)), abs=1e-15)
+            assert w.real == pytest.approx(omega0(float(b)), abs=1e-15)
             assert abs(w.imag) < 1e-15
 
     def test_center_limit_b_to_one(self):

@@ -230,7 +230,7 @@ class TestBlaschke:
         assert abs(abs(blaschke_L(0.3 + 0.2j, [14.1347])) - 1.0) < 1e-12
 
     def test_three_factors(self):
-        v = blaschke_L(0.1 + 14.1j, list(ZERO_ORDINATES), pole_tol=1e-3)
+        v = blaschke_L(0.1 + 14.1j, list(ZERO_ORDINATES))
         assert abs(abs(v) - 1.0) < 1e-12
 
     def test_pole_proximity(self):
