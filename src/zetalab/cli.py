@@ -56,12 +56,12 @@ def _float_where(ok: Callable[[float], bool], requirement: str) -> Callable[[str
 
 _positive = _float_where(lambda v: v > 0.0, "must be positive")
 _unit_open = _float_where(lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
+_alpha = _float_where(lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="zetalab", description=__doc__)
     parser.add_argument("--tol", dest="quad_tol", type=float, help="quadrature tolerance")
-    parser.add_argument("--budget", dest="eval_budget", type=int, help="evaluation budget")
     parser.add_argument("--format", dest="output_format", choices=("csv", "doc"))
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
@@ -73,9 +73,9 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("im", type=float)
 
     p_bounds = sub.add_parser("bounds", help="CSV table of bound values over an alpha grid")
-    p_bounds.add_argument("--lo", type=float, default=0.5)
-    p_bounds.add_argument("--hi", type=float, default=1.0)
-    p_bounds.add_argument("--step", type=float, default=0.1)
+    p_bounds.add_argument("--lo", type=_alpha, default=0.5)
+    p_bounds.add_argument("--hi", type=_alpha, default=1.0)
+    p_bounds.add_argument("--step", type=_positive, default=0.1)
 
     p_map = sub.add_parser("map", help="disk-to-strip map diagnostics at one point")
     p_map.add_argument("re", type=float)
@@ -127,10 +127,10 @@ def _fmt(x: float) -> str:
 def _cmd_eval(args, cfg: AuditConfig) -> int:
     s = complex(args.re, args.im)
     if args.function == "F":
-        est = quad.fermi_mellin(s, cfg.quad_tol, budget=cfg.eval_budget)
+        est = quad.fermi_mellin(s, cfg.quad_tol)
         value, err = est.value, est.abs_error
     elif args.function == "F_shifted":
-        est = quad.f_shifted(s, cfg.quad_tol, budget=cfg.eval_budget)
+        est = quad.f_shifted(s, cfg.quad_tol)
         value, err = est.value, est.abs_error
     elif args.function == "gamma":
         value = sf.gamma(s)
@@ -146,17 +146,17 @@ def _cmd_eval(args, cfg: AuditConfig) -> int:
 
 
 def _cmd_bounds(args, cfg: AuditConfig) -> int:
-    if not (0.0 < args.lo <= args.hi <= 1.0) or args.step <= 0.0:
-        raise _CliExit(USAGE_EXIT, "error: bounds grid must sit inside (0, 1]")
+    lo, hi, step = args.lo, args.hi, args.step
+    if lo > hi:
+        raise _CliExit(USAGE_EXIT, "error: bounds grid needs --lo <= --hi")
     print("alpha,m,m_star,m_star_d1,m_star_d2")
-    alpha = args.lo
-    while alpha <= args.hi + 1e-12:
-        a = min(alpha, 1.0)
-        row = (a, quad.m_bound(a), quad.m_star(a, cfg.quad_tol, budget=cfg.eval_budget),
-               *(quad.m_star_derivative(a, k, cfg.quad_tol, budget=cfg.eval_budget)
-                 for k in (1, 2)))
+    for i in range(math.floor((hi - lo) / step + 1e-9) + 1):
+        a = lo + i * step
+        if a >= hi - 1e-9 * step:  # hi on the grid to 1e-9 of a step: the last row is hi
+            a = hi
+        row = (a, quad.m_bound(a), quad.m_star(a, cfg.quad_tol),
+               *(quad.m_star_derivative(a, k, cfg.quad_tol) for k in (1, 2)))
         print(",".join(_fmt(x) for x in row))
-        alpha += args.step
     return 0
 
 
@@ -185,7 +185,7 @@ def _cmd_zeros(args, cfg: AuditConfig) -> int:
 
 
 def _cmd_jensen(args, cfg: AuditConfig) -> int:
-    fn = lambda z: smap.f_on_disk(z, args.b, cfg.quad_tol, budget=cfg.eval_budget)
+    fn = lambda z: smap.f_on_disk(z, args.b, cfg.quad_tol)
     lhs, rhs = za.jensen_check(fn, [], args.radius, cfg.jensen_samples)
     print(f"lhs (log|f(0)|)        = {_fmt(lhs)}")
     print(f"rhs (circle average)   = {_fmt(rhs)}")

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import DomainError
+from .zero_analysis import MIN_ZERO_TOL
 
 __all__ = ["AuditConfig", "load_config", "dump_config"]
 
@@ -25,7 +26,6 @@ class AuditConfig:
     quad_tol: float = 1e-8
     zero_tol: float = 1e-4
     n_samples: int = 1000  # random strip sweeps
-    eval_budget: int = 10**6
     tau_max: float = 50.0
     seed: int = 20201219
     output_format: str = "doc"  # "doc" (single JSON document) or "csv"
@@ -43,8 +43,10 @@ class AuditConfig:
                      "rouche_tau", "rouche_epsilon", "rouche_nu", "rouche_theta_abs"):
             if not getattr(self, name) > 0.0:  # also rejects NaN
                 raise DomainError(f"{name} must be positive")
-        if self.eval_budget < 10**3:
-            raise DomainError("eval_budget must be >= 1000")
+        if self.zero_tol < MIN_ZERO_TOL:
+            raise DomainError(f"zero_tol must be >= {MIN_ZERO_TOL:g}, the minimum cell height")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         if self.jensen_samples < 8:
             raise DomainError("jensen_samples must be >= 8")
         if self.output_format not in ("doc", "csv"):
@@ -63,7 +65,6 @@ class AuditConfig:
             quad_tol=min(self.quad_tol, 1e-10),
             boundary_min_modulus=self.boundary_min_modulus,
             density=self.boundary_density,
-            budget=self.eval_budget,
         )
 
 

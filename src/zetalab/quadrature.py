@@ -22,8 +22,8 @@ e**(-x).  The integral is split three ways:
 * tail [X, inf): discarded, with X = max(40, -log(tol/10)) so that the
   e**(-x) majorant keeps it below tol/10 (log-weighted variants enlarge X).
 
-All evaluations are vectorised over panels; the evaluation budget is enforced
-across the whole call and exceeding it raises ToleranceNotMet.
+All evaluations are vectorised over panels; EVAL_BUDGET = 10**6 integrand
+evaluations are allowed per call, and exceeding them raises ToleranceNotMet.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import DomainError, ToleranceNotMet
 from .special_functions import ensure_finite
 
 __all__ = [
-    "DEFAULT_BUDGET",
+    "EVAL_BUDGET",
     "QuadratureEstimate",
     "fermi_mellin",
     "f_shifted",
@@ -50,7 +50,7 @@ __all__ = [
     "g_of_b",
 ]
 
-DEFAULT_BUDGET = 10**6
+EVAL_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -125,18 +125,18 @@ def _gk_batch(f, a: np.ndarray, b: np.ndarray):
     return k15, np.abs(k15 - g7), x.size
 
 
-def _integrate(f, mesh: np.ndarray, tol: float, budget: int):
+def _integrate(f, mesh: np.ndarray, tol: float):
     """Globally adaptive GK15 over an initial mesh.
 
     Splits every panel whose error exceeds its fair share each sweep; stops
     when the summed estimate is below tol or the rounding floor, whichever is
-    larger.  Raises ToleranceNotMet when the budget runs out first.
+    larger.  Raises ToleranceNotMet when EVAL_BUDGET runs out first.
     """
     a = mesh[:-1].astype(float)
     b = mesh[1:].astype(float)
-    if len(a) * len(_GK_X) > budget:
+    if len(a) * len(_GK_X) > EVAL_BUDGET:
         raise ToleranceNotMet(
-            f"budget {budget} below the {len(a) * len(_GK_X)} evaluations of the initial mesh"
+            f"budget {EVAL_BUDGET} below the {len(a) * len(_GK_X)} evaluations of the initial mesh"
         )
     vals, errs, n_evals = _gk_batch(f, a, b)
     while True:
@@ -144,9 +144,9 @@ def _integrate(f, mesh: np.ndarray, tol: float, budget: int):
         floor = 64.0 * np.finfo(float).eps * max(1.0, np.abs(vals).sum())
         if total_err <= max(tol, floor):
             return vals.sum(), float(total_err), n_evals
-        if n_evals >= budget:
+        if n_evals >= EVAL_BUDGET:
             raise ToleranceNotMet(
-                f"quadrature budget {budget} exhausted (error {total_err:.3e} > tol {tol:.3e})",
+                f"quadrature budget {EVAL_BUDGET} exhausted (error {total_err:.3e} > tol {tol:.3e})",
                 value=vals.sum(),
                 abs_error=float(total_err),
                 n_evals=n_evals,
@@ -211,7 +211,7 @@ def _mesh(h: float, x_max: float, beta: float) -> np.ndarray:
     return np.array(pts)
 
 
-def _log_moment(s, k: int, tol: float, budget: int) -> QuadratureEstimate:
+def _log_moment(s, k: int, tol: float) -> QuadratureEstimate:
     """integral_0^inf x**(s-1) log(x)**k / (e**x+1) dx for 0 < Re(s) <= 1, k in {0, 1, 2}.
 
     The one integration route behind fermi_mellin (k = 0) and
@@ -238,21 +238,21 @@ def _log_moment(s, k: int, tol: float, budget: int) -> QuadratureEstimate:
         def integrand(x):
             return np.exp(exponent * np.log(x)) / (np.exp(x) + 1.0)
 
-    value, err, n_evals = _integrate(integrand, _mesh(h, x_max, beta), 0.8 * tol, budget)
+    value, err, n_evals = _integrate(integrand, _mesh(h, x_max, beta), 0.8 * tol)
     return QuadratureEstimate(complex(value), err + head + tail, n_evals)
 
 
-def fermi_mellin(s, tol: float = 1e-8, *, budget: int = DEFAULT_BUDGET) -> QuadratureEstimate:
+def fermi_mellin(s, tol: float = 1e-8) -> QuadratureEstimate:
     """F(s) = integral_0^inf x**(s-1)/(e**x+1) dx for 0 < Re(s) <= 1.
 
     The closed right edge Re(s) = 1 is admitted (F(1) = log 2); the rest of
     the strip boundary is not.  abs_error includes the discarded head and
     tail bounds on top of the adaptive rule's own estimate.
     """
-    return _log_moment(s, 0, tol, budget)
+    return _log_moment(s, 0, tol)
 
 
-def f_shifted(omega, tol: float = 1e-8, *, budget: int = DEFAULT_BUDGET) -> QuadratureEstimate:
+def f_shifted(omega, tol: float = 1e-8) -> QuadratureEstimate:
     """Shifted integral F_omega(omega) = F(omega + 1/2), Re(omega) in [0, 1/2].
 
     Identical to fermi_mellin after the change of variable s = omega + 1/2;
@@ -261,7 +261,7 @@ def f_shifted(omega, tol: float = 1e-8, *, budget: int = DEFAULT_BUDGET) -> Quad
     omega = ensure_finite(omega)
     if not 0.0 <= omega.real <= 0.5:
         raise DomainError(f"Re(omega) = {omega.real} outside [0, 1/2]")
-    return fermi_mellin(omega + 0.5, tol, budget=budget)
+    return fermi_mellin(omega + 0.5, tol)
 
 
 def m_bound(alpha: float) -> float:
@@ -271,9 +271,9 @@ def m_bound(alpha: float) -> float:
     return 1.0 / (2.0 * alpha) + math.exp(-1.0)
 
 
-def m_star(alpha: float, tol: float = 1e-8, *, budget: int = DEFAULT_BUDGET) -> float:
+def m_star(alpha: float, tol: float = 1e-8) -> float:
     """Integral bound M*(alpha) = F(alpha) for real alpha in (0, 1]."""
-    est = fermi_mellin(alpha, tol, budget=budget)
+    est = fermi_mellin(alpha, tol)
     if abs(est.value.imag) >= tol:
         raise DomainError(f"M*(alpha) needs a real alpha; F({alpha}) is not real")
     return est.value.real
@@ -284,9 +284,7 @@ def m_star_half() -> float:
     return m_star(0.5, 1e-10)
 
 
-def m_star_derivative(
-    alpha: float, order: int, tol: float = 1e-8, *, budget: int = DEFAULT_BUDGET
-) -> float:
+def m_star_derivative(alpha: float, order: int, tol: float = 1e-8) -> float:
     """d^k M*/d alpha^k as the log-weighted integral, k = order in {1, 2}.
 
     Negative for order 1 and positive for order 2 on [1/2, 1]; the evaluation
@@ -294,7 +292,7 @@ def m_star_derivative(
     """
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
-    return _log_moment(float(alpha), order, tol, budget).value.real
+    return _log_moment(float(alpha), order, tol).value.real
 
 
 def omega0(b: float) -> float:
@@ -315,10 +313,10 @@ def omega0_prime(b: float) -> float:
     return -1.0 / (math.pi * (1.0 + b * b))
 
 
-def g_of_b(b: float, tol: float = 1e-8, *, budget: int = DEFAULT_BUDGET) -> float:
+def g_of_b(b: float, tol: float = 1e-8) -> float:
     """G(b) = M*(omega0(b) + 1/2), strictly increasing on (0, 1).
 
     Increases toward M*(1/2) as b -> 1 because omega0 decreases to 0 and M*
     is strictly decreasing.
     """
-    return m_star(omega0(b) + 0.5, tol, budget=budget)
+    return m_star(omega0(b) + 0.5, tol)

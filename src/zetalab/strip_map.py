@@ -20,7 +20,7 @@ import cmath
 import math
 
 from .errors import DomainError
-from .quadrature import DEFAULT_BUDGET, f_shifted
+from .quadrature import f_shifted
 from .special_functions import ensure_finite
 
 __all__ = [
@@ -105,6 +105,6 @@ def disk_modulus_H(t, b: float) -> float:
     return math.sqrt(num / den)
 
 
-def f_on_disk(z, b: float, tol: float = 1e-8, *, budget: int = DEFAULT_BUDGET) -> complex:
+def f_on_disk(z, b: float, tol: float = 1e-8) -> complex:
     """The shifted integral composed with the map: F_omega(phi(z, b))."""
-    return complex(f_shifted(phi(z, b), tol, budget=budget).value)
+    return complex(f_shifted(phi(z, b), tol).value)

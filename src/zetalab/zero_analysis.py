@@ -38,7 +38,7 @@ from .errors import (
     PoleProximity,
     ZeroAtCenter,
 )
-from .quadrature import DEFAULT_BUDGET, f_shifted, m_star_half
+from .quadrature import f_shifted, m_star_half
 from .special_functions import ensure_finite, eta
 
 __all__ = [
@@ -66,6 +66,8 @@ _TWO_PI_E = 2.0 * math.pi * math.e
 # scan keeps between tau and every zero height.
 POLE_TOL = 1e-3
 EXCLUSION_TOL = 1e-2
+# Smallest cell height critical_line_zeros splits down to, so the least zero_tol.
+MIN_ZERO_TOL = 1e-9
 
 AnalyticFn = Callable[[complex], complex]
 
@@ -205,14 +207,14 @@ def _safe_level(lo: float, hi: float) -> float:
     raise NonConvergence("could not find a zero-free split level")
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float, iters: int = 80) -> float:
+def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Golden-section minimiser for a unimodal |analytic| profile."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(80):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -237,13 +239,13 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
     """
     if not tau > 0.0:  # also rejects NaN
         raise DomainError("tau must be positive")
-    if not zero_tol > 0.0:
-        raise DomainError("zero_tol must be positive")
+    if not zero_tol >= MIN_ZERO_TOL:  # also rejects NaN
+        raise DomainError(f"zero_tol = {zero_tol} below the minimum cell height {MIN_ZERO_TOL:g}")
     fn = lambda s: eta(s)
     re_lo, re_hi = 0.5 - 0.4, 0.5 + 0.4  # 0.09999999999999998: the located zeros depend on it
     betas: list[float] = []
     stack = [(0.0, float(tau))]
-    min_height = max(zero_tol / 8.0, 1e-9)
+    min_height = max(zero_tol / 8.0, MIN_ZERO_TOL)
     while stack:
         lo, hi = stack.pop()
         count = winding_count(fn, RectangleRegion(re_lo, re_hi, lo, hi), max_evals=2_000_000)
@@ -372,20 +374,20 @@ def lambda_choice(
     return (m_star_half_value + nu) / (theta_abs * epsilon)
 
 
-def triangle_equality_condition(w, v, tol: float = 1e-12) -> bool:
-    """True iff |w| + |v| - |w + v| < tol (near-equality in the triangle bound)."""
+def triangle_equality_condition(w, v) -> bool:
+    """True iff |w| + |v| - |w + v| < 1e-9 (near-equality in the triangle bound)."""
     w = ensure_finite(w)
     v = ensure_finite(v)
-    return abs(w) + abs(v) - abs(w + v) < tol
+    return abs(w) + abs(v) - abs(w + v) < 1e-9
 
 
-def _f_omega_estimate(omega: complex, quad_tol: float, budget: int):
+def _f_omega_estimate(omega: complex, quad_tol: float):
     """F_omega with a second, tighter pass when the value drowns in the error."""
-    est = f_shifted(omega, quad_tol, budget=budget)
+    est = f_shifted(omega, quad_tol)
     if abs(est.value) < 50.0 * est.abs_error:
         tighter = max(1e-13, est.abs_error / 1e4)
         if tighter < quad_tol:
-            est = f_shifted(omega, tighter, budget=budget)
+            est = f_shifted(omega, tighter)
     return est
 
 
@@ -399,7 +401,6 @@ def rouche_scan(
     quad_tol: float = 1e-10,
     boundary_min_modulus: float = 1e-12,
     density: int = 64,
-    budget: int = DEFAULT_BUDGET,
 ) -> RoucheScanResult:
     """Sample |f| + |g| - |f+g| over the boundary of K(tau).
 
@@ -440,8 +441,8 @@ def rouche_scan(
     # giving a central difference along the edge).
     quotients = []
     for b in betas:
-        up = _f_omega_estimate(1j * (b + POLE_TOL), quad_tol, budget).value
-        dn = _f_omega_estimate(1j * (b - POLE_TOL), quad_tol, budget).value
+        up = _f_omega_estimate(1j * (b + POLE_TOL), quad_tol).value
+        dn = _f_omega_estimate(1j * (b - POLE_TOL), quad_tol).value
         quotients.append((up - dn) / (2j * POLE_TOL))
 
     def f_at(omega: complex) -> tuple[complex, bool]:
@@ -460,7 +461,7 @@ def rouche_scan(
                 rest = np.delete(beta_arr, j)
                 other = blaschke_L(omega, rest) if rest.size else 1.0
                 return d[j].conjugate() * quotients[j] * other, True
-        value = _f_omega_estimate(omega, quad_tol, budget).value
+        value = _f_omega_estimate(omega, quad_tol).value
         return value * blaschke_L(omega, betas), near
 
     samples = _boundary_points(RectangleRegion(0.0, 0.5, 0.0, tau), density)

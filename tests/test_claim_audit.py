@@ -137,7 +137,9 @@ class TestConfig:
         with pytest.raises(DomainError):
             AuditConfig(quad_tol=0.0)
         with pytest.raises(DomainError):
-            AuditConfig(eval_budget=10)
+            AuditConfig(seed=-1)  # np.random.default_rng rejects a negative seed
+        with pytest.raises(DomainError, match="1e-09"):
+            AuditConfig(zero_tol=1e-10)  # below the minimum cell height of the zero search
         with pytest.raises(DomainError):
             AuditConfig(output_format="xml")
         with pytest.raises(DomainError):
@@ -150,17 +152,27 @@ class TestConfig:
         # a new setting must show up here; one value in use belongs in a constant
         import inspect
 
-        from zetalab.zero_analysis import rouche_scan
+        from zetalab import quadrature as quad, strip_map as smap, zero_analysis as za
+
+        def params(fn):
+            return list(inspect.signature(fn).parameters)
 
         assert {f.name for f in fields(AuditConfig)} == {
-            "quad_tol", "zero_tol", "n_samples", "eval_budget", "tau_max", "seed",
+            "quad_tol", "zero_tol", "n_samples", "tau_max", "seed",
             "output_format", "boundary_density", "boundary_min_modulus", "jensen_samples",
             "rouche_tau", "rouche_epsilon", "rouche_nu", "rouche_theta_abs",
         }
-        assert list(inspect.signature(rouche_scan).parameters) == [
+        assert params(za.rouche_scan) == [
             "tau", "lam", "epsilon", "zeros", "zero_tol", "quad_tol",
-            "boundary_min_modulus", "density", "budget",
+            "boundary_min_modulus", "density",
         ]
+        assert params(quad.fermi_mellin) == ["s", "tol"]
+        assert params(quad.f_shifted) == ["omega", "tol"]
+        assert params(quad.m_star) == ["alpha", "tol"]
+        assert params(quad.m_star_derivative) == ["alpha", "order", "tol"]
+        assert params(quad.g_of_b) == ["b", "tol"]
+        assert params(smap.f_on_disk) == ["z", "b", "tol"]
+        assert params(za.triangle_equality_condition) == ["w", "v"]
 
     def test_roundtrip_file(self, tmp_path):
         from zetalab.config import dump_config, load_config

@@ -67,6 +67,17 @@ class TestBounds:
         code, _, _ = run(capsys, "bounds", "--lo", "0.0", "--hi", "1.0", "--step", "0.1")
         assert code == 3
 
+    def test_rows_on_the_grid(self, capsys, monkeypatch):
+        # lo + k*step, not a running sum, and the end point is hi itself
+        from zetalab import quadrature as quad
+
+        alphas = []
+        m_bound = quad.m_bound
+        monkeypatch.setattr(quad, "m_bound", lambda a: alphas.append(a) or m_bound(a))
+        code, _, _ = run(capsys, "bounds", "--lo", "0.7", "--hi", "1.0", "--step", "0.1")
+        assert code == 0
+        assert alphas == [0.7, 0.7 + 0.1, 0.7 + 2 * 0.1, 1.0]
+
 
 class TestMap:
     def test_roundtrip_report(self, capsys):
@@ -165,8 +176,11 @@ class TestAudit:
 
 class TestUsageErrors:
     # pole_tol and grid_re_n name values fixed in the code, not config keys
+    # eval_budget is a constant too; seed=-1 crashed the audit's generators,
+    # and a zero_tol below 1e-9 made the zero search fail on a single zero
     @pytest.mark.parametrize("line", ["quad_tol=abc", "seed=1.5", "quad_tol=-1",
-                                      "pole_tol=1e-3", "grid_re_n=7"])
+                                      "pole_tol=1e-3", "grid_re_n=7", "eval_budget=1000000",
+                                      "seed=-1", "zero_tol=1e-10"])
     def test_malformed_config_value_exit_three(self, capsys, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(f"# comment\n{line}\n")
@@ -174,9 +188,11 @@ class TestUsageErrors:
         assert code == 3
         assert f"{path}:2" in err
 
-    @pytest.mark.parametrize("flags", [("--budget", "5"), ("--tol", "nan")])
+    @pytest.mark.parametrize("flags", [("--seed", "-1", "audit"),
+                                       ("--tol", "nan", "eval", "F", "0.5", "0.0"),
+                                       ("zeros", "--tau", "16", "--zero-tol", "1e-10")])
     def test_out_of_range_flag_exit_three(self, capsys, flags):
-        code, _, err = run(capsys, *flags, "eval", "F", "0.5", "0.0")
+        code, _, err = run(capsys, *flags)
         assert code == 3
         assert "must be" in err
 
@@ -190,7 +206,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [("rouche", "--tau", "10", "--lam", "-1"),
                                       ("jensen", "--radius", "0"),
                                       ("jensen", "--b", "2"),
-                                      ("map", "0.3", "0.4", "2")])
+                                      ("map", "0.3", "0.4", "2"),
+                                      ("bounds", "--step", "nan")])
     def test_out_of_range_operation_flag_exit_three(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 3

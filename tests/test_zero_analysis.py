@@ -103,6 +103,12 @@ class TestCriticalLineZeros:
         with pytest.raises(DomainError):
             critical_line_zeros(16.0, math.nan)
 
+    def test_zero_tol_floor(self):
+        # cells stop splitting at 1e-9, so a finer zero_tol used to report a
+        # single zero as a multiplicity failure
+        with pytest.raises(DomainError, match="1e-09"):
+            critical_line_zeros(16.0, 1e-10)
+
     def test_invariants_enforced(self):
         with pytest.raises(DomainError):
             CriticalZeroList((2.0, 1.0), 10.0)
@@ -288,15 +294,15 @@ class TestLambdaChoice:
 
 class TestTriangleEquality:
     def test_collinear_positive(self):
-        assert triangle_equality_condition(2.0 + 2.0j, 1.0 + 1.0j, 1e-9)
+        assert triangle_equality_condition(2.0 + 2.0j, 1.0 + 1.0j)
 
     def test_orthogonal(self):
-        assert not triangle_equality_condition(1j, 1.0 + 0j, 1e-9)
+        assert not triangle_equality_condition(1j, 1.0 + 0j)
 
     def test_antiparallel_fails(self):
         # w = -v is collinear with a real ratio yet equality does not hold:
         # the ratio must be nonnegative.
-        assert not triangle_equality_condition(-1.0 + 0j, 1.0 + 0j, 1e-9)
+        assert not triangle_equality_condition(-1.0 + 0j, 1.0 + 0j)
 
     def test_cross_term_vanishes_when_true(self):
         rng = np.random.default_rng(79)
@@ -305,7 +311,7 @@ class TestTriangleEquality:
             if abs(v) < 0.1:
                 continue
             w = float(rng.uniform(0.1, 3.0)) * v
-            assert triangle_equality_condition(w, v, 1e-9)
+            assert triangle_equality_condition(w, v)
             cross = abs(w.real * v.imag - v.real * w.imag)
             assert cross < 1e-9 * abs(w) * abs(v) + 1e-15
 
