@@ -47,6 +47,10 @@ class AuditConfig:
             raise DomainError(f"zero_tol must be >= {MIN_ZERO_TOL:g}, the minimum cell height")
         if self.seed < 0:
             raise DomainError("seed must be >= 0")
+        if self.n_samples < 1:
+            raise DomainError("n_samples must be >= 1")
+        if self.boundary_density < 1:
+            raise DomainError("boundary_density must be >= 1")
         if self.jensen_samples < 8:
             raise DomainError("jensen_samples must be >= 8")
         if self.output_format not in ("doc", "csv"):

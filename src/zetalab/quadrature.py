@@ -201,14 +201,29 @@ def _tail_cut(k: int, tol: float):
 
 
 def _mesh(h: float, x_max: float, beta: float) -> np.ndarray:
-    """Geometric mesh from h to x_max, a few radians of x**(i beta) per panel."""
+    """Geometric mesh from h to x_max, a few radians of x**(i beta) per panel.
+
+    h, h*r, h*r*r, ... up to 1, then 1, r, r*r, ... up to x_max, multiplied
+    in sequence, with the first point of each run at or past its stop set
+    to the stop; needs h < 1 < x_max.
+    """
     ratio = min(4.0, math.exp(3.0 / max(1.0, abs(beta))))
-    pts = [h]
-    while pts[-1] < 1.0:
-        pts.append(min(1.0, pts[-1] * ratio))
-    while pts[-1] < x_max:
-        pts.append(min(x_max, pts[-1] * ratio))
-    return np.array(pts)
+    log_r = math.log(ratio)
+    # two steps beyond each estimate cover the rounding of the products
+    # unless log_r**2 < 1e-16 * log(1/h), where the mesh would pass 1e9 points
+    n_head = math.ceil(-math.log(h) / log_r) + 2
+    pts = np.full(n_head + math.ceil(math.log(x_max) / log_r) + 3, ratio)
+    pts[0] = h
+    head = pts[: n_head + 1]
+    np.multiply.accumulate(head, out=head)
+    one = int(head.searchsorted(1.0))
+    pts[one] = 1.0
+    pts[one + 1 :] = ratio
+    tail = pts[one:]
+    np.multiply.accumulate(tail, out=tail)
+    end = one + int(tail.searchsorted(x_max))
+    pts[end] = x_max
+    return pts[: end + 1]
 
 
 def _log_moment(s, k: int, tol: float) -> QuadratureEstimate:

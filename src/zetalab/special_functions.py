@@ -124,13 +124,15 @@ def gamma_abs_product(alpha: float, beta: float, n_terms: int) -> float:
 
 
 _LOG_CVZ = math.log(3.0 + math.sqrt(8.0))
-_cvz_cache: dict[int, np.ndarray] = {}
+_cvz_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _cvz_weights(n: int) -> np.ndarray:
-    """Coefficients c_k/d of the alternating-series acceleration, cached per n."""
-    w = _cvz_cache.get(n)
-    if w is None:
+def _cvz_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients c_k/d of the alternating-series acceleration and the term
+    indices 1..n they weight, cached per n.
+    """
+    cached = _cvz_cache.get(n)
+    if cached is None:
         try:
             d = (3.0 + math.sqrt(8.0)) ** n
         except OverflowError:
@@ -143,9 +145,8 @@ def _cvz_weights(n: int) -> np.ndarray:
             c = b - c
             out[k] = c
             b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-        w = out / d
-        _cvz_cache[n] = w
-    return w
+        cached = _cvz_cache[n] = (out / d, np.arange(1, n + 1, dtype=float))
+    return cached
 
 
 def _eta_terms(s: complex) -> int:
@@ -167,8 +168,7 @@ def eta(s) -> complex:
     s = ensure_finite(s)
     if s.real <= 0.0:
         raise DomainError(f"eta requires Re(s) > 0, got {s.real}")
-    w = _cvz_weights(_eta_terms(s))
-    k = np.arange(1, len(w) + 1, dtype=float)
+    w, k = _cvz_weights(_eta_terms(s))
     return complex(np.dot(w, k ** (-s)))
 
 

@@ -5,10 +5,12 @@ analytic function along a rectangle boundary equals the number of enclosed
 zeros, and is computed by continuous phase tracking with adaptive midpoint
 insertion whenever a single step turns the phase by more than pi/2.
 
-Critical-line zeros are located by recursive bisection of strip rectangles,
-each subdivision certified by a winding count, followed by a golden-section
-polish of |eta(1/2 + i y)| inside the isolating cell and a final certificate
-on a rectangle of width 2*zero_tol centred on Re(s) = 1/2.
+Critical-line zeros are located by recursive bisection of strip rectangles.
+The winding number is additive, so each split counts only its lower child
+and deduces the upper child's count as the parent's minus the lower's; the
+isolating cell is always counted directly.  A golden-section polish of
+|eta(1/2 + i y)| inside the isolating cell and a final certificate on a
+rectangle of width 2*zero_tol centred on Re(s) = 1/2 follow.
 
 The boundary scan machinery for the Rouche-style check assembles
 ``f = F_omega * L`` (the shifted Fermi integral times a product of
@@ -231,11 +233,16 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> float:
 def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
     """Locate all eta zeros with 0 < Im(s) <= tau by rectangle bisection.
 
-    The cells span Re(s) in [0.1, 0.9].  Each isolating cell is certified by
-    a winding count of 1, the height is refined below zero_tol, the zero
-    ordinate is polished by golden-section on |eta| along the critical line,
-    and a final certificate confirms the zero sits inside a rectangle of
-    half-width zero_tol around Re(s) = 1/2.
+    The cells span Re(s) in [0.1, 0.9].  The root cell is counted once; at
+    each split only the lower child is counted, and the upper child's count
+    is the parent's minus the lower child's (the winding number is additive).
+    A lower count outside [0, parent count] raises NonConvergence.  Each
+    isolating cell, of count 1 and height at most zero_tol, is certified by
+    a winding count of 1 measured on the cell itself (a deduced count is
+    measured again, and anything but 1 raises NonConvergence); the zero
+    ordinate is then polished by golden-section on |eta| along the critical
+    line, and a final certificate confirms the zero sits inside a rectangle
+    of half-width zero_tol around Re(s) = 1/2.
     """
     if not tau > 0.0:  # also rejects NaN
         raise DomainError("tau must be positive")
@@ -243,15 +250,21 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
         raise DomainError(f"zero_tol = {zero_tol} below the minimum cell height {MIN_ZERO_TOL:g}")
     fn = lambda s: eta(s)
     re_lo, re_hi = 0.5 - 0.4, 0.5 + 0.4  # 0.09999999999999998: the located zeros depend on it
+
+    def cell_count(lo: float, hi: float) -> int:
+        return winding_count(fn, RectangleRegion(re_lo, re_hi, lo, hi), max_evals=2_000_000)
+
     betas: list[float] = []
-    stack = [(0.0, float(tau))]
+    # (lo, hi, zero count, whether the count was measured on this cell)
+    stack = [(0.0, float(tau), cell_count(0.0, float(tau)), True)]
     min_height = max(zero_tol / 8.0, MIN_ZERO_TOL)
     while stack:
-        lo, hi = stack.pop()
-        count = winding_count(fn, RectangleRegion(re_lo, re_hi, lo, hi), max_evals=2_000_000)
+        lo, hi, count, measured = stack.pop()
         if count == 0:
             continue
         if count == 1 and hi - lo <= zero_tol:
+            if not measured and (n := cell_count(lo, hi)) != 1:
+                raise NonConvergence(f"cell [{lo}, {hi}] deduced to hold 1 zero counts {n}")
             beta = _golden_min(_eta_line_abs, lo, hi)
             betas.append(beta)
             continue
@@ -260,8 +273,13 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
                 f"cell [{lo}, {hi}] reports {count} zeros at minimum height"
             )
         mid = _safe_level(lo, hi)
-        stack.append((lo, mid))
-        stack.append((mid, hi))
+        count_lo = cell_count(lo, mid)
+        if not 0 <= count_lo <= count:
+            raise NonConvergence(
+                f"lower cell [{lo}, {mid}] counts {count_lo} zeros, its parent {count}"
+            )
+        stack.append((lo, mid, count_lo, True))
+        stack.append((mid, hi, count - count_lo, False))
 
     betas.sort()
     for beta in betas:

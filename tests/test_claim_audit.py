@@ -144,6 +144,10 @@ class TestConfig:
             AuditConfig(output_format="xml")
         with pytest.raises(DomainError):
             AuditConfig(jensen_samples=4)
+        for name in ("n_samples", "boundary_density"):
+            for bad in (0, -3):
+                with pytest.raises(DomainError, match=f"{name} must be >= 1"):
+                    AuditConfig(**{name: bad})
         for name in ("tau_max", "rouche_tau", "rouche_epsilon", "rouche_nu", "rouche_theta_abs"):
             with pytest.raises(DomainError):
                 AuditConfig(**{name: float("nan")})

@@ -177,10 +177,14 @@ class TestAudit:
 class TestUsageErrors:
     # pole_tol and grid_re_n name values fixed in the code, not config keys
     # eval_budget is a constant too; seed=-1 crashed the audit's generators,
-    # and a zero_tol below 1e-9 made the zero search fail on a single zero
+    # and a zero_tol below 1e-9 made the zero search fail on a single zero;
+    # n_samples <= 0 crashed the audit's sweep, boundary_density <= 0 ran a
+    # 32-sample scan
     @pytest.mark.parametrize("line", ["quad_tol=abc", "seed=1.5", "quad_tol=-1",
                                       "pole_tol=1e-3", "grid_re_n=7", "eval_budget=1000000",
-                                      "seed=-1", "zero_tol=1e-10"])
+                                      "seed=-1", "zero_tol=1e-10", "n_samples=0",
+                                      "n_samples=-1", "boundary_density=0",
+                                      "boundary_density=-3"])
     def test_malformed_config_value_exit_three(self, capsys, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(f"# comment\n{line}\n")

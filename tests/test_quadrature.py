@@ -1,8 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from zetalab import quadrature
 from zetalab.errors import DomainError, ToleranceNotMet
 from zetalab.quadrature import (
     f_shifted,
@@ -58,6 +60,32 @@ class TestFermiMellin:
     def test_counts_evaluations(self):
         est = fermi_mellin(0.5, 1e-8)
         assert est.n_evals > 0 and est.n_evals % 15 == 0
+
+    def test_mesh_matches_sequential_loop(self):
+        # the panel mesh is built with np.multiply.accumulate; it must equal,
+        # bit for bit, the plain loop that multiplies by the ratio one step at
+        # a time
+        def loop_mesh(h, x_max, beta):
+            ratio = min(4.0, math.exp(3.0 / max(1.0, abs(beta))))
+            pts = [h]
+            while pts[-1] < 1.0:
+                pts.append(min(1.0, pts[-1] * ratio))
+            while pts[-1] < x_max:
+                pts.append(min(x_max, pts[-1] * ratio))
+            return np.array(pts)
+
+        rng = random.Random(20201219)
+        cases = [(0.25, 40.0, 0.0), (0.999, 1.001, 0.0), (1e-300, 1e3, 2.5e3)]
+        for _ in range(300):
+            alpha, k = rng.uniform(0.02, 1.0), rng.choice((0, 1, 2))
+            tol = 10.0 ** rng.uniform(-13.0, -4.0)
+            h, _ = quadrature._head_cut(alpha, k, tol)
+            x_max, _ = quadrature._tail_cut(k, tol)
+            cases.append((h, x_max, rng.choice((0.0, rng.uniform(-120.0, 120.0)))))
+        for h, x_max, beta in cases:
+            mesh = quadrature._mesh(h, x_max, beta)
+            ref = loop_mesh(h, x_max, beta)
+            assert mesh.shape == ref.shape and np.array_equal(mesh, ref), (h, x_max, beta)
 
     def test_error_reporting_honest_at_small_alpha(self):
         # near the left strip edge the head cut saturates at the smallest

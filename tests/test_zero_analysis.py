@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetalab import zero_analysis
 from zetalab.errors import (
     BoundaryZero,
     BoundaryZeroError,
     DomainError,
+    NonConvergence,
     PoleProximity,
     ZeroAtCenter,
 )
@@ -108,6 +110,40 @@ class TestCriticalLineZeros:
         # single zero as a multiplicity failure
         with pytest.raises(DomainError, match="1e-09"):
             critical_line_zeros(16.0, 1e-10)
+
+    def test_one_child_counted_per_split(self, monkeypatch):
+        # the upper child's count is deduced from its parent's, so tau = 30
+        # takes 17,046 eta calls where counting both children took 29,872;
+        # the located zeros are those of counting both, bit for bit
+        calls = 0
+
+        def counted_eta(s):
+            nonlocal calls
+            calls += 1
+            return eta(s)
+
+        monkeypatch.setattr(zero_analysis, "eta", counted_eta)
+        zeros = critical_line_zeros(30.0, 1e-4)
+        assert calls <= 17_046
+        assert zeros.betas == (14.134725141734586, 21.022039638771716, 25.010857580145498)
+
+    def test_lower_child_above_parent_count_raises(self, monkeypatch):
+        def fake_count(fn, rect, **kw):
+            return 1 if (rect.im_min, rect.im_max) == (0.0, 20.0) else 2
+
+        monkeypatch.setattr(zero_analysis, "winding_count", fake_count)
+        with pytest.raises(NonConvergence, match="counts 2 zeros, its parent 1"):
+            critical_line_zeros(20.0, 1e-4)
+
+    def test_deduced_isolating_cell_is_measured(self, monkeypatch):
+        # every cell at isolating height measures 0, so the zero ends up in a
+        # deduced cell of count 1 whose direct count disagrees
+        def fake_count(fn, rect, **kw):
+            return 0 if rect.im_max - rect.im_min <= 1e-4 else winding_count(fn, rect, **kw)
+
+        monkeypatch.setattr(zero_analysis, "winding_count", fake_count)
+        with pytest.raises(NonConvergence, match="deduced to hold 1 zero counts 0"):
+            critical_line_zeros(20.0, 1e-4)
 
     def test_invariants_enforced(self):
         with pytest.raises(DomainError):
