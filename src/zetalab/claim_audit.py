@@ -419,7 +419,7 @@ def _check_eq17d(cfg, ctx):
         "argument-principle count at height 30 matches the counting formula", "count", 1.5)
 def _check_rvm30(cfg, ctx):
     rect = za.RectangleRegion(0.1, 0.9, 0.0, 30.0)
-    count = za.winding_count(lambda s: sf.eta(s), rect)
+    count = za.winding_count(sf.eta, rect)
     estimate = za.riemann_von_mangoldt(30.0)
     ok = count == 3 and abs(count - estimate) < 1.5
     return ok, count, f"winding count vs closed-form estimate {estimate:.3f}"

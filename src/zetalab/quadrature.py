@@ -200,6 +200,21 @@ def _tail_cut(k: int, tol: float):
     return x, 2.0 * max(1.0, math.log(x)) ** k * math.exp(-x)
 
 
+def _mesh_ratio(beta: float) -> float:
+    """Panel ratio of the geometric mesh: a few radians of x**(i beta) per panel."""
+    return min(4.0, math.exp(3.0 / max(1.0, abs(beta))))
+
+
+def _min_panels(h: float, x_max: float, beta: float) -> float:
+    """A lower bound on the panels of _mesh(h, x_max, beta), from two logarithms.
+
+    Below EVAL_BUDGET panels the rounding of the products moves the end of
+    each run by at most two steps; a ratio that rounds to 1 gives infinity.
+    """
+    log_r = math.log(_mesh_ratio(beta))
+    return (math.log(x_max) - math.log(h)) / log_r - 4.0 if log_r > 0.0 else math.inf
+
+
 def _mesh(h: float, x_max: float, beta: float) -> np.ndarray:
     """Geometric mesh from h to x_max, a few radians of x**(i beta) per panel.
 
@@ -207,7 +222,7 @@ def _mesh(h: float, x_max: float, beta: float) -> np.ndarray:
     in sequence, with the first point of each run at or past its stop set
     to the stop; needs h < 1 < x_max.
     """
-    ratio = min(4.0, math.exp(3.0 / max(1.0, abs(beta))))
+    ratio = _mesh_ratio(beta)
     log_r = math.log(ratio)
     # two steps beyond each estimate cover the rounding of the products
     # unless log_r**2 < 1e-16 * log(1/h), where the mesh would pass 1e9 points
@@ -253,6 +268,11 @@ def _log_moment(s, k: int, tol: float) -> QuadratureEstimate:
         def integrand(x):
             return np.exp(exponent * np.log(x)) / (np.exp(x) + 1.0)
 
+    panels = _min_panels(h, x_max, beta)
+    if panels * len(_GK_X) > EVAL_BUDGET:  # checked before the mesh is allocated
+        raise ToleranceNotMet(
+            f"budget {EVAL_BUDGET} below the evaluations of at least {panels:.4g} initial panels"
+        )
     value, err, n_evals = _integrate(integrand, _mesh(h, x_max, beta), 0.8 * tol)
     return QuadratureEstimate(complex(value), err + head + tail, n_evals)
 

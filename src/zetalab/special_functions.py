@@ -20,6 +20,17 @@ are moments of the complex measure (log 1/x)**(s-1)/Gamma(s) dx on [0,1]), so
 the term count is chosen per call from that bound.  The bound degrades like
 exp(pi*|t|/2), which keeps n modest for |Im(s)| <= 100; accuracy is guaranteed
 to 1e-12 for Re(s) >= 0.4 and is best-effort (with the same adaptive n) below.
+
+eta also takes an ndarray and evaluates it in one batch.  The term counts
+come from the same bound and the same rule, with log|Gamma(s)| from
+Stirling's series instead of a gamma call per point, and the points are
+grouped by term count, each group one matrix product with the cached
+weights.  For Im(s) <= 220 the batch errs by at most about 2e-13 *
+max(|eta|, 1) against mpmath.altzeta.  A scalar keeps its own route: the
+batch rounds differently in the last bits, and the audit's observed values
+(its rounding-level margins and the zero ordinates they depend on) are
+pinned to 1e-12 relative, so only winding counts, whose integer results
+cannot move with an ulp, use the batch.
 """
 
 from __future__ import annotations
@@ -124,12 +135,14 @@ def gamma_abs_product(alpha: float, beta: float, n_terms: int) -> float:
 
 
 _LOG_CVZ = math.log(3.0 + math.sqrt(8.0))
-_cvz_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_LOG_INV_TOL = math.log(1.0 / 1e-13)
+_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_cvz_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _cvz_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients c_k/d of the alternating-series acceleration and the term
-    indices 1..n they weight, cached per n.
+def _cvz_weights(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients c_k/d of the alternating-series acceleration, the term
+    indices 1..n they weight and the logarithms of those indices, cached per n.
     """
     cached = _cvz_cache.get(n)
     if cached is None:
@@ -145,30 +158,91 @@ def _cvz_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
             c = b - c
             out[k] = c
             b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-        cached = _cvz_cache[n] = (out / d, np.arange(1, n + 1, dtype=float))
+        k = np.arange(1, n + 1, dtype=float)
+        cached = _cvz_cache[n] = (out / d, k, np.log(k))
     return cached
 
 
+def _term_count(log_ratio):
+    """Series terms for log_ratio = log(Gamma(sigma)/|Gamma(s)|), a float or an array.
+
+    The error after n terms is at most (3+sqrt 8)^(-n) * Gamma(sigma)/|Gamma(s)|;
+    n is max(12, ceil(need) + 4) for the need that brings the bound to 1e-13.
+    """
+    need = (log_ratio + _LOG_INV_TOL) / _LOG_CVZ
+    return np.maximum(12.0, np.ceil(need) + 4.0)
+
+
 def _eta_terms(s: complex) -> int:
-    # error <= (3+sqrt 8)^(-n) * Gamma(sigma)/|Gamma(s)|, target 1e-13
     gamma_abs = abs(gamma(s))
     if gamma_abs == 0.0:
         raise DomainError(f"|Gamma(s)| underflows at s = {s!r}; no term count can be chosen")
-    ratio = math.lgamma(s.real) - math.log(gamma_abs)
-    need = (ratio + math.log(1.0 / 1e-13)) / _LOG_CVZ
-    return max(12, int(math.ceil(need)) + 4)
+    return int(_term_count(math.lgamma(s.real) - math.log(gamma_abs)))
 
 
-def eta(s) -> complex:
+def _re_loggamma(s: np.ndarray) -> np.ndarray:
+    """Re log Gamma(s) for an array with Re(s) > 0, without calling gamma.
+
+    Points with Re(s) < 8 are shifted by eight, log Gamma(s) = log Gamma(s+8)
+    - log|s (s+1) ... (s+7)|; Stirling's series with three correction terms
+    then errs by under 1/(1680 |s|^7) < 3e-10 (DLMF 5.11.1).
+    """
+    shifted = s.real < 8.0
+    prod = s.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # |Im s| > 1e38: no term count
+        for j in range(1, 8):
+            prod *= s + j
+    z = np.where(shifted, s + 8.0, s)
+    x, y = z.real, z.imag
+    w = 1.0 / z
+    w2 = w * w
+    series = w * (1.0 / 12.0 - w2 * (1.0 / 360.0 - w2 / 1260.0))
+    return ((x - 0.5) * np.log(np.abs(z)) - y * np.angle(z) - x + _HALF_LOG_TWO_PI
+            + series.real - np.where(shifted, np.log(np.abs(prod)), 0.0))
+
+
+def _eta_array_terms(s: np.ndarray) -> np.ndarray:
+    """Term count of every point of a flat array, by the scalar route's rule."""
+    try:
+        log_gamma_sigma = np.array([math.lgamma(x) for x in s.real.tolist()])
+    except OverflowError:
+        raise DomainError(f"Gamma(Re s) overflows at some Re(s) up to {s.real.max()}") from None
+    n = _term_count(log_gamma_sigma - _re_loggamma(s))
+    if not np.isfinite(n).all():
+        bad = s[~np.isfinite(n)][0]
+        raise DomainError(f"no term count can be chosen at s = {complex(bad)!r}")
+    return n
+
+
+def _eta_array(s: np.ndarray) -> np.ndarray:
+    flat = np.asarray(s, dtype=complex).ravel()
+    bad = ~(np.isfinite(flat) & (flat.real > 0.0))
+    if bad.any():
+        raise DomainError(f"eta requires finite s with Re(s) > 0, got {complex(flat[bad][0])!r}")
+    n = _eta_array_terms(flat)
+    out = np.empty_like(flat)
+    for m in np.unique(n):
+        sel = n == m
+        w, _, log_k = _cvz_weights(int(m))
+        out[sel] = np.exp(np.outer(-flat[sel], log_k)) @ w
+    return out.reshape(np.shape(s))
+
+
+def eta(s):
     """Dirichlet eta via accelerated alternating series, Re(s) > 0.
 
-    Raises DomainError past |Im(s)| ~ 428 at Re(s) = 1/2, where the series
-    weights overflow or |Gamma(s)| underflows, and past gamma's limit.
+    A scalar gives a complex; an ndarray gives a complex array of its shape,
+    with every entry required finite with Re > 0 (DomainError otherwise).
+    The scalar route raises DomainError past |Im(s)| ~ 428 at Re(s) = 1/2,
+    where the series weights overflow or |Gamma(s)| underflows, and past
+    gamma's limit; the array route raises where the weights overflow.
     """
+    if isinstance(s, np.ndarray):
+        return _eta_array(s)
     s = ensure_finite(s)
     if s.real <= 0.0:
         raise DomainError(f"eta requires Re(s) > 0, got {s.real}")
-    w, k = _cvz_weights(_eta_terms(s))
+    w, k, _ = _cvz_weights(_eta_terms(s))
     return complex(np.dot(w, k ** (-s)))
 
 

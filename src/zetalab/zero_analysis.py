@@ -3,7 +3,10 @@
 Counting is done with a numerical argument principle: the winding number of an
 analytic function along a rectangle boundary equals the number of enclosed
 zeros, and is computed by continuous phase tracking with adaptive midpoint
-insertion whenever a single step turns the phase by more than pi/2.
+insertion whenever a single step turns the phase by more than pi/2.  The
+function counted takes a 1-D complex array of boundary points and returns
+their values: the initial boundary is one call, and each refinement round
+evaluates all its midpoints in one more.
 
 Critical-line zeros are located by recursive bisection of strip rectangles.
 The winding number is additive, so each split counts only its lower child
@@ -144,43 +147,56 @@ def _boundary_points(rect: RectangleRegion, per_unit: float) -> list[complex]:
     return pts
 
 
-def winding_count(fn: AnalyticFn, rect: RectangleRegion, *, max_evals: int = 500_000) -> int:
+def winding_count(
+    fn: Callable[[np.ndarray], np.ndarray], rect: RectangleRegion, *, max_evals: int = 500_000
+) -> int:
     """Winding number of fn along the rectangle boundary (counterclockwise).
 
     For fn analytic without poles this equals the number of zeros inside.
-    The boundary starts at 64 samples per unit of side length (at least 8
-    per side); adaptive refinement then guarantees phase continuity.  A value
-    below 1e-12 in modulus raises BoundaryZeroError, and more than max_evals
-    evaluations raise NonConvergence.
+    fn takes a 1-D complex ndarray of points and returns their values as an
+    array of the same shape; it is called once with the whole initial
+    boundary, 64 samples per unit of side length (at least 8 per side), and
+    once per refinement round.  Each round bisects every step whose phase
+    turns by more than pi/2 and evaluates all the midpoints together, for at
+    most 48 rounds.  A value below 1e-12 in modulus raises BoundaryZeroError
+    naming its point, and a batch that would take the evaluations past
+    max_evals raises NonConvergence before fn sees it.
     """
     evals = 0
 
-    def value(p: complex) -> complex:
+    def values(p: np.ndarray) -> np.ndarray:
         nonlocal evals
-        evals += 1
+        evals += p.size
         if evals > max_evals:
             raise NonConvergence(f"boundary refinement budget {max_evals} exhausted")
-        v = complex(fn(p))
-        if abs(v) < 1e-12:
-            raise BoundaryZeroError(f"|fn({p})| = {abs(v):.3e} below boundary minimum 1e-12")
+        v = np.asarray(fn(p), dtype=complex)
+        small = np.abs(v) < 1e-12
+        if small.any():
+            j = int(np.argmax(small))
+            raise BoundaryZeroError(
+                f"|fn({complex(p[j])})| = {abs(v[j]):.3e} below boundary minimum 1e-12"
+            )
         return v
 
-    def phase_delta(p1: complex, v1: complex, p2: complex, v2: complex, depth: int) -> float:
-        d = cmath.phase(v2 / v1)
-        if abs(d) <= _HALF_PI:
-            return d
-        if depth >= 48:
-            raise NonConvergence("phase step did not settle below pi/2")
-        pm = 0.5 * (p1 + p2)
-        vm = value(pm)
-        return phase_delta(p1, v1, pm, vm, depth + 1) + phase_delta(pm, vm, p2, v2, depth + 1)
-
-    pts = _boundary_points(rect, 64.0)
-    vals = [value(p) for p in pts]
+    # each step runs from (p1, v1) to (p2, v2)
+    p1 = np.array(_boundary_points(rect, 64.0))
+    v1 = values(p1)
+    p2, v2 = np.roll(p1, -1), np.roll(v1, -1)
     total = 0.0
-    for k in range(len(pts)):
-        k2 = (k + 1) % len(pts)
-        total += phase_delta(pts[k], vals[k], pts[k2], vals[k2], 0)
+    for depth in range(49):
+        d = np.angle(v2 / v1)
+        settled = np.abs(d) <= _HALF_PI  # NaN never settles
+        total += float(d[settled].sum())
+        if settled.all():
+            break
+        if depth == 48:
+            raise NonConvergence("phase step did not settle below pi/2")
+        split = ~settled
+        p1, v1, p2, v2 = p1[split], v1[split], p2[split], v2[split]
+        pm = 0.5 * (p1 + p2)
+        vm = values(pm)
+        p1, v1 = np.concatenate((p1, pm)), np.concatenate((v1, vm))
+        p2, v2 = np.concatenate((pm, p2)), np.concatenate((vm, v2))
     turns = total / _TWO_PI
     nearest = round(turns)
     if abs(turns - nearest) > 0.25:
@@ -248,11 +264,10 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
         raise DomainError("tau must be positive")
     if not zero_tol >= MIN_ZERO_TOL:  # also rejects NaN
         raise DomainError(f"zero_tol = {zero_tol} below the minimum cell height {MIN_ZERO_TOL:g}")
-    fn = lambda s: eta(s)
     re_lo, re_hi = 0.5 - 0.4, 0.5 + 0.4  # 0.09999999999999998: the located zeros depend on it
 
     def cell_count(lo: float, hi: float) -> int:
-        return winding_count(fn, RectangleRegion(re_lo, re_hi, lo, hi), max_evals=2_000_000)
+        return winding_count(eta, RectangleRegion(re_lo, re_hi, lo, hi), max_evals=2_000_000)
 
     betas: list[float] = []
     # (lo, hi, zero count, whether the count was measured on this cell)
@@ -286,7 +301,7 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
         cert = RectangleRegion(
             0.5 - zero_tol, 0.5 + zero_tol, beta - zero_tol, beta + zero_tol
         )
-        n = winding_count(fn, cert)
+        n = winding_count(eta, cert)
         if n != 1:
             raise MultiplicityAmbiguity(
                 f"certificate cell at beta = {beta} holds {n} zeros"

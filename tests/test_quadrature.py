@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,29 @@ class TestFermiMellin:
         # high enough that the initial mesh alone exceeds EVAL_BUDGET
         with pytest.raises(ToleranceNotMet):
             fermi_mellin(0.5 + 5000j)
+
+    @pytest.mark.parametrize("s", [0.5 + 1e5j, 0.5 + 1e17j])
+    def test_budget_checked_before_mesh(self, s):
+        # 1.6 M panels at Im 1e5; at Im 1e17 the panel ratio rounds to 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ToleranceNotMet):
+                fermi_mellin(s, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_min_panels_is_a_lower_bound(self):
+        rng = random.Random(70)
+        for _ in range(200):
+            alpha, k = rng.uniform(0.02, 1.0), rng.choice((0, 1, 2))
+            tol = 10.0 ** rng.uniform(-13.0, -4.0)
+            h, _ = quadrature._head_cut(alpha, k, tol)
+            x_max, _ = quadrature._tail_cut(k, tol)
+            beta = rng.choice((0.0, rng.uniform(-4500.0, 4500.0)))
+            panels = len(quadrature._mesh(h, x_max, beta)) - 1
+            assert quadrature._min_panels(h, x_max, beta) <= panels
 
     def test_domain(self):
         with pytest.raises(DomainError):

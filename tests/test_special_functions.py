@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetalab import special_functions
 from zetalab.errors import DomainError, PoleError
 from zetalab.special_functions import (
     ensure_finite,
@@ -136,6 +137,54 @@ class TestEta:
     def test_height_limit_is_domain_error(self, fn, s):
         with pytest.raises(DomainError):
             fn(s)
+
+
+class TestEtaArray:
+    @staticmethod
+    def _points():
+        rng = np.random.default_rng(20001)
+        return rng.uniform(0.05, 0.95, 300) + 1j * rng.uniform(0.0, 220.0, 300)
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        s = self._points()
+        got = eta(s)
+        with mpmath.workdps(30):
+            ref = np.array([complex(mpmath.altzeta(mpmath.mpc(z.real, z.imag))) for z in s])
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+
+    def test_stirling_log_gamma_modulus(self):
+        # the bound the module states for Re log Gamma, 1/(1680 * 8^7) < 3e-10
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20002)
+        s = rng.uniform(1e-3, 20.0, 200) + 1j * rng.uniform(0.0, 420.0, 200)
+        ref = np.array([float(mpmath.loggamma(mpmath.mpc(z.real, z.imag)).real) for z in s])
+        got = special_functions._re_loggamma(s)
+        assert np.all(np.abs(got - ref) < 3e-10 + 1e-14 * np.abs(ref))
+
+    def test_term_counts_match_scalar_route(self):
+        s = self._points()
+        scalar = [special_functions._eta_terms(complex(z)) for z in s]
+        assert special_functions._eta_array_terms(s).tolist() == scalar
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (7,), (3, 4), ()])
+    def test_shape_preserved(self, shape):
+        s = np.full(shape, 0.5 + 14.0j)
+        out = eta(s)
+        assert isinstance(out, np.ndarray) and out.shape == shape
+        assert out.dtype == complex
+
+    # non-finite, Re <= 0, and heights or real parts where no term count exists
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.5, math.inf), math.inf, 0.0, -0.3 + 2.0j,
+                                     0.5 + 500.0j, 0.5 + 1e300j, 1e306])
+    def test_invalid_entry_is_domain_error(self, bad):
+        s = np.array([0.5 + 3.0j, bad, 0.7 + 1.0j], dtype=complex)
+        with pytest.raises(DomainError):
+            eta(s)
+
+    def test_scalar_route_unchanged_for_scalars(self):
+        assert isinstance(eta(np.complex128(0.5 + 14.0j)), complex)
+        assert isinstance(eta(0.5 + 14.0j), complex)
 
 
 class TestZeta:

@@ -1,4 +1,6 @@
+import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +84,89 @@ class TestWindingCount:
             RectangleRegion(0.0, 0.0, 0.0, 1.0)
 
 
+def _recursive_winding(fn, rect):
+    """Point-by-point winding count with depth-first refinement, the reference
+    for the batched breadth-first version; returns (count, evaluations)."""
+    evals = 0
+
+    def value(p):
+        nonlocal evals
+        evals += 1
+        return complex(fn(p))
+
+    def phase_delta(p1, v1, p2, v2, depth):
+        d = cmath.phase(v2 / v1)
+        if abs(d) <= math.pi / 2:
+            return d
+        assert depth < 48
+        pm = 0.5 * (p1 + p2)
+        vm = value(pm)
+        return phase_delta(p1, v1, pm, vm, depth + 1) + phase_delta(pm, vm, p2, v2, depth + 1)
+
+    pts = zero_analysis._boundary_points(rect, 64.0)
+    vals = [value(p) for p in pts]
+    total = sum(
+        phase_delta(pts[k], vals[k], pts[(k + 1) % len(pts)], vals[(k + 1) % len(pts)], 0)
+        for k in range(len(pts))
+    )
+    return round(total / (2.0 * math.pi)), evals
+
+
+THIN_RECT = RectangleRegion(-1.0, 1.0, -0.1, 0.1)
+
+
+class TestBatchedWindingCount:
+    # each function turns its phase by more than pi/2 between some initial samples
+    CASES = [
+        (lambda z: z**200, UNIT_RECT, 200),
+        (lambda z: np.exp(120j * z), THIN_RECT, 0),
+        (lambda z: (z - (0.999 + 0.3j)) * (z - (0.2 - 0.9995j)) * (z - 1.002j), UNIT_RECT, 2),
+        (lambda z: np.exp(80j * z) * (z - 0.5) ** 3, THIN_RECT, 3),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_matches_recursive_refinement(self, case):
+        fn, rect, expected = self.CASES[case]
+        batches = []
+
+        def batched(z):
+            batches.append(z.size)
+            return fn(z)
+
+        count, evals = _recursive_winding(fn, rect)
+        assert len(batches) == 0
+        assert winding_count(batched, rect) == count == expected
+        initial = len(zero_analysis._boundary_points(rect, 64.0))
+        assert evals > initial  # the initial steps do exceed pi/2
+        assert sum(batches) == evals and batches[0] == initial
+
+    def test_eta_rectangles_match_recursive_refinement(self):
+        for rect in (RectangleRegion(0.1, 0.9, 13.0, 15.0), RectangleRegion(0.1, 0.9, 0.0, 30.0)):
+            count, evals = _recursive_winding(eta, rect)
+            seen = []
+            assert winding_count(lambda s: seen.append(s.size) or eta(s), rect) == count
+            assert sum(seen) == evals
+
+    def test_max_evals_checked_before_each_batch(self):
+        fn = self.CASES[0][0]
+        initial = len(zero_analysis._boundary_points(UNIT_RECT, 64.0))
+        for budget in (initial - 1, initial, initial + 1):
+            seen = []
+            with pytest.raises(NonConvergence, match="budget"):
+                winding_count(lambda z: seen.append(z.size) or fn(z), UNIT_RECT, max_evals=budget)
+            assert sum(seen) <= budget
+            assert seen == ([] if budget < initial else [initial])
+
+    def test_boundary_zero_names_point(self):
+        with pytest.raises(BoundaryZeroError, match=r"\|fn\(\(1\+0j\)\)\| = 0\.000e\+00"):
+            winding_count(lambda z: z - 1.0, UNIT_RECT)
+        # a zero met only by a refinement midpoint is named as well
+        zero = complex(-1.0 + 1.0 / 128.0, -0.1)
+        assert zero not in zero_analysis._boundary_points(THIN_RECT, 64.0)
+        with pytest.raises(BoundaryZeroError, match=re.escape(f"|fn({zero})| = 0.000e+00")):
+            winding_count(lambda z: z - zero, THIN_RECT)
+
+
 class TestCriticalLineZeros:
     def test_up_to_twenty(self):
         zeros = critical_line_zeros(20.0, 1e-4)
@@ -113,13 +198,13 @@ class TestCriticalLineZeros:
 
     def test_one_child_counted_per_split(self, monkeypatch):
         # the upper child's count is deduced from its parent's, so tau = 30
-        # takes 17,046 eta calls where counting both children took 29,872;
-        # the located zeros are those of counting both, bit for bit
+        # evaluates eta at 17,046 points where counting both children took
+        # 29,872; the located zeros are those of counting both, bit for bit
         calls = 0
 
         def counted_eta(s):
             nonlocal calls
-            calls += 1
+            calls += np.size(s)
             return eta(s)
 
         monkeypatch.setattr(zero_analysis, "eta", counted_eta)
