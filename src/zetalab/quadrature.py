@@ -134,10 +134,6 @@ def _integrate(f, mesh: np.ndarray, tol: float):
     """
     a = mesh[:-1].astype(float)
     b = mesh[1:].astype(float)
-    if len(a) * len(_GK_X) > EVAL_BUDGET:
-        raise ToleranceNotMet(
-            f"budget {EVAL_BUDGET} below the {len(a) * len(_GK_X)} evaluations of the initial mesh"
-        )
     vals, errs, n_evals = _gk_batch(f, a, b)
     while True:
         total_err = errs.sum()
@@ -205,14 +201,18 @@ def _mesh_ratio(beta: float) -> float:
     return min(4.0, math.exp(3.0 / max(1.0, abs(beta))))
 
 
-def _min_panels(h: float, x_max: float, beta: float) -> float:
-    """A lower bound on the panels of _mesh(h, x_max, beta), from two logarithms.
+def _mesh_panels(h: float, x_max: float, beta: float) -> float:
+    """Panels of the buffer _mesh(h, x_max, beta) fills, from two logarithms.
 
-    Below EVAL_BUDGET panels the rounding of the products moves the end of
-    each run by at most two steps; a ratio that rounds to 1 gives infinity.
+    Each run's length is estimated from the logarithms, plus two steps that
+    cover the rounding of the products, so the buffer holds a few panels
+    more than the mesh; a ratio that rounds to 1 never reaches x_max and
+    gives infinity.
     """
     log_r = math.log(_mesh_ratio(beta))
-    return (math.log(x_max) - math.log(h)) / log_r - 4.0 if log_r > 0.0 else math.inf
+    if log_r == 0.0:
+        return math.inf
+    return math.ceil(-math.log(h) / log_r) + math.ceil(math.log(x_max) / log_r) + 4
 
 
 def _mesh(h: float, x_max: float, beta: float) -> np.ndarray:
@@ -220,18 +220,13 @@ def _mesh(h: float, x_max: float, beta: float) -> np.ndarray:
 
     h, h*r, h*r*r, ... up to 1, then 1, r, r*r, ... up to x_max, multiplied
     in sequence, with the first point of each run at or past its stop set
-    to the stop; needs h < 1 < x_max.
+    to the stop; needs h < 1 < x_max and a ratio above 1.
     """
     ratio = _mesh_ratio(beta)
-    log_r = math.log(ratio)
-    # two steps beyond each estimate cover the rounding of the products
-    # unless log_r**2 < 1e-16 * log(1/h), where the mesh would pass 1e9 points
-    n_head = math.ceil(-math.log(h) / log_r) + 2
-    pts = np.full(n_head + math.ceil(math.log(x_max) / log_r) + 3, ratio)
+    pts = np.full(_mesh_panels(h, x_max, beta) + 1, ratio)
     pts[0] = h
-    head = pts[: n_head + 1]
-    np.multiply.accumulate(head, out=head)
-    one = int(head.searchsorted(1.0))
+    np.multiply.accumulate(pts, out=pts)
+    one = int(pts.searchsorted(1.0))
     pts[one] = 1.0
     pts[one + 1 :] = ratio
     tail = pts[one:]
@@ -268,10 +263,10 @@ def _log_moment(s, k: int, tol: float) -> QuadratureEstimate:
         def integrand(x):
             return np.exp(exponent * np.log(x)) / (np.exp(x) + 1.0)
 
-    panels = _min_panels(h, x_max, beta)
+    panels = _mesh_panels(h, x_max, beta)
     if panels * len(_GK_X) > EVAL_BUDGET:  # checked before the mesh is allocated
         raise ToleranceNotMet(
-            f"budget {EVAL_BUDGET} below the evaluations of at least {panels:.4g} initial panels"
+            f"budget {EVAL_BUDGET} below the {panels * len(_GK_X):.4g} evaluations of the mesh"
         )
     value, err, n_evals = _integrate(integrand, _mesh(h, x_max, beta), 0.8 * tol)
     return QuadratureEstimate(complex(value), err + head + tail, n_evals)

@@ -23,7 +23,8 @@ rectangle K(tau), and reports the minimum triangle-inequality margin
 |f| + |g| - |f + g| together with where it occurs.  Near each neutralized
 zero i*beta_j the removable 0/0 factor is evaluated through the quotient
 limit, with the derivative of F_omega estimated once per zero from a small
-ring of quadrature values.
+ring of quadrature values.  All of it is computed over the boundary array
+at once, except the F_omega quadrature, which runs sample by sample.
 """
 
 from __future__ import annotations
@@ -137,14 +138,14 @@ class RoucheScanResult:
     zeros: tuple[float, ...]
 
 
-def _boundary_points(rect: RectangleRegion, per_unit: float) -> list[complex]:
+def _boundary_points(rect: RectangleRegion, per_unit: float) -> np.ndarray:
     """Counterclockwise boundary samples, max(8, ceil(per_unit * length)) per side."""
     corners = rect.corners
-    pts: list[complex] = []
+    sides = []
     for a, b in zip(corners, corners[1:] + corners[:1]):
-        n = max(8, int(math.ceil(per_unit * abs(b - a))))
-        pts.extend(a + (b - a) * (k / n) for k in range(n))
-    return pts
+        n = max(8, math.ceil(per_unit * abs(b - a)))
+        sides.append(a + (b - a) * (np.arange(n) / n))
+    return np.concatenate(sides)
 
 
 def winding_count(
@@ -179,7 +180,7 @@ def winding_count(
         return v
 
     # each step runs from (p1, v1) to (p2, v2)
-    p1 = np.array(_boundary_points(rect, 64.0))
+    p1 = _boundary_points(rect, 64.0)
     v1 = values(p1)
     p2, v2 = np.roll(p1, -1), np.roll(v1, -1)
     total = 0.0
@@ -414,6 +415,16 @@ def triangle_equality_condition(w, v) -> bool:
     return abs(w) + abs(v) - abs(w + v) < 1e-9
 
 
+def _modulus(v: np.ndarray) -> np.ndarray:
+    """|v| elementwise, rounded as Python's abs (np.abs differs in the last bit)."""
+    return np.hypot(v.real, v.imag)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise, rounded as Python's complex product (no fused multiply-add)."""
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+
+
 def _f_omega_estimate(omega: complex, quad_tol: float):
     """F_omega with a second, tighter pass when the value drowns in the error."""
     est = f_shifted(omega, quad_tol)
@@ -455,14 +466,17 @@ def rouche_scan(
     Re(s) = 1), which no neutralizer covers; samples land on them only with
     measure zero, and the scan reports whatever minimum it sees.  A margin
     below -1e-10 raises NonConvergence.
+
+    Each quadrature value is checked against the floor as soon as it is
+    known, so the first offending sample in boundary order is named; the
+    minima report first occurrences.  Two zero heights within POLE_TOL of
+    one sample raise PoleProximity before any quadrature.
     """
     if not (tau > 0.0 and lam > 0.0 and epsilon > 0.0):
         raise DomainError("tau, lam and epsilon must be positive")
     if zeros is None:
-        zlist = critical_line_zeros(tau + 6.0 * EXCLUSION_TOL, zero_tol)
-        betas = list(zlist.betas)
-    else:
-        betas = [float(b) for b in zeros]
+        zeros = critical_line_zeros(tau + 6.0 * EXCLUSION_TOL, zero_tol)
+    betas = [float(b) for b in zeros]
     while any(abs(b - tau) < EXCLUSION_TOL for b in betas):
         tau += 5.0 * EXCLUSION_TOL
     betas = [b for b in betas if b <= tau]
@@ -472,63 +486,42 @@ def rouche_scan(
     # once per zero from the symmetric pair of ring points of radius POLE_TOL
     # that stay inside the half strip (the pair cancels the second-order term,
     # giving a central difference along the edge).
-    quotients = []
-    for b in betas:
-        up = _f_omega_estimate(1j * (b + POLE_TOL), quad_tol).value
-        dn = _f_omega_estimate(1j * (b - POLE_TOL), quad_tol).value
-        quotients.append((up - dn) / (2j * POLE_TOL))
-
-    def f_at(omega: complex) -> tuple[complex, bool]:
-        """Returns (f(omega), near_neutralized_zero).
-
-        The quotient-limit route applies within POLE_TOL of a zero height;
-        the nonvanishing check is waived on a 10x wider neighbourhood, where
-        |f| legitimately decays linearly toward the neutralized zero.
-        """
-        near = False
-        if beta_arr.size:
-            d = omega - 1j * beta_arr
-            j = int(np.argmin(np.abs(d)))
-            near = abs(d[j]) < 10.0 * POLE_TOL
-            if abs(d[j]) < POLE_TOL:
-                rest = np.delete(beta_arr, j)
-                other = blaschke_L(omega, rest) if rest.size else 1.0
-                return d[j].conjugate() * quotients[j] * other, True
-        value = _f_omega_estimate(omega, quad_tol).value
-        return value * blaschke_L(omega, betas), near
+    quotients = np.array([
+        (_f_omega_estimate(1j * (b + POLE_TOL), quad_tol).value
+         - _f_omega_estimate(1j * (b - POLE_TOL), quad_tol).value) / (2j * POLE_TOL)
+        for b in betas
+    ], dtype=complex)
 
     samples = _boundary_points(RectangleRegion(0.0, 0.5, 0.0, tau), density)
-    min_margin = math.inf
-    argmin_omega = samples[0]
-    min_f_abs = math.inf
-    argmin_f = samples[0]
-    for omega in samples:
-        fv, near_zero = f_at(omega)
-        gv = lam * (epsilon + omega)
-        margin = abs(fv) + abs(gv) - abs(fv + gv)
-        if margin < min_margin:
-            min_margin = margin
-            argmin_omega = omega
-        if not near_zero:
-            if abs(fv) < boundary_min_modulus:
-                raise BoundaryZeroError(
-                    f"|f({omega})| = {abs(fv):.3e} below {boundary_min_modulus:.1e}"
-                )
-            if abs(fv) < min_f_abs:
-                min_f_abs = abs(fv)
-                argmin_f = omega
-    if min_margin < -1e-10:
-        raise NonConvergence(
-            f"triangle margin {min_margin:.3e} below -1e-10; numerical breakdown"
-        )
+    offsets = samples[:, None] - 1j * beta_arr  # one column per neutralized zero
+    dist = _modulus(offsets)
+    pole = dist < POLE_TOL
+    if (pole.sum(axis=1) > 1).any():
+        raise PoleProximity(f"two zero heights within pole_tol {POLE_TOL:.1e} of one sample")
+    # rows within POLE_TOL of zero j take the quotient limit, with factor j of
+    # L set to 1; the nonvanishing check is waived on a 10x wider
+    # neighbourhood, where |f| legitimately decays linearly toward the zero
+    rows, cols = np.nonzero(pole)
+    near = (dist < 10.0 * POLE_TOL).any(axis=1)
+    blaschke = np.divide(
+        samples.conj()[:, None] + 1j * beta_arr, offsets, out=np.ones_like(offsets), where=~pole
+    ).prod(axis=1)
+    f = np.empty_like(samples)
+    f[rows] = _product(_product(offsets[rows, cols].conj(), quotients[cols]), blaschke[rows])
+    for i in np.flatnonzero(~pole.any(axis=1)):
+        f[i] = fv = _f_omega_estimate(samples[i], quad_tol).value * complex(blaschke[i])
+        if not near[i] and abs(fv) < boundary_min_modulus:
+            raise BoundaryZeroError(
+                f"|f({complex(samples[i])})| = {abs(fv):.3e} below {boundary_min_modulus:.1e}"
+            )
+    g = lam * (epsilon + samples)
+    margin = _modulus(f) + _modulus(g) - _modulus(f + g)
+    f_abs = np.where(near, math.inf, _modulus(f))
+    k, m = int(np.argmin(margin)), int(np.argmin(f_abs))  # first occurrences
+    if margin[k] < -1e-10:
+        raise NonConvergence(f"triangle margin {margin[k]:.3e} below -1e-10; numerical breakdown")
     return RoucheScanResult(
-        tau=float(tau),
-        lam=float(lam),
-        epsilon=float(epsilon),
-        min_margin=float(min_margin),
-        argmin_omega=argmin_omega,
-        boundary_samples=len(samples),
-        min_f_abs=float(min_f_abs),
-        argmin_f_omega=argmin_f,
-        zeros=tuple(betas),
+        tau=float(tau), lam=float(lam), epsilon=float(epsilon), min_margin=float(margin[k]),
+        argmin_omega=complex(samples[k]), boundary_samples=samples.size,
+        min_f_abs=float(f_abs[m]), argmin_f_omega=complex(samples[m]), zeros=tuple(betas),
     )

@@ -4,8 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance and time limit is pinned here.
 """
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,11 +223,16 @@ def test_criterion_14_functional_equation_grid():
                time.time() - t0, 60.0, f"max {worst:.1e}")
 
 
-def test_criterion_15_full_audit():
+@pytest.fixture(scope="module")
+def default_audit():
+    """Two default-config audits and the seconds they took together."""
     t0 = time.time()
-    report1 = audit.run_audit()
-    report2 = audit.run_audit()
-    elapsed = time.time() - t0
+    reports = (audit.run_audit(), audit.run_audit())
+    return reports, time.time() - t0
+
+
+def test_criterion_15_full_audit(default_audit):
+    (report1, report2), elapsed = default_audit
     ok = (
         report1.totals.get("PASS", 0) >= 25
         and report1.totals.get("NOT_NUMERIC", 0) == 4
@@ -234,3 +241,32 @@ def test_criterion_15_full_audit():
     )
     _criterion(15, "full audit: >=25 PASS, 4 NOT_NUMERIC, 0 SKIPPED, deterministic",
                ok, elapsed, 900.0, f"totals {report1.totals}")
+
+
+# The benchmark's stored default-config report, which it checks each audit
+# run against: same verdict, observed numbers within 1e-12 relative, and
+# every other field equal.
+BENCHMARK_AUDIT_REF = Path(__file__).parents[1] / "perfbench" / "ref" / "audit_default.json"
+
+
+def _observed_match(got, want) -> bool:
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(_observed_match(g, w) for g, w in zip(got, want)))
+    if isinstance(want, (int, float)) and not isinstance(want, bool):
+        return (isinstance(got, (int, float)) and not isinstance(got, bool)
+                and abs(got - want) <= 1e-12 * abs(want))
+    return got == want
+
+
+def test_default_audit_matches_benchmark_reference(default_audit):
+    (report, _), _ = default_audit
+    got = json.loads(audit.report_to_json(report))["claims"]
+    ref = json.loads(BENCHMARK_AUDIT_REF.read_text())["claims"]
+    assert sorted(got) == sorted(ref)
+    for cid, want in ref.items():
+        have = got[cid]
+        assert have["verdict"] == want["verdict"], cid
+        assert _observed_match(have["observed"], want["observed"]), (cid, have["observed"])
+        assert {k: v for k, v in have.items() if k != "observed"} == \
+            {k: v for k, v in want.items() if k != "observed"}, cid

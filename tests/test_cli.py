@@ -39,6 +39,13 @@ class TestEval:
         assert code == 2
         assert "error" in err.lower()
 
+    @pytest.mark.parametrize("argv", [("eval", "eta", "1e300", "0"),
+                                      ("eval", "gamma", "150", "0")])
+    def test_overflow_exit_two(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "error" in err.lower()
+
 
 class TestBounds:
     def test_grid_rows(self, capsys):

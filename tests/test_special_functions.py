@@ -61,6 +61,11 @@ class TestGamma:
         s = 0.5 + 14j
         assert abs(abs(gamma(s)) - gamma_abs_product(0.5, 14.0, 10**6)) < 1e-8
 
+    def test_finite_up_to_the_overflow(self):
+        # every representable Lanczos value is returned, up to Re(s) = 142.5
+        for x in (100.5, 130.0, 141.9, 142.5):
+            assert gamma(x).real == pytest.approx(math.gamma(x), rel=1e-14)
+
     @pytest.mark.parametrize("n", [0, -1, -2, -7])
     def test_pole_error(self, n):
         with pytest.raises(PoleError):
@@ -131,12 +136,22 @@ class TestEta:
             eta(-0.5)
 
     # Past the double-precision limits: gamma's reflection overflows, the
-    # series weights overflow (n > 402 terms), and |Gamma(s)| underflows.
+    # series weights overflow (n > 402 terms), |Gamma(s)| underflows, and
+    # from Re(s) ~ 142.6 the Lanczos power overflows (scalar eta takes its
+    # term count from gamma).
     @pytest.mark.parametrize("fn, s", [(gamma, 0.3 + 300j), (eta, 0.3 + 300j),
-                                       (eta, 0.5 + 440j), (eta, 0.5 + 500j)])
+                                       (eta, 0.5 + 440j), (eta, 0.5 + 500j),
+                                       (gamma, 142.6), (gamma, 143.0), (gamma, 150.0),
+                                       (eta, 142.6), (eta, 143.0), (eta, 1e300)])
     def test_height_limit_is_domain_error(self, fn, s):
         with pytest.raises(DomainError):
             fn(s)
+
+    def test_scalar_route_equals_one_point_batch(self):
+        rng = np.random.default_rng(5000)
+        s = rng.uniform(0.01, 5.0, 1000) + 1j * rng.uniform(0.0, 220.0, 1000)
+        for z in s.tolist():
+            assert eta(z) == eta(np.array([z]))[0]
 
 
 class TestEtaArray:

@@ -167,6 +167,40 @@ class TestBatchedWindingCount:
             winding_count(lambda z: z - zero, THIN_RECT)
 
 
+def _list_boundary_points(rect, per_unit):
+    """The boundary as a list, one generator step per sample: the reference
+    for the array construction."""
+    corners = rect.corners
+    pts = []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        n = max(8, int(math.ceil(per_unit * abs(b - a))))
+        pts.extend(a + (b - a) * (k / n) for k in range(n))
+    return pts
+
+
+class TestBoundaryPoints:
+    def test_matches_list_construction(self):
+        rng = np.random.default_rng(808)
+        rects = [
+            (RectangleRegion(0.1, 0.9, 0.0, 100.0), 64.0),
+            (RectangleRegion(0.0, 0.5, 0.0, 16.0), 24.0),
+            (RectangleRegion(0.0, 0.5, 0.0, 16.0), 64.0),
+        ]
+        for height in (1e-3, 1e-6, 1e-9):
+            lo = rng.uniform(0.0, 50.0)
+            rects.append((RectangleRegion(0.1, 0.9, lo, lo + height), 64.0))
+            rects.append((RectangleRegion(0.5 - height, 0.5 + height, lo, lo + height), 64.0))
+        for _ in range(40):
+            re_lo, im_lo = rng.uniform(-2.0, 2.0, 2)
+            re_w, im_w = 10.0 ** rng.uniform(-9.0, 2.0, 2)
+            rect = RectangleRegion(re_lo, re_lo + re_w, im_lo, im_lo + im_w)
+            rects.append((rect, float(rng.choice([8.0, 24.0, 64.0]))))
+        for rect, per_unit in rects:
+            got = zero_analysis._boundary_points(rect, per_unit)
+            ref = np.array(_list_boundary_points(rect, per_unit))
+            assert got.dtype == complex and got.tobytes() == ref.tobytes(), (rect, per_unit)
+
+
 class TestCriticalLineZeros:
     def test_up_to_twenty(self):
         zeros = critical_line_zeros(20.0, 1e-4)
@@ -491,6 +525,101 @@ class TestRoucheScan:
         for args in [(math.nan, 1.0, 0.1), (10.0, math.nan, 0.1), (10.0, 1.0, math.nan)]:
             with pytest.raises(DomainError):
                 rouche_scan(*args, zeros=[])
+
+
+def _per_sample_scan(tau, lam, epsilon, *, zeros, quad_tol=1e-10,
+                     boundary_min_modulus=1e-12, density=64):
+    """rouche_scan as a loop over samples with one f_at call each, the
+    reference for the array version; returns (result, quotient-limit samples)."""
+    pole_tol, exclusion_tol = zero_analysis.POLE_TOL, zero_analysis.EXCLUSION_TOL
+    estimate = zero_analysis._f_omega_estimate
+    betas = [float(b) for b in zeros]
+    while any(abs(b - tau) < exclusion_tol for b in betas):
+        tau += 5.0 * exclusion_tol
+    betas = [b for b in betas if b <= tau]
+    beta_arr = np.asarray(betas, dtype=float)
+    quotients = []
+    for b in betas:
+        up = estimate(1j * (b + pole_tol), quad_tol).value
+        dn = estimate(1j * (b - pole_tol), quad_tol).value
+        quotients.append((up - dn) / (2j * pole_tol))
+    hits = 0
+
+    def f_at(omega):
+        nonlocal hits
+        near = False
+        if beta_arr.size:
+            d = omega - 1j * beta_arr
+            j = int(np.argmin(np.abs(d)))
+            near = abs(d[j]) < 10.0 * pole_tol
+            if abs(d[j]) < pole_tol:
+                hits += 1
+                rest = np.delete(beta_arr, j)
+                other = blaschke_L(omega, rest) if rest.size else 1.0
+                return d[j].conjugate() * quotients[j] * other, True
+        value = estimate(omega, quad_tol).value
+        return value * blaschke_L(omega, betas), near
+
+    samples = _list_boundary_points(RectangleRegion(0.0, 0.5, 0.0, tau), density)
+    min_margin, argmin_omega = math.inf, samples[0]
+    min_f_abs, argmin_f = math.inf, samples[0]
+    for omega in samples:
+        fv, near_zero = f_at(omega)
+        gv = lam * (epsilon + omega)
+        margin = abs(fv) + abs(gv) - abs(fv + gv)
+        if margin < min_margin:
+            min_margin, argmin_omega = margin, omega
+        if not near_zero:
+            if abs(fv) < boundary_min_modulus:
+                raise BoundaryZeroError(
+                    f"|f({omega})| = {abs(fv):.3e} below {boundary_min_modulus:.1e}"
+                )
+            if abs(fv) < min_f_abs:
+                min_f_abs, argmin_f = abs(fv), omega
+    result = zero_analysis.RoucheScanResult(
+        tau=float(tau), lam=float(lam), epsilon=float(epsilon), min_margin=float(min_margin),
+        argmin_omega=argmin_omega, boundary_samples=len(samples), min_f_abs=float(min_f_abs),
+        argmin_f_omega=argmin_f, zeros=tuple(betas),
+    )
+    return result, hits
+
+
+class TestRoucheScanMatchesPerSampleLoop:
+    LAM = lambda_choice(1.0, 0.1, 0.01)
+    # (args, keywords, whether some sample takes the quotient limit); the
+    # densities 37 put one sample within POLE_TOL of the first zero
+    CASES = [
+        ((10.0, 10.0, 0.1), dict(zeros=[], density=8), False),
+        ((16.0, LAM, 0.1), dict(zeros=ZERO_ORDINATES[:1], density=37), True),
+        ((22.0, LAM, 0.1), dict(zeros=ZERO_ORDINATES[:2], density=37, quad_tol=1e-12,
+                                boundary_min_modulus=1e-16), True),
+        ((ZERO_ORDINATES[0], 10.0, 0.1), dict(zeros=ZERO_ORDINATES[:1], density=16), False),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_every_field_equal(self, case):
+        args, kw, quotient_route = self.CASES[case]
+        ref, hits = _per_sample_scan(*args, **kw)
+        assert (hits > 0) == quotient_route
+        assert rouche_scan(*args, **kw) == ref
+
+    def test_array_arithmetic_rounds_as_python_scalars(self):
+        # np.abs and NumPy's complex multiply (fused multiply-add) differ from
+        # Python's abs and complex product in the last bit on many values
+        rng = np.random.default_rng(4242)
+        parts = rng.normal(size=(4, 20_000)) * 10.0 ** rng.uniform(-12, 3, (4, 20_000))
+        a, b = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+        assert np.array_equal(zero_analysis._modulus(a), [abs(x) for x in a.tolist()])
+        product = [x * y for x, y in zip(a.tolist(), b.tolist())]
+        assert np.array_equal(zero_analysis._product(a, b), product)
+
+    def test_floor_violation_names_the_same_first_sample(self):
+        kw = dict(zeros=[ZERO_ORDINATES[0]], density=8, boundary_min_modulus=1e-4)
+        with pytest.raises(BoundaryZeroError) as ref:
+            _per_sample_scan(16.0, self.LAM, 0.1, **kw)
+        with pytest.raises(BoundaryZeroError) as got:
+            rouche_scan(16.0, self.LAM, 0.1, **kw)
+        assert str(got.value) == str(ref.value)
 
 
 class TestZeroCountTransfer:
