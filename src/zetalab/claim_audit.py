@@ -4,7 +4,7 @@ A claim is declared at its check, with the ``_claim`` decorator::
 
     @_claim("EQ13A", "anchor value", "M*(1/2) = 1.07215 to 1e-4", "equality", 1e-4)
     def _check_eq13a(cfg, ctx):
-        v = ctx.m_star_half
+        v = quad.m_star_half()
         return abs(v - V_M_STAR_HALF) < 1e-4, v, "M*(1/2) vs printed 1.07215"
 
 The arguments are the id, the paper reference, a human description, the
@@ -95,10 +95,6 @@ class _Context:
         self.cfg = cfg
 
     @cached_property
-    def m_star_half(self) -> float:
-        return quad.m_star_half()
-
-    @cached_property
     def m_star_one(self) -> float:
         return quad.m_star(1.0, 1e-10)
 
@@ -108,11 +104,7 @@ class _Context:
 
     @cached_property
     def scan16(self) -> za.RoucheScanResult:
-        cfg = self.cfg
-        lam = za.lambda_choice(cfg.rouche_theta_abs, cfg.rouche_epsilon, cfg.rouche_nu,
-                               m_star_half_value=self.m_star_half)
-        return za.rouche_scan(cfg.rouche_tau, lam, cfg.rouche_epsilon, zeros=self.zeros30.betas,
-                              **cfg.rouche_options())
+        return za.rouche_scan(zeros=self.zeros30.betas, **self.cfg.rouche_options())
 
     @cached_property
     def upper_sweep(self):
@@ -259,7 +251,7 @@ def _check_eq8a(cfg, ctx):
         "|F(s)| never exceeds F(1/2) on the upper half strip (sampled)", "inequality", 1e-6)
 def _check_eq8b(cfg, ctx):
     re, im, f_abs, _ = ctx.upper_sweep
-    cap = ctx.m_star_half
+    cap = quad.m_star_half()
     k = int(np.argmax(f_abs))
     ok = bool(np.all(f_abs <= cap + 1e-6))
     note = f"sampled max |F| at s = {re[k]:.4f}+{im[k]:.4f}i"
@@ -268,7 +260,7 @@ def _check_eq8b(cfg, ctx):
 
 @_claim("EQ8C", "positivity", "F(1/2) > 0", "inequality", 0.0)
 def _check_eq8c(cfg, ctx):
-    v = ctx.m_star_half
+    v = quad.m_star_half()
     return v > 0.0, v, "F(1/2) strictly positive"
 
 
@@ -276,7 +268,7 @@ def _check_eq8c(cfg, ctx):
         "|F| <= M*(Re s) <= M*(1/2) <= M(1/2) on the sampled upper half strip", "inequality", 1e-6)
 def _check_eq9(cfg, ctx):
     _, _, f_abs, ms = ctx.upper_sweep
-    cap = ctx.m_star_half
+    cap = quad.m_star_half()
     ok = (
         bool(np.all(f_abs <= ms + 1e-6))
         and bool(np.all(ms <= cap + 1e-6))
@@ -288,7 +280,7 @@ def _check_eq9(cfg, ctx):
 
 @_claim("EQ10B", "bound tightening", "M*(1/2) < M(1/2)", "inequality", 0.0)
 def _check_eq10b(cfg, ctx):
-    gap = quad.m_bound(0.5) - ctx.m_star_half
+    gap = quad.m_bound(0.5) - quad.m_star_half()
     return gap > 0.0, gap, "M(1/2) - M*(1/2)"
 
 
@@ -311,14 +303,14 @@ def _check_eq11b(cfg, ctx):
     for t in np.linspace(0.0, 1.0, 25):
         alpha = t * 0.5 + (1.0 - t) * 1.0
         lhs = quad.m_star(float(alpha), 1e-9)
-        rhs = t * ctx.m_star_half + (1.0 - t) * ctx.m_star_one
+        rhs = t * quad.m_star_half() + (1.0 - t) * ctx.m_star_one
         worst = max(worst, lhs - rhs)
     return worst < 1e-8, worst, "max M*(alpha) - chord over endpoint chords"
 
 
 @_claim("EQ12A", "endpoint comparison", "M*(1/2) > M*(1)", "inequality", 0.0)
 def _check_eq12a(cfg, ctx):
-    gap = ctx.m_star_half - ctx.m_star_one
+    gap = quad.m_star_half() - ctx.m_star_one
     return gap > 0.0, gap, "M*(1/2) - M*(1)"
 
 
@@ -333,7 +325,7 @@ def _check_eq12b(cfg, ctx):
 
 @_claim("EQ13A", "anchor value", "M*(1/2) = 1.07215 to 1e-4", "equality", 1e-4)
 def _check_eq13a(cfg, ctx):
-    v = ctx.m_star_half
+    v = quad.m_star_half()
     return abs(v - V_M_STAR_HALF) < 1e-4, v, "M*(1/2) vs printed 1.07215"
 
 
@@ -348,8 +340,8 @@ def _check_eq13b(cfg, ctx):
 def _check_eq14(cfg, ctx):
     worst = -math.inf
     for t in np.linspace(0.0, 1.0, 25):
-        rhs = t * ctx.m_star_half + (1.0 - t) * ctx.m_star_one
-        worst = max(worst, rhs - ctx.m_star_half)
+        rhs = t * quad.m_star_half() + (1.0 - t) * ctx.m_star_one
+        worst = max(worst, rhs - quad.m_star_half())
     return worst < 1e-8, worst, "chord right-hand side never exceeds M*(1/2)"
 
 
@@ -372,7 +364,7 @@ def _check_eq15b(cfg, ctx):
         "|F(s)| <= M*(1/2) on the sampled upper half strip", "inequality", 1e-6)
 def _check_eq16(cfg, ctx):
     _, _, f_abs, _ = ctx.upper_sweep
-    cap = ctx.m_star_half
+    cap = quad.m_star_half()
     worst = float(np.max(f_abs)) - cap
     return worst < 1e-6, worst, "max |F| - M*(1/2) over the sweep"
 
@@ -532,14 +524,14 @@ def _check_eq26b(cfg, ctx):
         "composed integral at the centre approaches M*(1/2) as b -> 1", "limit", 1e-4)
 def _check_eq28a(cfg, ctx):
     v = smap.f_on_disk(0.0 + 0.0j, 1.0 - 1e-6, 1e-9)
-    return abs(v - ctx.m_star_half) < 1e-4, v, "composed integral at the centre, b -> 1"
+    return abs(v - quad.m_star_half()) < 1e-4, v, "composed integral at the centre, b -> 1"
 
 
 @_claim("EQ28B", "disk bound",
         "|composed integral| <= M*(1/2) on random (z, b)", "inequality", 1e-3)
 def _check_eq28b(cfg, ctx):
     rng = _claim_rng(cfg.seed, "EQ28B")
-    cap = ctx.m_star_half
+    cap = quad.m_star_half()
     worst = -math.inf
     k = 0
     while k < 500:
@@ -554,7 +546,7 @@ def _check_eq28b(cfg, ctx):
 
 @_claim("EQ30C", "G bounded", "G(b) <= M*(1/2) for all b", "inequality", 1e-8)
 def _check_eq30c(cfg, ctx):
-    cap = ctx.m_star_half
+    cap = quad.m_star_half()
     worst = -math.inf
     for b in np.linspace(0.05, 0.999, 21):
         worst = max(worst, quad.g_of_b(float(b), 1e-9) - cap)
@@ -580,7 +572,7 @@ _claim("EQ32", "derivative via Dirac delta",
 @_claim("EQ33A", "gauge existence",
         "for each delta < 1 some b has G(b) > delta * M*(1/2)", "limit", 0.0)
 def _check_eq33a(cfg, ctx):
-    cap = ctx.m_star_half
+    cap = quad.m_star_half()
     found = {}
     for delta in (0.5, 0.9, 0.99):
         b = None
@@ -597,7 +589,7 @@ def _check_eq33a(cfg, ctx):
 
 @_claim("EQ33B", "G limit", "G(b)/M*(1/2) -> 1 as b -> 1", "limit", 1e-4)
 def _check_eq33b(cfg, ctx):
-    ratio = quad.g_of_b(1.0 - 1e-6, 1e-10) / ctx.m_star_half
+    ratio = quad.g_of_b(1.0 - 1e-6, 1e-10) / quad.m_star_half()
     return abs(ratio - 1.0) < 1e-4, ratio, "G(b)/M*(1/2) at b = 1 - 1e-6"
 
 
@@ -701,17 +693,12 @@ def _check_eq46a(cfg, ctx):
 @_claim("EQ50C", "contradiction arithmetic",
         "(M*+nu)|eps+omega|/eps exceeds M*(1/2) on the boundary", "inequality", 0.0)
 def _check_eq50c(cfg, ctx):
-    cap = ctx.m_star_half
+    cap = quad.m_star_half()
     nu, eps = cfg.rouche_nu, cfg.rouche_epsilon
-    tau = cfg.rouche_tau
-    worst = math.inf
-    for w in [complex(a, 0.0) for a in np.linspace(0.0, 0.5, 33)] + [
-        complex(0.5, y) for y in np.linspace(0.0, tau, 65)
-    ] + [complex(a, tau) for a in np.linspace(0.0, 0.5, 33)] + [
-        complex(0.0, y) for y in np.linspace(0.0, tau, 65)
-    ]:
-        lhs = (cap + nu) * math.hypot(w.real + eps, w.imag) / eps
-        worst = min(worst, lhs - cap)
+    # the scan's own samples of K(tau), at the shifted tau
+    w = za._boundary_points(za.RectangleRegion(0.0, 0.5, 0.0, ctx.scan16.tau),
+                            cfg.boundary_density)
+    worst = float(((cap + nu) * np.hypot(w.real + eps, w.imag) / eps - cap).min())
     return worst > 0.0, worst, "min (M*+nu)*|eps+omega|/eps - M*(1/2) on the boundary"
 
 

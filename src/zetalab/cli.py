@@ -54,7 +54,7 @@ def _float_where(ok: Callable[[float], bool], requirement: str) -> Callable[[str
     return parse
 
 
-_positive = _float_where(lambda v: v > 0.0, "must be positive")
+_positive = _float_where(lambda v: 0.0 < v < math.inf, "must be positive and finite")
 _unit_open = _float_where(lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
 _alpha = _float_where(lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
 
@@ -194,10 +194,7 @@ def _cmd_jensen(args, cfg: AuditConfig) -> int:
 
 
 def _cmd_rouche(args, cfg: AuditConfig) -> int:
-    lam = args.lam
-    if lam is None:
-        lam = za.lambda_choice(cfg.rouche_theta_abs, cfg.rouche_epsilon, cfg.rouche_nu)
-    result = za.rouche_scan(cfg.rouche_tau, lam, cfg.rouche_epsilon, **cfg.rouche_options())
+    result = za.rouche_scan(**cfg.rouche_options(args.lam))
     print(f"tau (after genericity shift) = {_fmt(result.tau)}")
     print(f"lambda = {_fmt(result.lam)}, epsilon = {_fmt(result.epsilon)}")
     print(f"neutralized zeros = {[round(b, 6) for b in result.zeros]}")

@@ -9,11 +9,12 @@ identical report bodies.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import DomainError
-from .zero_analysis import MIN_ZERO_TOL
+from .zero_analysis import MIN_ZERO_TOL, lambda_choice
 
 __all__ = ["AuditConfig", "load_config", "dump_config"]
 
@@ -41,8 +42,8 @@ class AuditConfig:
     def __post_init__(self):
         for name in ("quad_tol", "zero_tol", "boundary_min_modulus", "tau_max",
                      "rouche_tau", "rouche_epsilon", "rouche_nu", "rouche_theta_abs"):
-            if not getattr(self, name) > 0.0:  # also rejects NaN
-                raise DomainError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:  # also rejects NaN
+                raise DomainError(f"{name} must be positive and finite")
         if self.zero_tol < MIN_ZERO_TOL:
             raise DomainError(f"zero_tol must be >= {MIN_ZERO_TOL:g}, the minimum cell height")
         if self.seed < 0:
@@ -59,12 +60,18 @@ class AuditConfig:
     def digest(self) -> str:
         return hashlib.sha256(dump_config(self).encode()).hexdigest()
 
-    def rouche_options(self) -> dict:
-        """The keyword arguments of zero_analysis.rouche_scan this config sets.
+    def rouche_options(self, lam: float | None = None) -> dict:
+        """Every argument of zero_analysis.rouche_scan but the zeros, from this config.
 
-        The scan's quadrature tolerance is capped at 1e-10.
+        lam defaults to lambda_choice of the config's theta_abs, epsilon and
+        nu; the scan's quadrature tolerance is capped at 1e-10.
         """
+        if lam is None:
+            lam = lambda_choice(self.rouche_theta_abs, self.rouche_epsilon, self.rouche_nu)
         return dict(
+            tau=self.rouche_tau,
+            lam=lam,
+            epsilon=self.rouche_epsilon,
             zero_tol=self.zero_tol,
             quad_tol=min(self.quad_tol, 1e-10),
             boundary_min_modulus=self.boundary_min_modulus,

@@ -20,12 +20,6 @@ class PoleError(ZetaLabError):
 class ToleranceNotMet(ZetaLabError):
     """Adaptive quadrature exhausted its evaluation budget before reaching tol."""
 
-    def __init__(self, message, value=None, abs_error=None, n_evals=None):
-        super().__init__(message)
-        self.value = value
-        self.abs_error = abs_error
-        self.n_evals = n_evals
-
 
 class BoundaryZeroError(ZetaLabError):
     """A zero lies on a contour: a winding boundary, a Jensen circle or a Rouche scan edge."""

@@ -28,6 +28,7 @@ evaluations are allowed per call, and exceeding them raises ToleranceNotMet.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -142,10 +143,7 @@ def _integrate(f, mesh: np.ndarray, tol: float):
             return vals.sum(), float(total_err), n_evals
         if n_evals >= EVAL_BUDGET:
             raise ToleranceNotMet(
-                f"quadrature budget {EVAL_BUDGET} exhausted (error {total_err:.3e} > tol {tol:.3e})",
-                value=vals.sum(),
-                abs_error=float(total_err),
-                n_evals=n_evals,
+                f"quadrature budget {EVAL_BUDGET} exhausted (error {total_err:.3e} > tol {tol:.3e})"
             )
         thresh = tol / (2.0 * len(a))
         idx = np.flatnonzero(errs > thresh)
@@ -309,8 +307,9 @@ def m_star(alpha: float, tol: float = 1e-8) -> float:
     return est.value.real
 
 
+@functools.cache
 def m_star_half() -> float:
-    """M*(1/2) to 1e-10, the cap shared by the audit and the boundary-scan scale."""
+    """M*(1/2) to 1e-10, computed once: the cap of the audit and the boundary-scan scale."""
     return m_star(0.5, 1e-10)
 
 

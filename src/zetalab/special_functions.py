@@ -96,9 +96,13 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 def gamma(s) -> complex:
     """Complex Gamma via Lanczos, reflection formula for Re(s) < 1/2.
 
-    Raises PoleError within 1e-12 of a non-positive integer, and DomainError
-    for Re(s) < 1/2 above |Im(s)| ~ 226, where sin(pi s) overflows, and
-    wherever the result is not finite (from Re(s) ~ 142.6 on the real axis).
+    Where the Lanczos power t**(z + 1/2) overflows (from Re(s) ~ 142.6 on
+    the real axis) it is formed together with exp(-t) as
+    exp((z + 1/2) log t - t), which reaches Re(s) ~ 171.6 and, through the
+    reflection, Re(s) ~ -170.6.  Raises PoleError within 1e-12 of a
+    non-positive integer, and DomainError for Re(s) < 1/2 above
+    |Im(s)| ~ 226, where sin(pi s) overflows, and wherever the result is
+    not finite.
     """
     s = ensure_finite(s)
     n = round(s.real)
@@ -121,6 +125,11 @@ def gamma(s) -> complex:
             value = _SQRT_TWO_PI * t ** (z + 0.5) * cmath.exp(-t) * acc
         except OverflowError:
             value = complex(math.inf)
+        if not cmath.isfinite(value):  # t ** (z + 0.5) overflows before exp(-t) scales it
+            try:
+                value = _SQRT_TWO_PI * cmath.exp((z + 0.5) * cmath.log(t) - t) * acc
+            except OverflowError:
+                value = complex(math.inf)
     if not cmath.isfinite(value):
         raise DomainError(f"Gamma(s) is not finite in double precision at s = {s!r}")
     return value
@@ -242,7 +251,7 @@ def eta(s):
     with every entry required finite with Re > 0 (DomainError otherwise).
     The scalar route raises DomainError past |Im(s)| ~ 428 at Re(s) = 1/2,
     where the series weights overflow or |Gamma(s)| underflows, and past
-    gamma's limit (Re(s) ~ 142.6 on the real axis); the array route raises
+    gamma's limit (Re(s) ~ 171.6 on the real axis); the array route raises
     where the weights overflow.
     """
     if isinstance(s, np.ndarray):

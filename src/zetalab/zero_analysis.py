@@ -23,8 +23,10 @@ rectangle K(tau), and reports the minimum triangle-inequality margin
 |f| + |g| - |f + g| together with where it occurs.  Near each neutralized
 zero i*beta_j the removable 0/0 factor is evaluated through the quotient
 limit, with the derivative of F_omega estimated once per zero from a small
-ring of quadrature values.  All of it is computed over the boundary array
-at once, except the F_omega quadrature, which runs sample by sample.
+ring of quadrature values.  L is blaschke_L, the same function the audit
+certifies as unimodular, called once on the whole boundary array away from
+the zeros; all of the scan is computed over that array at once, except the
+F_omega quadrature, which runs sample by sample.
 """
 
 from __future__ import annotations
@@ -74,6 +76,8 @@ POLE_TOL = 1e-3
 EXCLUSION_TOL = 1e-2
 # Smallest cell height critical_line_zeros splits down to, so the least zero_tol.
 MIN_ZERO_TOL = 1e-9
+# winding_count's default evaluation budget, and the most samples rouche_scan takes.
+MAX_BOUNDARY_SAMPLES = 500_000
 
 AnalyticFn = Callable[[complex], complex]
 
@@ -88,6 +92,8 @@ class RectangleRegion:
     im_max: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.re_min, self.re_max, self.im_min, self.im_max))):
+            raise DomainError(f"non-finite rectangle {self!r}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise DomainError(f"degenerate rectangle {self!r}")
 
@@ -138,18 +144,30 @@ class RoucheScanResult:
     zeros: tuple[float, ...]
 
 
+def _side_samples(rect: RectangleRegion, per_unit: float) -> tuple[float, float]:
+    """Samples per horizontal and per vertical side, max(8, ceil(per_unit * length)) or inf."""
+    return tuple(max(8, math.ceil(n)) if n < math.inf else n for n in
+                 (per_unit * (rect.re_max - rect.re_min), per_unit * (rect.im_max - rect.im_min)))
+
+
+def _boundary_size(rect: RectangleRegion, per_unit: float) -> float:
+    """Number of samples _boundary_points(rect, per_unit) returns."""
+    return 2 * sum(_side_samples(rect, per_unit))
+
+
 def _boundary_points(rect: RectangleRegion, per_unit: float) -> np.ndarray:
     """Counterclockwise boundary samples, max(8, ceil(per_unit * length)) per side."""
+    n_h, n_v = _side_samples(rect, per_unit)
     corners = rect.corners
-    sides = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        n = max(8, math.ceil(per_unit * abs(b - a)))
-        sides.append(a + (b - a) * (np.arange(n) / n))
-    return np.concatenate(sides)
+    return np.concatenate([
+        a + (b - a) * (np.arange(n) / n)
+        for a, b, n in zip(corners, corners[1:] + corners[:1], (n_h, n_v, n_h, n_v))
+    ])
 
 
 def winding_count(
-    fn: Callable[[np.ndarray], np.ndarray], rect: RectangleRegion, *, max_evals: int = 500_000
+    fn: Callable[[np.ndarray], np.ndarray], rect: RectangleRegion, *,
+    max_evals: int = MAX_BOUNDARY_SAMPLES,
 ) -> int:
     """Winding number of fn along the rectangle boundary (counterclockwise).
 
@@ -161,8 +179,13 @@ def winding_count(
     turns by more than pi/2 and evaluates all the midpoints together, for at
     most 48 rounds.  A value below 1e-12 in modulus raises BoundaryZeroError
     naming its point, and a batch that would take the evaluations past
-    max_evals raises NonConvergence before fn sees it.
+    max_evals raises NonConvergence before fn sees it (the initial boundary
+    before it is built).
     """
+    if _boundary_size(rect, 64.0) > max_evals:
+        raise NonConvergence(
+            f"the initial boundary of {rect!r} exceeds the budget of {max_evals} evaluations"
+        )
     evals = 0
 
     def values(p: np.ndarray) -> np.ndarray:
@@ -372,40 +395,38 @@ def titchmarsh_zero_free(M: float, f0_abs: float, delta: float) -> bool:
     return delta * M < f0_abs
 
 
-def blaschke_L(omega, zeros) -> complex:
+def blaschke_L(omega, zeros):
     """Product of conjugate-ratio factors (conj(omega)+i b_j)/(omega-i b_j).
 
     Numerator and denominator of each factor are complex conjugates (the
     heights b_j are real), so the product has modulus exactly 1 away from
-    the poles at i*b_j.  omega within POLE_TOL of a pole raises PoleProximity.
+    the poles at i*b_j.  A scalar omega gives a complex; an ndarray gives a
+    complex array of its shape, each entry the value the scalar call gives,
+    bit for bit.  An empty zero list gives ones.  Any omega within POLE_TOL
+    of a pole raises PoleProximity, and a non-finite one DomainError.
     """
-    omega = ensure_finite(omega)
+    w = np.asarray(omega, dtype=complex)
+    if not np.isfinite(w).all():
+        raise DomainError(f"blaschke_L requires finite omega, got {omega!r}")
     betas = np.asarray(list(zeros), dtype=float)
-    if betas.size == 0:
-        return 1.0 + 0.0j
-    den = omega - 1j * betas
-    gap = float(np.min(np.abs(den)))
+    den = w[..., None] - 1j * betas
+    gap = _modulus(den).min(initial=math.inf)
     if gap < POLE_TOL:
-        raise PoleProximity(
-            f"omega within {gap:.3e} of a zero height (pole_tol {POLE_TOL:.1e})"
-        )
-    return complex(np.prod((np.conj(omega) + 1j * betas) / den))
+        raise PoleProximity(f"omega within {gap:.3e} of a zero height (pole_tol {POLE_TOL:.1e})")
+    value = ((w.conj()[..., None] + 1j * betas) / den).prod(axis=-1)
+    return value if isinstance(omega, np.ndarray) else complex(value)
 
 
-def lambda_choice(
-    theta_abs: float, epsilon: float, nu: float, *, m_star_half_value: float | None = None
-) -> float:
+def lambda_choice(theta_abs: float, epsilon: float, nu: float) -> float:
     """Scale factor (M*(1/2) + nu) / (theta_abs * epsilon) for the boundary scan.
 
     Exceeds M*(1/2) / (theta_abs * r) for every boundary point with
-    r = |eps + omega| >= eps, since nu > 0.  A caller that already holds
-    M*(1/2) = m_star_half() passes it as m_star_half_value.
+    r = |eps + omega| >= eps, since nu > 0.  M*(1/2) is m_star_half(),
+    computed once per process.
     """
     if not (theta_abs > 0.0 and epsilon > 0.0 and nu > 0.0):
         raise DomainError("theta_abs, epsilon and nu must all be positive")
-    if m_star_half_value is None:
-        m_star_half_value = m_star_half()
-    return (m_star_half_value + nu) / (theta_abs * epsilon)
+    return (m_star_half() + nu) / (theta_abs * epsilon)
 
 
 def triangle_equality_condition(w, v) -> bool:
@@ -467,13 +488,20 @@ def rouche_scan(
     measure zero, and the scan reports whatever minimum it sees.  A margin
     below -1e-10 raises NonConvergence.
 
+    L is blaschke_L over the neutralized zeros, one call for every sample
+    away from them; a quotient-limit sample takes L over the other zeros.
     Each quadrature value is checked against the floor as soon as it is
     known, so the first offending sample in boundary order is named; the
     minima report first occurrences.  Two zero heights within POLE_TOL of
-    one sample raise PoleProximity before any quadrature.
+    one sample raise PoleProximity before any quadrature, and a K(tau) that
+    needs more than MAX_BOUNDARY_SAMPLES samples raises DomainError before
+    the zeros are located.
     """
-    if not (tau > 0.0 and lam > 0.0 and epsilon > 0.0):
-        raise DomainError("tau, lam and epsilon must be positive")
+    if not all(0.0 < x < math.inf for x in (tau, lam, epsilon)):  # also rejects NaN
+        raise DomainError("tau, lam and epsilon must be positive and finite")
+    n = _boundary_size(RectangleRegion(0.0, 0.5, 0.0, tau), density)
+    if n > MAX_BOUNDARY_SAMPLES:
+        raise DomainError(f"K({tau}) needs {n:.4g} samples, above {MAX_BOUNDARY_SAMPLES}")
     if zeros is None:
         zeros = critical_line_zeros(tau + 6.0 * EXCLUSION_TOL, zero_tol)
     betas = [float(b) for b in zeros]
@@ -498,18 +526,18 @@ def rouche_scan(
     pole = dist < POLE_TOL
     if (pole.sum(axis=1) > 1).any():
         raise PoleProximity(f"two zero heights within pole_tol {POLE_TOL:.1e} of one sample")
-    # rows within POLE_TOL of zero j take the quotient limit, with factor j of
-    # L set to 1; the nonvanishing check is waived on a 10x wider
+    # rows within POLE_TOL of zero j take the quotient limit, with L over the
+    # other zeros; the nonvanishing check is waived on a 10x wider
     # neighbourhood, where |f| legitimately decays linearly toward the zero
     rows, cols = np.nonzero(pole)
     near = (dist < 10.0 * POLE_TOL).any(axis=1)
-    blaschke = np.divide(
-        samples.conj()[:, None] + 1j * beta_arr, offsets, out=np.ones_like(offsets), where=~pole
-    ).prod(axis=1)
+    rest = np.array([blaschke_L(samples[i], np.delete(beta_arr, j)) for i, j in zip(rows, cols)],
+                    dtype=complex)
     f = np.empty_like(samples)
-    f[rows] = _product(_product(offsets[rows, cols].conj(), quotients[cols]), blaschke[rows])
-    for i in np.flatnonzero(~pole.any(axis=1)):
-        f[i] = fv = _f_omega_estimate(samples[i], quad_tol).value * complex(blaschke[i])
+    f[rows] = _product(_product(offsets[rows, cols].conj(), quotients[cols]), rest)
+    away = np.flatnonzero(~pole.any(axis=1))
+    for i, L in zip(away, blaschke_L(samples[away], beta_arr).tolist()):
+        f[i] = fv = _f_omega_estimate(samples[i], quad_tol).value * L
         if not near[i] and abs(fv) < boundary_min_modulus:
             raise BoundaryZeroError(
                 f"|f({complex(samples[i])})| = {abs(fv):.3e} below {boundary_min_modulus:.1e}"

@@ -40,7 +40,7 @@ class TestEval:
         assert "error" in err.lower()
 
     @pytest.mark.parametrize("argv", [("eval", "eta", "1e300", "0"),
-                                      ("eval", "gamma", "150", "0")])
+                                      ("eval", "gamma", "171.7", "0")])
     def test_overflow_exit_two(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 2
@@ -223,6 +223,23 @@ class TestUsageErrors:
         code, _, err = run(capsys, *argv)
         assert code == 3
         assert "argument" in err and "must" in err  # rejected by the parser
+
+    @pytest.mark.parametrize("argv", [("zeros", "--tau", "inf"),
+                                      ("rouche", "--tau", "inf"),
+                                      ("bounds", "--step", "inf"),
+                                      ("rouche", "--tau", "10", "--lam", "inf"),
+                                      ("--tol", "inf", "eval", "F", "0.5", "1")])
+    def test_infinite_flag_exit_three(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == "" and "must be positive and finite" in err
+
+    @pytest.mark.parametrize("argv", [("rouche", "--tau", "1e300"),
+                                      ("zeros", "--tau", "1e300")])
+    def test_oversized_height_exit_two(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "numerical error" in err
 
 
 class TestDeterminism:

@@ -137,15 +137,26 @@ class TestEta:
 
     # Past the double-precision limits: gamma's reflection overflows, the
     # series weights overflow (n > 402 terms), |Gamma(s)| underflows, and
-    # from Re(s) ~ 142.6 the Lanczos power overflows (scalar eta takes its
-    # term count from gamma).
+    # from Re(s) ~ 171.6 Gamma itself overflows (scalar eta takes its term
+    # count from gamma).
     @pytest.mark.parametrize("fn, s", [(gamma, 0.3 + 300j), (eta, 0.3 + 300j),
                                        (eta, 0.5 + 440j), (eta, 0.5 + 500j),
-                                       (gamma, 142.6), (gamma, 143.0), (gamma, 150.0),
-                                       (eta, 142.6), (eta, 143.0), (eta, 1e300)])
+                                       (gamma, 171.7), (eta, 1e300)])
     def test_height_limit_is_domain_error(self, fn, s):
         with pytest.raises(DomainError):
             fn(s)
+
+    # where the Lanczos power t**(z + 1/2) alone overflows, Re(s) 142.6-171.6
+    # and, through the reflection, below -141.6
+    @pytest.mark.parametrize("fn, s", [(gamma, 142.6), (gamma, 143.0), (gamma, 150.0),
+                                       (gamma, 160.0), (gamma, 171.5), (gamma, -141.7),
+                                       (gamma, -150.5), (gamma, -160.3), (gamma, 150 + 20j),
+                                       (eta, 142.6), (eta, 143.0)])
+    def test_past_the_lanczos_power_overflow(self, fn, s):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = complex((mpmath.gamma if fn is gamma else mpmath.altzeta)(s))
+        assert abs(fn(s) - ref) <= 1e-12 * abs(ref)
 
     def test_scalar_route_equals_one_point_batch(self):
         rng = np.random.default_rng(5000)

@@ -83,6 +83,21 @@ class TestWindingCount:
         with pytest.raises(DomainError):
             RectangleRegion(0.0, 0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0, 0.0, math.inf), (-math.inf, 1.0, 0.0, 1.0),
+                                        (0.0, 1.0, math.nan, 1.0)])
+    def test_non_finite_rectangle(self, bounds):
+        with pytest.raises(DomainError, match="non-finite"):
+            RectangleRegion(*bounds)
+
+    @pytest.mark.parametrize("height", [1e300, 1e308])
+    def test_initial_boundary_checked_before_it_is_built(self, height):
+        # the count comes from the side lengths; fn never sees a point
+        seen = []
+        rect = RectangleRegion(0.0, 1.0, 0.0, height)
+        with pytest.raises(NonConvergence, match="budget"):
+            winding_count(lambda z: seen.append(z.size) or z, rect)
+        assert seen == []
+
 
 def _recursive_winding(fn, rect):
     """Point-by-point winding count with depth-first refinement, the reference
@@ -387,6 +402,32 @@ class TestBlaschke:
     def test_empty_product(self):
         assert blaschke_L(0.3 + 0.2j, []) == 1.0 + 0j
 
+    def test_array_equals_scalar_calls(self):
+        rng = np.random.default_rng(8080)
+        omega = rng.uniform(0.0, 0.5, 2000) + 1j * rng.uniform(0.0, 40.0, 2000)
+        for n in range(len(ZERO_ORDINATES) + 1):
+            betas = list(ZERO_ORDINATES[:n])
+            keep = np.array([min((abs(w - 1j * b) for b in betas), default=1.0) >= 2e-3
+                             for w in omega.tolist()])
+            points = omega[keep]
+            got = blaschke_L(points, betas)
+            assert isinstance(got, np.ndarray) and got.shape == points.shape
+            assert got.tolist() == [blaschke_L(w, betas) for w in points.tolist()]
+        grid = omega[:6].reshape(2, 3)
+        assert blaschke_L(grid, [40.5]).shape == (2, 3)
+
+    def test_array_with_empty_zero_list_gives_ones(self):
+        omega = np.array([0.1 + 1j, 0.4 + 25j, 0.0])
+        got = blaschke_L(omega, [])
+        assert got.dtype == complex and got.tolist() == [1.0, 1.0, 1.0]
+
+    def test_array_pole_proximity(self):
+        omega = np.array([0.2 + 3j, 0.1 + 20j, 1e-5 + 1j * ZERO_ORDINATES[1]])
+        with pytest.raises(PoleProximity):
+            blaschke_L(omega, ZERO_ORDINATES)
+        with pytest.raises(DomainError):
+            blaschke_L(np.array([0.2 + 3j, complex(math.nan, 1.0)]), ZERO_ORDINATES)
+
     def test_single_factor_unimodular(self):
         assert abs(abs(blaschke_L(0.3 + 0.2j, [14.1347])) - 1.0) < 1e-12
 
@@ -444,7 +485,7 @@ class TestLambdaChoice:
             lambda_choice(1.0, -0.1, 0.01)
         for args in [(math.nan, 0.1, 0.01), (1.0, math.nan, 0.01), (1.0, 0.1, math.nan)]:
             with pytest.raises(DomainError):
-                lambda_choice(*args, m_star_half_value=1.0)
+                lambda_choice(*args)
 
 
 class TestTriangleEquality:
@@ -522,9 +563,18 @@ class TestRoucheScan:
             rouche_scan(0.0, 1.0, 0.1)
         with pytest.raises(DomainError):
             rouche_scan(10.0, -1.0, 0.1)
-        for args in [(math.nan, 1.0, 0.1), (10.0, math.nan, 0.1), (10.0, 1.0, math.nan)]:
+        for args in [(math.nan, 1.0, 0.1), (10.0, math.nan, 0.1), (10.0, 1.0, math.nan),
+                     (math.inf, 1.0, 0.1), (10.0, math.inf, 0.1), (10.0, 1.0, math.inf)]:
             with pytest.raises(DomainError):
                 rouche_scan(*args, zeros=[])
+
+    def test_sample_budget_checked_before_the_zeros(self, monkeypatch):
+        # K(tau) takes 2 * (32 + ceil(64 tau)) samples: 500,000 up to tau = 3905.75
+        monkeypatch.setattr(zero_analysis, "critical_line_zeros", None)
+        for tau in (3906.0, 1e300):
+            with pytest.raises(DomainError, match="500000"):
+                rouche_scan(tau, 1.0, 0.1)
+        assert zero_analysis._boundary_size(RectangleRegion(0.0, 0.5, 0.0, 3905.75), 64) == 500_000
 
 
 def _per_sample_scan(tau, lam, epsilon, *, zeros, quad_tol=1e-10,
