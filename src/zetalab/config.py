@@ -26,12 +26,10 @@ class AuditConfig:
     # audit only when it is tighter than 1e-10
     quad_tol: float = 1e-8
     zero_tol: float = 1e-4
-    n_samples: int = 1000  # random strip sweeps
     tau_max: float = 50.0
     seed: int = 20201219
     output_format: str = "doc"  # "doc" (single JSON document) or "csv"
     # boundary-scan knobs
-    boundary_density: int = 64
     boundary_min_modulus: float = 1e-12
     jensen_samples: int = 384
     rouche_tau: float = 16.0
@@ -48,10 +46,6 @@ class AuditConfig:
             raise DomainError(f"zero_tol must be >= {MIN_ZERO_TOL:g}, the minimum cell height")
         if self.seed < 0:
             raise DomainError("seed must be >= 0")
-        if self.n_samples < 1:
-            raise DomainError("n_samples must be >= 1")
-        if self.boundary_density < 1:
-            raise DomainError("boundary_density must be >= 1")
         if self.jensen_samples < 8:
             raise DomainError("jensen_samples must be >= 8")
         if self.output_format not in ("doc", "csv"):
@@ -75,7 +69,6 @@ class AuditConfig:
             zero_tol=self.zero_tol,
             quad_tol=min(self.quad_tol, 1e-10),
             boundary_min_modulus=self.boundary_min_modulus,
-            density=self.boundary_density,
         )
 
 

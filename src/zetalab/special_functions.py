@@ -140,10 +140,10 @@ def gamma_abs_product(alpha: float, beta: float, n_terms: int) -> float:
 
     Every factor 1/(1 + beta^2/(n+alpha)^2) is <= 1, so truncations decrease
     monotonically in n_terms toward the true modulus.  Accumulated in log
-    space (log1p) to avoid underflow for large beta.
+    space (log1p) to avoid underflow for large beta, which must be finite.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha = {alpha} outside (0,1)")
+    if not (0.0 < alpha < 1.0 and math.isfinite(beta)):
+        raise DomainError(f"need alpha in (0,1) and a finite beta, got {alpha}, {beta}")
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
     n = np.arange(n_terms, dtype=float)

@@ -76,7 +76,9 @@ POLE_TOL = 1e-3
 EXCLUSION_TOL = 1e-2
 # Smallest cell height critical_line_zeros splits down to, so the least zero_tol.
 MIN_ZERO_TOL = 1e-9
-# winding_count's default evaluation budget, and the most samples rouche_scan takes.
+# How winding_count and rouche_scan sample a boundary: samples per unit of side
+# length, and the most one count or one scan takes.  Both are read at call time.
+SAMPLES_PER_UNIT = 64
 MAX_BOUNDARY_SAMPLES = 500_000
 
 AnalyticFn = Callable[[complex], complex]
@@ -115,8 +117,7 @@ class CriticalZeroList:
     tau: float
 
     def __post_init__(self):
-        if any(b <= 0.0 for b in self.betas):
-            raise DomainError("zero heights must be positive")
+        _check_positive_finite("zero heights and tau", (*self.betas, self.tau))
         if any(b2 <= b1 for b1, b2 in zip(self.betas, self.betas[1:])):
             raise DomainError("zero heights must be strictly increasing")
         if any(b > self.tau for b in self.betas):
@@ -144,20 +145,26 @@ class RoucheScanResult:
     zeros: tuple[float, ...]
 
 
-def _side_samples(rect: RectangleRegion, per_unit: float) -> tuple[float, float]:
-    """Samples per horizontal and per vertical side, max(8, ceil(per_unit * length)) or inf."""
+def _check_positive_finite(what: str, values) -> None:
+    if not all(0.0 < v < math.inf for v in values):  # also rejects NaN
+        raise DomainError(f"{what} must be positive and finite")
+
+
+def _side_samples(rect: RectangleRegion) -> tuple[float, float]:
+    """Samples per side (horizontal, vertical): max(8, ceil(SAMPLES_PER_UNIT * length)) or inf."""
     return tuple(max(8, math.ceil(n)) if n < math.inf else n for n in
-                 (per_unit * (rect.re_max - rect.re_min), per_unit * (rect.im_max - rect.im_min)))
+                 (SAMPLES_PER_UNIT * (rect.re_max - rect.re_min),
+                  SAMPLES_PER_UNIT * (rect.im_max - rect.im_min)))
 
 
-def _boundary_size(rect: RectangleRegion, per_unit: float) -> float:
-    """Number of samples _boundary_points(rect, per_unit) returns."""
-    return 2 * sum(_side_samples(rect, per_unit))
+def _boundary_size(rect: RectangleRegion) -> float:
+    """Number of samples _boundary_points(rect) returns."""
+    return 2 * sum(_side_samples(rect))
 
 
-def _boundary_points(rect: RectangleRegion, per_unit: float) -> np.ndarray:
-    """Counterclockwise boundary samples, max(8, ceil(per_unit * length)) per side."""
-    n_h, n_v = _side_samples(rect, per_unit)
+def _boundary_points(rect: RectangleRegion) -> np.ndarray:
+    """Counterclockwise boundary samples, max(8, ceil(SAMPLES_PER_UNIT * length)) per side."""
+    n_h, n_v = _side_samples(rect)
     corners = rect.corners
     return np.concatenate([
         a + (b - a) * (np.arange(n) / n)
@@ -165,34 +172,29 @@ def _boundary_points(rect: RectangleRegion, per_unit: float) -> np.ndarray:
     ])
 
 
-def winding_count(
-    fn: Callable[[np.ndarray], np.ndarray], rect: RectangleRegion, *,
-    max_evals: int = MAX_BOUNDARY_SAMPLES,
-) -> int:
+def winding_count(fn: Callable[[np.ndarray], np.ndarray], rect: RectangleRegion) -> int:
     """Winding number of fn along the rectangle boundary (counterclockwise).
 
     For fn analytic without poles this equals the number of zeros inside.
     fn takes a 1-D complex ndarray of points and returns their values as an
     array of the same shape; it is called once with the whole initial
-    boundary, 64 samples per unit of side length (at least 8 per side), and
-    once per refinement round.  Each round bisects every step whose phase
-    turns by more than pi/2 and evaluates all the midpoints together, for at
-    most 48 rounds.  A value below 1e-12 in modulus raises BoundaryZeroError
-    naming its point, and a batch that would take the evaluations past
-    max_evals raises NonConvergence before fn sees it (the initial boundary
-    before it is built).
+    boundary, SAMPLES_PER_UNIT = 64 samples per unit of side length (at least
+    8 per side), and once per refinement round.  Each round bisects every
+    step whose phase turns by more than pi/2 and evaluates all the midpoints
+    together, for at most 48 rounds.  A value below 1e-12 in modulus raises
+    BoundaryZeroError naming its point, and a batch that would take the
+    evaluations past MAX_BOUNDARY_SAMPLES = 500,000 raises NonConvergence
+    before fn sees it (the initial boundary before it is built).
     """
-    if _boundary_size(rect, 64.0) > max_evals:
-        raise NonConvergence(
-            f"the initial boundary of {rect!r} exceeds the budget of {max_evals} evaluations"
-        )
+    if _boundary_size(rect) > MAX_BOUNDARY_SAMPLES:
+        raise NonConvergence(f"the initial boundary of {rect!r} exceeds the evaluation budget")
     evals = 0
 
     def values(p: np.ndarray) -> np.ndarray:
         nonlocal evals
         evals += p.size
-        if evals > max_evals:
-            raise NonConvergence(f"boundary refinement budget {max_evals} exhausted")
+        if evals > MAX_BOUNDARY_SAMPLES:
+            raise NonConvergence(f"boundary refinement budget {MAX_BOUNDARY_SAMPLES} exhausted")
         v = np.asarray(fn(p), dtype=complex)
         small = np.abs(v) < 1e-12
         if small.any():
@@ -203,7 +205,7 @@ def winding_count(
         return v
 
     # each step runs from (p1, v1) to (p2, v2)
-    p1 = _boundary_points(rect, 64.0)
+    p1 = _boundary_points(rect)
     v1 = values(p1)
     p2, v2 = np.roll(p1, -1), np.roll(v1, -1)
     total = 0.0
@@ -284,14 +286,13 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
     line, and a final certificate confirms the zero sits inside a rectangle
     of half-width zero_tol around Re(s) = 1/2.
     """
-    if not tau > 0.0:  # also rejects NaN
-        raise DomainError("tau must be positive")
+    _check_positive_finite("tau", (tau,))
     if not zero_tol >= MIN_ZERO_TOL:  # also rejects NaN
         raise DomainError(f"zero_tol = {zero_tol} below the minimum cell height {MIN_ZERO_TOL:g}")
     re_lo, re_hi = 0.5 - 0.4, 0.5 + 0.4  # 0.09999999999999998: the located zeros depend on it
 
     def cell_count(lo: float, hi: float) -> int:
-        return winding_count(eta, RectangleRegion(re_lo, re_hi, lo, hi), max_evals=2_000_000)
+        return winding_count(eta, RectangleRegion(re_lo, re_hi, lo, hi))
 
     betas: list[float] = []
     # (lo, hi, zero count, whether the count was measured on this cell)
@@ -339,8 +340,8 @@ def riemann_von_mangoldt(T: float) -> float:
     The oscillating argument term and the O(1/T) remainder are dropped; the
     estimate is accurate to well under 1.5 at the heights used here.
     """
-    if T < _TWO_PI_E:
-        raise DomainError(f"T = {T} below 2*pi*e = {_TWO_PI_E:.6f}")
+    if not _TWO_PI_E <= T < math.inf:  # also rejects NaN
+        raise DomainError(f"T = {T} outside [2*pi*e, inf), 2*pi*e = {_TWO_PI_E:.6f}")
     return (T / _TWO_PI) * math.log(T / _TWO_PI_E) + 7.0 / 8.0
 
 
@@ -353,12 +354,12 @@ def jensen_check(
     rhs = circle average of log|fn| (trapezoid over equispaced angles, which
     converges geometrically for analytic fn with no zeros on the circle).
     |fn(0)| < 1e-12 raises ZeroAtCenter, and a zero within 1e-9 of the
-    circle raises BoundaryZeroError.
+    circle raises BoundaryZeroError.  R must be positive and finite, and
+    samples an integer >= 8.
     """
-    if not R > 0.0:
-        raise DomainError("R must be positive")
-    if samples < 8:
-        raise DomainError("samples must be >= 8")
+    _check_positive_finite("R", (R,))
+    if not (isinstance(samples, (int, np.integer)) and samples >= 8):
+        raise DomainError(f"samples must be an integer >= 8, got {samples!r}")
     f0 = complex(fn(0.0 + 0.0j))
     if abs(f0) < 1e-12:
         raise ZeroAtCenter(f"|fn(0)| = {abs(f0):.3e} below 1.0e-12")
@@ -377,21 +378,22 @@ def jensen_check(
     return lhs, acc / samples
 
 
-def titchmarsh_zero_bound(M: float, f0_abs: float, delta: float) -> float:
-    """Upper bound log(M/|f(0)|) / log(1/delta) on zeros in the delta-subdisk."""
+def _check_titchmarsh_args(M: float, f0_abs: float, delta: float) -> None:
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta = {delta} outside (0,1)")
-    if not 0.0 < f0_abs <= M:
-        raise DomainError(f"need 0 < |f(0)| <= M, got |f(0)| = {f0_abs}, M = {M}")
+    if not 0.0 < f0_abs <= M < math.inf:
+        raise DomainError(f"need 0 < |f(0)| <= M < inf, got |f(0)| = {f0_abs}, M = {M}")
+
+
+def titchmarsh_zero_bound(M: float, f0_abs: float, delta: float) -> float:
+    """Upper bound log(M/|f(0)|) / log(1/delta) on zeros in the delta-subdisk."""
+    _check_titchmarsh_args(M, f0_abs, delta)
     return math.log(M / f0_abs) / math.log(1.0 / delta)
 
 
 def titchmarsh_zero_free(M: float, f0_abs: float, delta: float) -> bool:
     """True iff delta*M < |f(0)|, which forces the bound below 1 (no zeros)."""
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta = {delta} outside (0,1)")
-    if not 0.0 < f0_abs <= M:
-        raise DomainError(f"need 0 < |f(0)| <= M, got |f(0)| = {f0_abs}, M = {M}")
+    _check_titchmarsh_args(M, f0_abs, delta)
     return delta * M < f0_abs
 
 
@@ -403,12 +405,13 @@ def blaschke_L(omega, zeros):
     the poles at i*b_j.  A scalar omega gives a complex; an ndarray gives a
     complex array of its shape, each entry the value the scalar call gives,
     bit for bit.  An empty zero list gives ones.  Any omega within POLE_TOL
-    of a pole raises PoleProximity, and a non-finite one DomainError.
+    of a pole raises PoleProximity, and a non-finite omega or zero height
+    DomainError.
     """
     w = np.asarray(omega, dtype=complex)
-    if not np.isfinite(w).all():
-        raise DomainError(f"blaschke_L requires finite omega, got {omega!r}")
     betas = np.asarray(list(zeros), dtype=float)
+    if not (np.isfinite(w).all() and np.isfinite(betas).all()):
+        raise DomainError(f"blaschke_L requires finite omega and zero heights, got {omega!r}")
     den = w[..., None] - 1j * betas
     gap = _modulus(den).min(initial=math.inf)
     if gap < POLE_TOL:
@@ -424,8 +427,7 @@ def lambda_choice(theta_abs: float, epsilon: float, nu: float) -> float:
     r = |eps + omega| >= eps, since nu > 0.  M*(1/2) is m_star_half(),
     computed once per process.
     """
-    if not (theta_abs > 0.0 and epsilon > 0.0 and nu > 0.0):
-        raise DomainError("theta_abs, epsilon and nu must all be positive")
+    _check_positive_finite("theta_abs, epsilon and nu", (theta_abs, epsilon, nu))
     return (m_star_half() + nu) / (theta_abs * epsilon)
 
 
@@ -465,18 +467,18 @@ def rouche_scan(
     zero_tol: float = 1e-4,
     quad_tol: float = 1e-10,
     boundary_min_modulus: float = 1e-12,
-    density: int = 64,
 ) -> RoucheScanResult:
     """Sample |f| + |g| - |f+g| over the boundary of K(tau).
 
-    K(tau) is the rectangle Re(omega) in [0, 1/2], Im(omega) in [0, tau];
-    f = F_omega * L with L built over the critical-line zeros below tau, and
-    g = lam * (epsilon + omega).  Two module constants fix the geometry around
-    the zeros: if a zero height falls within EXCLUSION_TOL = 1e-2 of tau, tau
-    is shifted up by 5*EXCLUSION_TOL (repeatedly if needed) so the top edge
-    stays clear, and samples within POLE_TOL = 1e-3 of a neutralized zero are
-    evaluated through the quotient limit.  Elsewhere |f| must stay above
-    boundary_min_modulus or BoundaryZeroError is raised.
+    K(tau) is the rectangle Re(omega) in [0, 1/2], Im(omega) in [0, tau],
+    sampled as winding_count samples its rectangles (SAMPLES_PER_UNIT);
+    f = F_omega * L with L built over the positive, finite zero heights below
+    tau, and g = lam * (epsilon + omega).  Two module constants fix the
+    geometry around the zeros: if a zero height falls within EXCLUSION_TOL =
+    1e-2 of tau, tau is shifted up by 5*EXCLUSION_TOL (repeatedly if needed)
+    so the top edge stays clear, and samples within POLE_TOL = 1e-3 of a
+    neutralized zero are evaluated through the quotient limit.  Elsewhere |f|
+    must stay above boundary_min_modulus or BoundaryZeroError is raised.
 
     Two facts constrain boundary_min_modulus.  |F_omega| on the left edge
     decays like e^(-pi Im/2) (the gamma-modulus factor), so an absolute floor
@@ -497,14 +499,14 @@ def rouche_scan(
     needs more than MAX_BOUNDARY_SAMPLES samples raises DomainError before
     the zeros are located.
     """
-    if not all(0.0 < x < math.inf for x in (tau, lam, epsilon)):  # also rejects NaN
-        raise DomainError("tau, lam and epsilon must be positive and finite")
-    n = _boundary_size(RectangleRegion(0.0, 0.5, 0.0, tau), density)
+    _check_positive_finite("tau, lam and epsilon", (tau, lam, epsilon))
+    n = _boundary_size(RectangleRegion(0.0, 0.5, 0.0, tau))
     if n > MAX_BOUNDARY_SAMPLES:
         raise DomainError(f"K({tau}) needs {n:.4g} samples, above {MAX_BOUNDARY_SAMPLES}")
     if zeros is None:
         zeros = critical_line_zeros(tau + 6.0 * EXCLUSION_TOL, zero_tol)
     betas = [float(b) for b in zeros]
+    _check_positive_finite("zero heights", betas)
     while any(abs(b - tau) < EXCLUSION_TOL for b in betas):
         tau += 5.0 * EXCLUSION_TOL
     betas = [b for b in betas if b <= tau]
@@ -520,7 +522,7 @@ def rouche_scan(
         for b in betas
     ], dtype=complex)
 
-    samples = _boundary_points(RectangleRegion(0.0, 0.5, 0.0, tau), density)
+    samples = _boundary_points(RectangleRegion(0.0, 0.5, 0.0, tau))
     offsets = samples[:, None] - 1j * beta_arr  # one column per neutralized zero
     dist = _modulus(offsets)
     pole = dist < POLE_TOL

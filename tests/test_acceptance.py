@@ -10,7 +10,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import zetalab.claim_audit as audit
 import zetalab.quadrature as quad
@@ -221,14 +220,6 @@ def test_criterion_14_functional_equation_grid():
             worst = max(worst, sf.functional_equation_residual(complex(a, b)))
     _criterion(14, "functional-equation residual < 1e-7 on the grid", worst < 1e-7,
                time.time() - t0, 60.0, f"max {worst:.1e}")
-
-
-@pytest.fixture(scope="module")
-def default_audit():
-    """Two default-config audits and the seconds they took together."""
-    t0 = time.time()
-    reports = (audit.run_audit(), audit.run_audit())
-    return reports, time.time() - t0
 
 
 def test_criterion_15_full_audit(default_audit):

@@ -13,19 +13,16 @@ from zetalab.claim_audit import (
 )
 from zetalab.config import AuditConfig
 
-# a lighter configuration keeps module tests quick; the acceptance suite
-# runs the default one
-LIGHT = AuditConfig(n_samples=60, jensen_samples=256, boundary_density=24)
-
-# the LIGHT report as the pre-registry code wrote it; a refactor must keep it
-# byte for byte, and a deliberate change regenerates it with each changed line
-# explained in CHANGES.md
-GOLDEN_LIGHT = Path(__file__).parent / "data" / "audit_light.json"
+# the default-config report, the one `zetalab audit` ships; a refactor must
+# keep it byte for byte, and a deliberate change regenerates it with each
+# changed line explained in CHANGES.md
+GOLDEN_DEFAULT = Path(__file__).parent / "data" / "audit_default.json"
 
 
-@pytest.fixture(scope="module")
-def light_report():
-    return run_audit(LIGHT)
+@pytest.fixture
+def default_report(default_audit):
+    (report, _), _ = default_audit
+    return report
 
 
 class TestRegistry:
@@ -61,66 +58,66 @@ class TestRegistry:
 
 
 class TestRunAudit:
-    def test_verdict_totals(self, light_report):
-        assert light_report.totals.get("NOT_NUMERIC", 0) == 4
-        assert light_report.totals.get("PASS", 0) >= 25
-        assert light_report.totals.get("FAIL", 0) == 0
+    def test_verdict_totals(self, default_report):
+        assert default_report.totals.get("NOT_NUMERIC", 0) == 4
+        assert default_report.totals.get("PASS", 0) >= 25
+        assert default_report.totals.get("FAIL", 0) == 0
 
-    def test_eq13a_observed(self, light_report):
-        rec = next(c for c in light_report.claims if c.id == "EQ13A")
+    def test_eq13a_observed(self, default_report):
+        rec = next(c for c in default_report.claims if c.id == "EQ13A")
         assert rec.verdict == "PASS"
         assert abs(rec.observed - 1.07215) < 1e-4
 
-    def test_eq32_not_numeric(self, light_report):
-        rec = next(c for c in light_report.claims if c.id == "EQ32")
+    def test_eq32_not_numeric(self, default_report):
+        rec = next(c for c in default_report.claims if c.id == "EQ32")
         assert rec.verdict == "NOT_NUMERIC"
         assert "Dirac" in rec.note or "delta" in rec.note.lower()
 
-    def test_flagged_never_pass_or_fail(self, light_report):
-        for c in light_report.claims:
+    def test_flagged_never_pass_or_fail(self, default_report):
+        for c in default_report.claims:
             if c.id in FLAGGED_CLAIMS:
                 assert c.verdict == "NOT_NUMERIC"
             else:
                 assert c.verdict in ("PASS", "FAIL", "SKIPPED")
 
-    def test_rvm30_claim(self, light_report):
-        rec = next(c for c in light_report.claims if c.id == "RVM30")
+    def test_rvm30_claim(self, default_report):
+        rec = next(c for c in default_report.claims if c.id == "RVM30")
         assert rec.verdict == "PASS"
         assert rec.observed == 3
 
-    def test_every_claim_once(self, light_report):
-        ids = [c.id for c in light_report.claims]
+    def test_every_claim_once(self, default_report):
+        ids = [c.id for c in default_report.claims]
         assert len(ids) == len(set(ids)) == len(list_claims())
 
-    def test_config_digest_attached(self, light_report):
-        assert light_report.config_digest == LIGHT.digest()
+    def test_config_digest_attached(self, default_report):
+        assert default_report.config_digest == AuditConfig().digest()
 
 
 class TestDeterminism:
-    def test_two_runs_byte_identical(self, light_report):
-        again = run_audit(LIGHT)
-        assert report_to_json(again) == report_to_json(light_report)
+    def test_two_runs_byte_identical(self, default_audit):
+        (first, again), _ = default_audit
+        assert report_to_json(again) == report_to_json(first)
 
-    def test_verdicts_stable_under_loose_quad_tol(self, light_report):
+    def test_verdicts_stable_under_loose_quad_tol(self, default_report):
         # each claim fixes its own quadrature tolerance, and the boundary scan
         # uses min(quad_tol, 1e-10), so a looser quad_tol leaves every claim
         # record unchanged, observed values and notes included
         from dataclasses import replace
 
-        loose = run_audit(replace(LIGHT, quad_tol=1e-3))
-        assert loose.claims == light_report.claims
+        loose = run_audit(replace(AuditConfig(), quad_tol=1e-3))
+        assert loose.claims == default_report.claims
 
-    def test_light_report_matches_golden(self, light_report):
-        assert report_to_json(light_report) == GOLDEN_LIGHT.read_text(encoding="ascii")
+    def test_default_report_matches_golden(self, default_report):
+        assert report_to_json(default_report) == GOLDEN_DEFAULT.read_text(encoding="ascii")
 
-    def test_doc_keyed_by_id(self, light_report):
-        doc = json.loads(report_to_json(light_report))
+    def test_doc_keyed_by_id(self, default_report):
+        doc = json.loads(report_to_json(default_report))
         assert set(doc) == {"claims", "config_digest", "totals"}
         assert "EQ13A" in doc["claims"]
 
-    def test_line_records(self, light_report):
-        lines = report_to_lines(light_report)
-        assert json.loads(lines[0])["config_digest"] == LIGHT.digest()
+    def test_line_records(self, default_report):
+        lines = report_to_lines(default_report)
+        assert json.loads(lines[0])["config_digest"] == AuditConfig().digest()
         parsed = [json.loads(l) for l in lines[1:]]
         assert [p["id"] for p in parsed] == sorted(p["id"] for p in parsed)
 
@@ -144,10 +141,6 @@ class TestConfig:
             AuditConfig(output_format="xml")
         with pytest.raises(DomainError):
             AuditConfig(jensen_samples=4)
-        for name in ("n_samples", "boundary_density"):
-            for bad in (0, -3):
-                with pytest.raises(DomainError, match=f"{name} must be >= 1"):
-                    AuditConfig(**{name: bad})
         for name in ("tau_max", "rouche_tau", "rouche_epsilon", "rouche_nu", "rouche_theta_abs"):
             with pytest.raises(DomainError):
                 AuditConfig(**{name: float("nan")})
@@ -161,12 +154,11 @@ class TestConfig:
 
         from zetalab import zero_analysis as za
 
-        cfg = AuditConfig(quad_tol=1e-12, boundary_density=24)
+        cfg = AuditConfig(quad_tol=1e-12)
         options = cfg.rouche_options()
         assert set(options) == set(inspect.signature(za.rouche_scan).parameters) - {"zeros"}
         assert options["lam"] == za.lambda_choice(1.0, 0.1, 0.01)
-        assert (options["tau"], options["epsilon"], options["quad_tol"], options["density"]) == (
-            16.0, 0.1, 1e-12, 24)
+        assert (options["tau"], options["epsilon"], options["quad_tol"]) == (16.0, 0.1, 1e-12)
         assert cfg.rouche_options(2.5)["lam"] == 2.5
 
     def test_option_inventory(self):
@@ -179,14 +171,14 @@ class TestConfig:
             return list(inspect.signature(fn).parameters)
 
         assert {f.name for f in fields(AuditConfig)} == {
-            "quad_tol", "zero_tol", "n_samples", "tau_max", "seed",
-            "output_format", "boundary_density", "boundary_min_modulus", "jensen_samples",
+            "quad_tol", "zero_tol", "tau_max", "seed", "output_format",
+            "boundary_min_modulus", "jensen_samples",
             "rouche_tau", "rouche_epsilon", "rouche_nu", "rouche_theta_abs",
         }
         assert params(za.rouche_scan) == [
-            "tau", "lam", "epsilon", "zeros", "zero_tol", "quad_tol",
-            "boundary_min_modulus", "density",
+            "tau", "lam", "epsilon", "zeros", "zero_tol", "quad_tol", "boundary_min_modulus",
         ]
+        assert params(za.winding_count) == ["fn", "rect"]
         assert params(quad.fermi_mellin) == ["s", "tol"]
         assert params(quad.f_shifted) == ["omega", "tol"]
         assert params(quad.m_star) == ["alpha", "tol"]

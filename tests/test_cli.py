@@ -1,9 +1,11 @@
+import argparse
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
-from zetalab.cli import main
+from zetalab.cli import _build_parser, main
 from zetalab.config import AuditConfig, dump_config
 
 
@@ -153,7 +155,7 @@ class TestAudit:
         assert "not found" in err
 
     def test_audit_with_config_file(self, capsys, tmp_path):
-        cfg = AuditConfig(n_samples=40, jensen_samples=128, boundary_density=16)
+        cfg = AuditConfig(jensen_samples=128)
         path = tmp_path / "light.cfg"
         path.write_text(dump_config(cfg))
         out_path = tmp_path / "report.json"
@@ -168,9 +170,7 @@ class TestAudit:
         assert "PASS" in err
 
     def test_csv_format_lines(self, capsys, tmp_path):
-        cfg = AuditConfig(
-            n_samples=40, jensen_samples=128, boundary_density=16, output_format="csv"
-        )
+        cfg = AuditConfig(jensen_samples=128, output_format="csv")
         path = tmp_path / "light.cfg"
         path.write_text(dump_config(cfg))
         out_path = tmp_path / "report.jsonl"
@@ -185,8 +185,8 @@ class TestUsageErrors:
     # pole_tol and grid_re_n name values fixed in the code, not config keys
     # eval_budget is a constant too; seed=-1 crashed the audit's generators,
     # and a zero_tol below 1e-9 made the zero search fail on a single zero;
-    # n_samples <= 0 crashed the audit's sweep, boundary_density <= 0 ran a
-    # 32-sample scan
+    # n_samples and boundary_density are constants now (claim_audit.SWEEP_SAMPLES
+    # and zero_analysis.SAMPLES_PER_UNIT), so each is an unknown key
     @pytest.mark.parametrize("line", ["quad_tol=abc", "seed=1.5", "quad_tol=-1",
                                       "pole_tol=1e-3", "grid_re_n=7", "eval_budget=1000000",
                                       "seed=-1", "zero_tol=1e-10", "n_samples=0",
@@ -240,6 +240,19 @@ class TestUsageErrors:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "numerical error" in err
+
+
+def test_every_config_field_has_a_flag():
+    # a setting only tests change has no flag, and belongs in a constant;
+    # boundary_min_modulus stays a config-only tuning, documented at rouche_scan
+    parsers, dests = [_build_parser()], set()
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.option_strings:
+                dests.add(action.dest)
+    assert {f.name for f in fields(AuditConfig)} - dests == {"boundary_min_modulus"}
 
 
 class TestDeterminism:

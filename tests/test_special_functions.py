@@ -105,6 +105,9 @@ class TestGammaAbsProduct:
             gamma_abs_product(1.0, 1.0, 10)
         with pytest.raises(DomainError):
             gamma_abs_product(0.5, 1.0, 0)
+        for beta in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="beta"):
+                gamma_abs_product(0.5, beta, 10)
 
 
 class TestEta:

@@ -73,11 +73,12 @@ class TestWindingCount:
         with pytest.raises(BoundaryZeroError):
             winding_count(lambda z: z - 1.0, UNIT_RECT)
 
-    def test_refinement_budget_exhaustion(self):
+    def test_refinement_budget_exhaustion(self, monkeypatch):
         from zetalab.errors import NonConvergence
 
+        monkeypatch.setattr(zero_analysis, "MAX_BOUNDARY_SAMPLES", 10)
         with pytest.raises(NonConvergence):
-            winding_count(lambda z: z - 0.2, UNIT_RECT, max_evals=10)
+            winding_count(lambda z: z - 0.2, UNIT_RECT)
 
     def test_degenerate_rectangle(self):
         with pytest.raises(DomainError):
@@ -118,7 +119,7 @@ def _recursive_winding(fn, rect):
         vm = value(pm)
         return phase_delta(p1, v1, pm, vm, depth + 1) + phase_delta(pm, vm, p2, v2, depth + 1)
 
-    pts = zero_analysis._boundary_points(rect, 64.0)
+    pts = zero_analysis._boundary_points(rect)
     vals = [value(p) for p in pts]
     total = sum(
         phase_delta(pts[k], vals[k], pts[(k + 1) % len(pts)], vals[(k + 1) % len(pts)], 0)
@@ -151,7 +152,7 @@ class TestBatchedWindingCount:
         count, evals = _recursive_winding(fn, rect)
         assert len(batches) == 0
         assert winding_count(batched, rect) == count == expected
-        initial = len(zero_analysis._boundary_points(rect, 64.0))
+        initial = len(zero_analysis._boundary_points(rect))
         assert evals > initial  # the initial steps do exceed pi/2
         assert sum(batches) == evals and batches[0] == initial
 
@@ -162,13 +163,14 @@ class TestBatchedWindingCount:
             assert winding_count(lambda s: seen.append(s.size) or eta(s), rect) == count
             assert sum(seen) == evals
 
-    def test_max_evals_checked_before_each_batch(self):
+    def test_budget_checked_before_each_batch(self, monkeypatch):
         fn = self.CASES[0][0]
-        initial = len(zero_analysis._boundary_points(UNIT_RECT, 64.0))
+        initial = len(zero_analysis._boundary_points(UNIT_RECT))
         for budget in (initial - 1, initial, initial + 1):
+            monkeypatch.setattr(zero_analysis, "MAX_BOUNDARY_SAMPLES", budget)
             seen = []
             with pytest.raises(NonConvergence, match="budget"):
-                winding_count(lambda z: seen.append(z.size) or fn(z), UNIT_RECT, max_evals=budget)
+                winding_count(lambda z: seen.append(z.size) or fn(z), UNIT_RECT)
             assert sum(seen) <= budget
             assert seen == ([] if budget < initial else [initial])
 
@@ -177,7 +179,7 @@ class TestBatchedWindingCount:
             winding_count(lambda z: z - 1.0, UNIT_RECT)
         # a zero met only by a refinement midpoint is named as well
         zero = complex(-1.0 + 1.0 / 128.0, -0.1)
-        assert zero not in zero_analysis._boundary_points(THIN_RECT, 64.0)
+        assert zero not in zero_analysis._boundary_points(THIN_RECT)
         with pytest.raises(BoundaryZeroError, match=re.escape(f"|fn({zero})| = 0.000e+00")):
             winding_count(lambda z: z - zero, THIN_RECT)
 
@@ -194,7 +196,7 @@ def _list_boundary_points(rect, per_unit):
 
 
 class TestBoundaryPoints:
-    def test_matches_list_construction(self):
+    def test_matches_list_construction(self, monkeypatch):
         rng = np.random.default_rng(808)
         rects = [
             (RectangleRegion(0.1, 0.9, 0.0, 100.0), 64.0),
@@ -211,7 +213,8 @@ class TestBoundaryPoints:
             rect = RectangleRegion(re_lo, re_lo + re_w, im_lo, im_lo + im_w)
             rects.append((rect, float(rng.choice([8.0, 24.0, 64.0]))))
         for rect, per_unit in rects:
-            got = zero_analysis._boundary_points(rect, per_unit)
+            monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", per_unit)
+            got = zero_analysis._boundary_points(rect)
             ref = np.array(_list_boundary_points(rect, per_unit))
             assert got.dtype == complex and got.tobytes() == ref.tobytes(), (rect, per_unit)
 
@@ -280,12 +283,10 @@ class TestCriticalLineZeros:
             critical_line_zeros(20.0, 1e-4)
 
     def test_invariants_enforced(self):
-        with pytest.raises(DomainError):
-            CriticalZeroList((2.0, 1.0), 10.0)
-        with pytest.raises(DomainError):
-            CriticalZeroList((-1.0,), 10.0)
-        with pytest.raises(DomainError):
-            CriticalZeroList((11.0,), 10.0)
+        for betas, tau in [((2.0, 1.0), 10.0), ((-1.0,), 10.0), ((11.0,), 10.0),
+                           ((math.nan,), 10.0), ((1.0,), math.nan)]:
+            with pytest.raises(DomainError):
+                CriticalZeroList(betas, tau)
 
 
 class TestRiemannVonMangoldt:
@@ -308,8 +309,9 @@ class TestRiemannVonMangoldt:
         )
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            riemann_von_mangoldt(10.0)
+        for T in (10.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                riemann_von_mangoldt(T)
 
 
 class TestJensen:
@@ -349,6 +351,12 @@ class TestJensen:
     def test_nan_radius_rejected(self):
         with pytest.raises(DomainError):
             jensen_check(lambda z: z - 2.0, [], math.nan, 64)
+
+    def test_infinite_radius_and_fractional_samples_rejected(self):
+        with pytest.raises(DomainError):
+            jensen_check(lambda z: z - 2.0, [], math.inf, 8)
+        with pytest.raises(DomainError, match="integer"):
+            jensen_check(lambda z: z - 2.0, [], 0.5, 8.5)
 
 
 class TestTitchmarsh:
@@ -390,12 +398,12 @@ class TestTitchmarsh:
         assert titchmarsh_zero_free(cap, g_val, delta)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            titchmarsh_zero_bound(1.0, 2.0, 0.5)  # f0 > M
-        with pytest.raises(DomainError):
-            titchmarsh_zero_bound(1.0, 0.5, 1.0)
-        with pytest.raises(DomainError):
-            titchmarsh_zero_bound(1.0, 0.0, 0.5)
+        # both functions share one argument check
+        for fn in (titchmarsh_zero_bound, titchmarsh_zero_free):
+            for args in [(1.0, 2.0, 0.5),  # f0 > M
+                         (1.0, 0.5, 1.0), (1.0, 0.0, 0.5), (math.inf, 0.5, 0.5)]:
+                with pytest.raises(DomainError):
+                    fn(*args)
 
 
 class TestBlaschke:
@@ -427,6 +435,11 @@ class TestBlaschke:
             blaschke_L(omega, ZERO_ORDINATES)
         with pytest.raises(DomainError):
             blaschke_L(np.array([0.2 + 3j, complex(math.nan, 1.0)]), ZERO_ORDINATES)
+
+    @pytest.mark.parametrize("zeros", [[math.nan], [math.inf]])
+    def test_non_finite_zero_height(self, zeros):
+        with pytest.raises(DomainError):
+            blaschke_L(0.1 + 1j, zeros)
 
     def test_single_factor_unimodular(self):
         assert abs(abs(blaschke_L(0.3 + 0.2j, [14.1347])) - 1.0) < 1e-12
@@ -483,7 +496,8 @@ class TestLambdaChoice:
             lambda_choice(0.0, 0.1, 0.01)
         with pytest.raises(DomainError):
             lambda_choice(1.0, -0.1, 0.01)
-        for args in [(math.nan, 0.1, 0.01), (1.0, math.nan, 0.01), (1.0, 0.1, math.nan)]:
+        for args in [(math.nan, 0.1, 0.01), (1.0, math.nan, 0.01), (1.0, 0.1, math.nan),
+                     (math.inf, 0.1, 0.01)]:  # an infinite theta_abs gave lam = 0
             with pytest.raises(DomainError):
                 lambda_choice(*args)
 
@@ -527,26 +541,25 @@ class TestRoucheScan:
         assert scan.boundary_samples > 2000
         assert scan.zeros == (ZERO_ORDINATES[0],)
 
-    def test_genericity_shift(self):
+    def test_genericity_shift(self, monkeypatch):
         # tau placed exactly on a zero height must be shifted upward.
-        scan = rouche_scan(
-            ZERO_ORDINATES[0], 10.0, 0.1, zeros=[ZERO_ORDINATES[0]], density=16
-        )
+        monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 16)
+        scan = rouche_scan(ZERO_ORDINATES[0], 10.0, 0.1, zeros=[ZERO_ORDINATES[0]])
         assert scan.tau > ZERO_ORDINATES[0] + 1e-2 / 2
         assert scan.min_margin >= -1e-12
 
-    def test_two_neutralized_zeros(self):
+    def test_two_neutralized_zeros(self, monkeypatch):
         # both zero heights below tau enter the product; the quotient route
         # must handle each while the other factor stays in play.  At this
         # height the left-edge |F| sits at the 1e-14 scale, so the modulus
         # floor must be set below it.
+        monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 32)
         lam = lambda_choice(1.0, 0.1, 0.01)
         scan = rouche_scan(
             22.0,
             lam,
             0.1,
             zeros=list(ZERO_ORDINATES[:2]),
-            density=32,
             quad_tol=1e-12,
             boundary_min_modulus=1e-16,
         )
@@ -554,8 +567,9 @@ class TestRoucheScan:
         assert scan.min_margin >= -1e-12
         assert scan.min_f_abs > 0.0
 
-    def test_margin_nonnegative_everywhere(self):
-        scan = rouche_scan(10.0, 5.0, 0.25, zeros=[], density=32)
+    def test_margin_nonnegative_everywhere(self, monkeypatch):
+        monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 32)
+        scan = rouche_scan(10.0, 5.0, 0.25, zeros=[])
         assert scan.min_margin >= -1e-12
 
     def test_domain(self):
@@ -567,6 +581,10 @@ class TestRoucheScan:
                      (math.inf, 1.0, 0.1), (10.0, math.inf, 0.1), (10.0, 1.0, math.inf)]:
             with pytest.raises(DomainError):
                 rouche_scan(*args, zeros=[])
+        # a non-finite height was dropped, a negative one neutralized
+        for zeros in ([math.nan], [-3.0], [math.inf]):
+            with pytest.raises(DomainError, match="zero heights"):
+                rouche_scan(10.0, 1.0, 0.1, zeros=zeros)
 
     def test_sample_budget_checked_before_the_zeros(self, monkeypatch):
         # K(tau) takes 2 * (32 + ceil(64 tau)) samples: 500,000 up to tau = 3905.75
@@ -574,11 +592,11 @@ class TestRoucheScan:
         for tau in (3906.0, 1e300):
             with pytest.raises(DomainError, match="500000"):
                 rouche_scan(tau, 1.0, 0.1)
-        assert zero_analysis._boundary_size(RectangleRegion(0.0, 0.5, 0.0, 3905.75), 64) == 500_000
+        assert zero_analysis._boundary_size(RectangleRegion(0.0, 0.5, 0.0, 3905.75)) == 500_000
 
 
-def _per_sample_scan(tau, lam, epsilon, *, zeros, quad_tol=1e-10,
-                     boundary_min_modulus=1e-12, density=64):
+def _per_sample_scan(tau, lam, epsilon, *, zeros, density, quad_tol=1e-10,
+                     boundary_min_modulus=1e-12):
     """rouche_scan as a loop over samples with one f_at call each, the
     reference for the array version; returns (result, quotient-limit samples)."""
     pole_tol, exclusion_tol = zero_analysis.POLE_TOL, zero_analysis.EXCLUSION_TOL
@@ -636,21 +654,22 @@ def _per_sample_scan(tau, lam, epsilon, *, zeros, quad_tol=1e-10,
 
 class TestRoucheScanMatchesPerSampleLoop:
     LAM = lambda_choice(1.0, 0.1, 0.01)
-    # (args, keywords, whether some sample takes the quotient limit); the
-    # densities 37 put one sample within POLE_TOL of the first zero
+    # (args, keywords, samples per unit, whether some sample takes the quotient
+    # limit); the densities 37 put one sample within POLE_TOL of the first zero
     CASES = [
-        ((10.0, 10.0, 0.1), dict(zeros=[], density=8), False),
-        ((16.0, LAM, 0.1), dict(zeros=ZERO_ORDINATES[:1], density=37), True),
-        ((22.0, LAM, 0.1), dict(zeros=ZERO_ORDINATES[:2], density=37, quad_tol=1e-12,
-                                boundary_min_modulus=1e-16), True),
-        ((ZERO_ORDINATES[0], 10.0, 0.1), dict(zeros=ZERO_ORDINATES[:1], density=16), False),
+        ((10.0, 10.0, 0.1), dict(zeros=[]), 8, False),
+        ((16.0, LAM, 0.1), dict(zeros=ZERO_ORDINATES[:1]), 37, True),
+        ((22.0, LAM, 0.1), dict(zeros=ZERO_ORDINATES[:2], quad_tol=1e-12,
+                                boundary_min_modulus=1e-16), 37, True),
+        ((ZERO_ORDINATES[0], 10.0, 0.1), dict(zeros=ZERO_ORDINATES[:1]), 16, False),
     ]
 
     @pytest.mark.parametrize("case", range(len(CASES)))
-    def test_every_field_equal(self, case):
-        args, kw, quotient_route = self.CASES[case]
-        ref, hits = _per_sample_scan(*args, **kw)
+    def test_every_field_equal(self, case, monkeypatch):
+        args, kw, density, quotient_route = self.CASES[case]
+        ref, hits = _per_sample_scan(*args, density=density, **kw)
         assert (hits > 0) == quotient_route
+        monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", density)
         assert rouche_scan(*args, **kw) == ref
 
     def test_array_arithmetic_rounds_as_python_scalars(self):
@@ -663,10 +682,11 @@ class TestRoucheScanMatchesPerSampleLoop:
         product = [x * y for x, y in zip(a.tolist(), b.tolist())]
         assert np.array_equal(zero_analysis._product(a, b), product)
 
-    def test_floor_violation_names_the_same_first_sample(self):
-        kw = dict(zeros=[ZERO_ORDINATES[0]], density=8, boundary_min_modulus=1e-4)
+    def test_floor_violation_names_the_same_first_sample(self, monkeypatch):
+        kw = dict(zeros=[ZERO_ORDINATES[0]], boundary_min_modulus=1e-4)
         with pytest.raises(BoundaryZeroError) as ref:
-            _per_sample_scan(16.0, self.LAM, 0.1, **kw)
+            _per_sample_scan(16.0, self.LAM, 0.1, density=8, **kw)
+        monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 8)
         with pytest.raises(BoundaryZeroError) as got:
             rouche_scan(16.0, self.LAM, 0.1, **kw)
         assert str(got.value) == str(ref.value)
