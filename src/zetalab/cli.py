@@ -126,12 +126,11 @@ def _fmt(x: float) -> str:
 
 def _cmd_eval(args, cfg: AuditConfig) -> int:
     s = complex(args.re, args.im)
-    if args.function == "F":
-        est = quad.fermi_mellin(s, cfg.quad_tol)
-        value, err = est.value, est.abs_error
-    elif args.function == "F_shifted":
-        est = quad.f_shifted(s, cfg.quad_tol)
-        value, err = est.value, est.abs_error
+    resolved = True
+    if args.function in ("F", "F_shifted"):
+        integral = quad.fermi_mellin if args.function == "F" else quad.f_shifted
+        est = integral(s, cfg.quad_tol)
+        value, err, resolved = est.value, est.abs_error, est.resolved
     elif args.function == "gamma":
         value = sf.gamma(s)
         err = abs(value) * 1e-12
@@ -140,7 +139,7 @@ def _cmd_eval(args, cfg: AuditConfig) -> int:
     else:
         value, err = sf.zeta(s), 1e-12
     print(f"value = {_fmt(value.real)} {'+' if value.imag >= 0 else '-'} {_fmt(abs(value.imag))}i")
-    print(f"modulus = {_fmt(abs(value))}")
+    print(f"modulus = {_fmt(abs(value))}" if resolved else f"modulus < {err:.3e} (unresolved)")
     print(f"abs_error <= {err:.3e}")
     return 0
 

@@ -62,6 +62,11 @@ class QuadratureEstimate:
     abs_error: float
     n_evals: int
 
+    @property
+    def resolved(self) -> bool:
+        """True iff the value stands above its error estimate, |value| > abs_error."""
+        return abs(self.value) > self.abs_error
+
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss rule.
 _GK_X = np.array(

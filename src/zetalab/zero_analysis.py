@@ -8,10 +8,16 @@ function counted takes a 1-D complex array of boundary points and returns
 their values: the initial boundary is one call, and each refinement round
 evaluates all its midpoints in one more.
 
-Critical-line zeros are located by recursive bisection of strip rectangles.
-The winding number is additive, so each split counts only its lower child
-and deduces the upper child's count as the parent's minus the lower's; the
-isolating cell is always counted directly.  A golden-section polish of
+Critical-line zeros are located by recursive bisection of strip rectangles
+symmetric about Re(s) = 1/2.  A cell holding two or more zeros is split by
+a winding count: the winding number is additive, so only the lower child is
+counted and the upper child's count is the parent's minus the lower's.  A
+cell holding one zero is split by a sign test instead.  The non-trivial
+zeros are symmetric about Re(s) = 1/2, so a lone zero in a symmetric cell
+lies on the critical line, and whether it lies below the split height is
+whether Hardy's Z, real on the line, changes sign between the cell's bottom
+and that height.  Every isolating cell is counted directly, so a wrong sign
+or deduction raises instead of moving a zero.  A golden-section polish of
 |eta(1/2 + i y)| inside the isolating cell and a final certificate on a
 rectangle of width 2*zero_tol centred on Re(s) = 1/2 follow.
 
@@ -47,7 +53,7 @@ from .errors import (
     ZeroAtCenter,
 )
 from .quadrature import f_shifted, m_star_half
-from .special_functions import ensure_finite, eta
+from .special_functions import ensure_finite, eta, gamma
 
 __all__ = [
     "RectangleRegion",
@@ -68,6 +74,7 @@ __all__ = [
 _HALF_PI = 0.5 * math.pi
 _TWO_PI = 2.0 * math.pi
 _TWO_PI_E = 2.0 * math.pi * math.e
+_LOG_PI = math.log(math.pi)
 
 # Radius around a neutralized zero i*b_j inside which the boundary scan uses
 # the quotient limit (and blaschke_L refuses to divide), and the clearance the
@@ -234,8 +241,8 @@ def _eta_line_abs(y: float) -> float:
     return abs(eta(complex(0.5, y)))
 
 
-def _safe_level(lo: float, hi: float) -> float:
-    """A split height strictly inside (lo, hi) with |eta| clear of zero.
+def _safe_level(lo: float, hi: float) -> tuple[float, complex]:
+    """A split height y strictly inside (lo, hi) with |eta| clear of zero, and eta(1/2 + i y).
 
     The acceptance threshold scales with the cell height so that subdivision
     keeps working arbitrarily close to a zero; the nudge sequence is
@@ -246,9 +253,25 @@ def _safe_level(lo: float, hi: float) -> float:
     thr = min(1e-3, 0.02 * (hi - lo))
     for j in range(12):
         y = mid + j * step
-        if y < hi and _eta_line_abs(y) > thr:
-            return y
+        if y < hi and abs(value := eta(complex(0.5, y))) > thr:
+            return y, value
     raise NonConvergence("could not find a zero-free split level")
+
+
+def _hardy_z(y: float, eta_value: complex) -> float:
+    """Hardy's Z(y) = e^(i theta(y)) zeta(1/2 + i y) from eta_value = eta(1/2 + i y).
+
+    e^(i theta) = Gamma(1/4 + i y/2)/|Gamma(1/4 + i y/2)| * pi^(-i y/2), and
+    zeta = eta/(1 - 2^(1/2 - i y)); Z is real for real y and has the sign of
+    zeta(1/2) = -1.46 at y = 0.  The computed product keeps an imaginary part
+    of rounding size; one not below a tenth of the real part leaves the sign
+    in doubt and raises NonConvergence.
+    """
+    g = gamma(complex(0.25, 0.5 * y))
+    z = g / abs(g) * cmath.exp(-0.5j * y * _LOG_PI) * eta_value / (1.0 - 2.0 ** complex(0.5, -y))
+    if not abs(z.imag) < 0.1 * abs(z.real):  # also rejects NaN
+        raise NonConvergence(f"Z({y}) = {z!r} is not real to working accuracy")
+    return z.real
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -275,16 +298,23 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> float:
 def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
     """Locate all eta zeros with 0 < Im(s) <= tau by rectangle bisection.
 
-    The cells span Re(s) in [0.1, 0.9].  The root cell is counted once; at
-    each split only the lower child is counted, and the upper child's count
-    is the parent's minus the lower child's (the winding number is additive).
-    A lower count outside [0, parent count] raises NonConvergence.  Each
-    isolating cell, of count 1 and height at most zero_tol, is certified by
-    a winding count of 1 measured on the cell itself (a deduced count is
-    measured again, and anything but 1 raises NonConvergence); the zero
-    ordinate is then polished by golden-section on |eta| along the critical
-    line, and a final certificate confirms the zero sits inside a rectangle
-    of half-width zero_tol around Re(s) = 1/2.
+    The cells span Re(s) in [0.1, 0.9], symmetric about Re(s) = 1/2.  The
+    root cell is counted once.  A cell holding two or more zeros is split
+    by counting only its lower child; the upper child's count is the
+    parent's minus the lower child's (the winding number is additive), and
+    a lower count outside [0, parent count] raises NonConvergence.  A cell
+    holding one zero is split by a sign test instead: the zeros are
+    symmetric about Re(s) = 1/2, so a lone zero in the cell lies on the
+    critical line, and it is simple, so it lies in the lower child iff
+    Hardy's Z changes sign between the cell's bottom and the split height.
+    Both kinds of split use the same height (_safe_level), and each
+    isolating cell, of count 1 and height at most zero_tol, is measured
+    by a winding count of 1 on the cell itself unless that count was
+    measured already (anything but 1 raises NonConvergence, so a wrong
+    deduction or sign raises rather than moving a zero).  The zero ordinate
+    is then polished by golden-section on |eta| along the critical line,
+    and a final certificate confirms the zero sits inside a rectangle of
+    half-width zero_tol around Re(s) = 1/2.
     """
     _check_positive_finite("tau", (tau,))
     if not zero_tol >= MIN_ZERO_TOL:  # also rejects NaN
@@ -295,11 +325,11 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
         return winding_count(eta, RectangleRegion(re_lo, re_hi, lo, hi))
 
     betas: list[float] = []
-    # (lo, hi, zero count, whether the count was measured on this cell)
-    stack = [(0.0, float(tau), cell_count(0.0, float(tau)), True)]
+    # (lo, hi, zero count, whether the count was measured on this cell, Z(lo))
+    stack = [(0.0, float(tau), cell_count(0.0, float(tau)), True, _hardy_z(0.0, eta(0.5 + 0j)))]
     min_height = max(zero_tol / 8.0, MIN_ZERO_TOL)
     while stack:
-        lo, hi, count, measured = stack.pop()
+        lo, hi, count, measured, z_lo = stack.pop()
         if count == 0:
             continue
         if count == 1 and hi - lo <= zero_tol:
@@ -312,14 +342,18 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
             raise MultiplicityAmbiguity(
                 f"cell [{lo}, {hi}] reports {count} zeros at minimum height"
             )
-        mid = _safe_level(lo, hi)
-        count_lo = cell_count(lo, mid)
-        if not 0 <= count_lo <= count:
-            raise NonConvergence(
-                f"lower cell [{lo}, {mid}] counts {count_lo} zeros, its parent {count}"
-            )
-        stack.append((lo, mid, count_lo, True))
-        stack.append((mid, hi, count - count_lo, False))
+        mid, eta_mid = _safe_level(lo, hi)
+        z_mid = _hardy_z(mid, eta_mid)
+        if count == 1:  # the lone zero is on the line and simple: Z changes sign there
+            count_lo, lo_measured = int((z_lo < 0.0) != (z_mid < 0.0)), False
+        else:
+            count_lo, lo_measured = cell_count(lo, mid), True
+            if not 0 <= count_lo <= count:
+                raise NonConvergence(
+                    f"lower cell [{lo}, {mid}] counts {count_lo} zeros, its parent {count}"
+                )
+        stack.append((lo, mid, count_lo, lo_measured, z_lo))
+        stack.append((mid, hi, count - count_lo, False, z_mid))
 
     betas.sort()
     for beta in betas:
@@ -354,13 +388,14 @@ def jensen_check(
     rhs = circle average of log|fn| (trapezoid over equispaced angles, which
     converges geometrically for analytic fn with no zeros on the circle).
     |fn(0)| < 1e-12 raises ZeroAtCenter, and a zero within 1e-9 of the
-    circle raises BoundaryZeroError.  R must be positive and finite, and
-    samples an integer >= 8.
+    circle raises BoundaryZeroError, as does a circle sample with |fn| below
+    1e-300, naming the sample.  A non-finite fn(0) or sample raises
+    DomainError.  R must be positive and finite, and samples an integer >= 8.
     """
     _check_positive_finite("R", (R,))
     if not (isinstance(samples, (int, np.integer)) and samples >= 8):
         raise DomainError(f"samples must be an integer >= 8, got {samples!r}")
-    f0 = complex(fn(0.0 + 0.0j))
+    f0 = ensure_finite(fn(0.0 + 0.0j))
     if abs(f0) < 1e-12:
         raise ZeroAtCenter(f"|fn(0)| = {abs(f0):.3e} below 1.0e-12")
     lhs = math.log(abs(f0))
@@ -374,7 +409,11 @@ def jensen_check(
     acc = 0.0
     for k in range(samples):
         zk = R * cmath.exp(2j * math.pi * k / samples)
-        acc += math.log(abs(complex(fn(zk))))
+        fk = complex(fn(zk))
+        if not 1e-300 <= abs(fk) < math.inf:  # NaN fails too
+            ensure_finite(fk)  # DomainError for NaN or inf
+            raise BoundaryZeroError(f"|fn({zk})| = {abs(fk):.3e} below 1e-300 on the circle")
+        acc += math.log(abs(fk))
     return lhs, acc / samples
 
 

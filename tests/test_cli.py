@@ -32,6 +32,16 @@ class TestEval:
         modulus = float(out.split("modulus = ")[1].splitlines()[0])
         assert modulus < 1e-5
 
+    @pytest.mark.parametrize("function", ["F", "F_shifted"])
+    def test_unresolved_modulus_printed_as_a_bound(self, capsys, function):
+        # at Im 400 the integral is ~1.6e-13 against an error estimate of ~1e-10
+        code, out, _ = run(capsys, "eval", function, "0.5", "400")
+        assert code == 0
+        err = out.split("abs_error <= ")[1].split()[0]
+        assert f"modulus < {err} (unresolved)" in out
+        _, out, _ = run(capsys, "eval", function, "0.5", "2")
+        assert "modulus = " in out and "unresolved" not in out
+
     def test_unknown_function_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "eval", "bogus", "0.5", "0.0")
         assert code == 3

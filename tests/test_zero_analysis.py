@@ -249,9 +249,11 @@ class TestCriticalLineZeros:
             critical_line_zeros(16.0, 1e-10)
 
     def test_one_child_counted_per_split(self, monkeypatch):
-        # the upper child's count is deduced from its parent's, so tau = 30
-        # evaluates eta at 17,046 points where counting both children took
-        # 29,872; the located zeros are those of counting both, bit for bit
+        # cells of two or more zeros count only their lower child, and cells of
+        # one zero are split by the sign of Hardy's Z, so tau = 30 evaluates eta
+        # at 7,667 points where counting one child per split took 17,046 and
+        # counting both 29,872; the located zeros are those of counting both,
+        # bit for bit
         calls = 0
 
         def counted_eta(s):
@@ -261,15 +263,15 @@ class TestCriticalLineZeros:
 
         monkeypatch.setattr(zero_analysis, "eta", counted_eta)
         zeros = critical_line_zeros(30.0, 1e-4)
-        assert calls <= 17_046
+        assert calls <= 7_667
         assert zeros.betas == (14.134725141734586, 21.022039638771716, 25.010857580145498)
 
     def test_lower_child_above_parent_count_raises(self, monkeypatch):
         def fake_count(fn, rect, **kw):
-            return 1 if (rect.im_min, rect.im_max) == (0.0, 20.0) else 2
+            return 2 if (rect.im_min, rect.im_max) == (0.0, 20.0) else 3
 
         monkeypatch.setattr(zero_analysis, "winding_count", fake_count)
-        with pytest.raises(NonConvergence, match="counts 2 zeros, its parent 1"):
+        with pytest.raises(NonConvergence, match="counts 3 zeros, its parent 2"):
             critical_line_zeros(20.0, 1e-4)
 
     def test_deduced_isolating_cell_is_measured(self, monkeypatch):
@@ -287,6 +289,86 @@ class TestCriticalLineZeros:
                            ((math.nan,), 10.0), ((1.0,), math.nan)]:
             with pytest.raises(DomainError):
                 CriticalZeroList(betas, tau)
+
+
+def _counted_bisection(tau, zero_tol):
+    """critical_line_zeros with every split decided by a winding count of the
+    lower child, the reference for the Hardy-Z sign splits; returns the sorted
+    betas before certification."""
+    count = lambda lo, hi: winding_count(eta, RectangleRegion(0.5 - 0.4, 0.5 + 0.4, lo, hi))
+    betas = []
+    stack = [(0.0, float(tau), count(0.0, float(tau)), True)]
+    while stack:
+        lo, hi, n, measured = stack.pop()
+        if n == 0:
+            continue
+        if n == 1 and hi - lo <= zero_tol:
+            assert measured or count(lo, hi) == 1
+            betas.append(zero_analysis._golden_min(zero_analysis._eta_line_abs, lo, hi))
+            continue
+        mid = zero_analysis._safe_level(lo, hi)[0]
+        n_lo = count(lo, mid)
+        assert 0 <= n_lo <= n
+        stack += [(lo, mid, n_lo, True), (mid, hi, n - n_lo, False)]
+    return tuple(sorted(betas))
+
+
+class TestHardyZSplits:
+    @pytest.mark.parametrize("tau, zero_tol", [(20.0, 1e-4), (50.0, 1e-3), (100.0, 1e-4),
+                                               (100.0, 1e-6)])
+    def test_betas_equal_counted_bisection(self, tau, zero_tol):
+        assert critical_line_zeros(tau, zero_tol).betas == _counted_bisection(tau, zero_tol)
+
+    def test_flipped_sign_raises_rather_than_moving_a_zero(self, monkeypatch):
+        # flipping Z everywhere would leave every sign change in place, so
+        # flip it above the root's bottom only: each decision below the first
+        # zero then keeps the empty child
+        hardy_z = zero_analysis._hardy_z
+        monkeypatch.setattr(zero_analysis, "_hardy_z",
+                            lambda y, v: -hardy_z(y, v) if y > 0.0 else hardy_z(y, v))
+        with pytest.raises(NonConvergence, match="deduced to hold 1 zero counts 0"):
+            critical_line_zeros(20.0, 1e-4)
+
+    def test_work_at_tau_100(self, monkeypatch):
+        points, scalar_calls, counts = 0, 0, 0
+
+        def counted_eta(s):
+            nonlocal points, scalar_calls
+            points += np.size(s)
+            scalar_calls += not isinstance(s, np.ndarray)
+            return eta(s)
+
+        def counted_winding(fn, rect):
+            nonlocal counts
+            counts += 1
+            return winding_count(fn, rect)
+
+        monkeypatch.setattr(zero_analysis, "eta", counted_eta)
+        monkeypatch.setattr(zero_analysis, "winding_count", counted_winding)
+        assert len(critical_line_zeros(100.0, 1e-4)) == 29
+        # counting one child per split took 110,589 points in 506 counts, and
+        # the same 1,651 scalar calls less the one for Z(0)
+        assert points <= 52_130 and counts <= 89 and scalar_calls <= 1_652
+
+    def test_sign_matches_mpmath_siegelz(self):
+        mpmath = pytest.importorskip("mpmath")
+        heights = np.random.default_rng(1101).uniform(0.0, 420.0, 80).tolist()
+        checked = 0
+        for y in [0.0, *heights]:
+            ref = float(mpmath.siegelz(y))
+            if abs(ref) > 1e-10:
+                z = zero_analysis._hardy_z(y, eta(complex(0.5, y)))
+                assert (z < 0.0) == (ref < 0.0), y
+                assert z == pytest.approx(ref, rel=1e-6, abs=1e-11), y
+                checked += 1
+        assert checked > 75
+
+    def test_imaginary_z_raises(self):
+        # eta turned a quarter turn makes Z purely imaginary: no sign to read
+        with pytest.raises(NonConvergence, match="not real"):
+            zero_analysis._hardy_z(14.0, 1j * eta(complex(0.5, 14.0)))
+        with pytest.raises(NonConvergence, match="not real"):
+            zero_analysis._hardy_z(14.0, complex(math.nan, 0.0))
 
 
 class TestRiemannVonMangoldt:
@@ -343,6 +425,17 @@ class TestJensen:
     def test_zero_on_circle(self):
         with pytest.raises(BoundaryZero):
             jensen_check(lambda z: z - 1.0, [1.0 + 0j], 1.0, 64)
+
+    def test_zero_at_circle_sample_names_it(self):
+        # no zero passed in, so only the sample itself can catch it
+        with pytest.raises(BoundaryZeroError, match=re.escape("|fn((1+0j))| = 0.000e+00")):
+            jensen_check(lambda z: z - 1.0, [], 1.0, 8)
+
+    @pytest.mark.parametrize("fn", [lambda z: math.nan, lambda z: complex(1.0, math.inf),
+                                    lambda z: 1.0 if z == 0 else math.nan])
+    def test_non_finite_value_rejected(self, fn):
+        with pytest.raises(DomainError):
+            jensen_check(fn, [], 1.0, 8)
 
     def test_zero_outside_disk_rejected(self):
         with pytest.raises(DomainError):
