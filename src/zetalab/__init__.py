@@ -16,7 +16,6 @@ from .claim_audit import (
     run_audit,
 )
 from .errors import (
-    BoundaryZero,
     BoundaryZeroError,
     DomainError,
     MultiplicityAmbiguity,
@@ -25,7 +24,6 @@ from .errors import (
     PoleProximity,
     ToleranceNotMet,
     ZeroAtCenter,
-    ZeroOnBoundary,
     ZetaLabError,
 )
 from .quadrature import (

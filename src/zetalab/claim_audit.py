@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import hashlib
+import itertools
 import json
 import math
 from collections import Counter
@@ -144,6 +145,15 @@ class _Context:
 def _claim_rng(seed: int, claim_id: str) -> np.random.Generator:
     tag = int.from_bytes(hashlib.sha256(claim_id.encode()).digest()[:8], "big")
     return np.random.default_rng([seed, tag])
+
+
+def _disk_draws(rng: np.random.Generator, radius: float, draws: int | None = None):
+    """(z, b) pairs: z uniform on [-1, 1]^2, kept if |z| < radius, then b uniform
+    on [0.01, 0.99].  Stops after `draws` draws of z, or never when draws is None."""
+    for _ in itertools.count() if draws is None else range(draws):
+        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        if abs(z) < radius:
+            yield z, float(rng.uniform(0.01, 0.99))
 
 
 def _poly_fn(roots):
@@ -491,11 +501,8 @@ def _check_eq25b(cfg, ctx):
 def _check_eq26a(cfg, ctx):
     rng = _claim_rng(cfg.seed, "EQ26A")
     im_lo, im_hi = math.inf, -math.inf
-    for _ in range(10**4):
-        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if abs(z) >= 1.0:
-            continue
-        w = smap.phi(z, float(rng.uniform(0.01, 0.99)))
+    for z, b in _disk_draws(rng, 1.0, 10**4):
+        w = smap.phi(z, b)
         im_lo, im_hi = min(im_lo, w.imag), max(im_hi, w.imag)
         if not 0.0 < w.real < 0.5:
             return False, complex(w), "Re(phi) escaped (0, 1/2)"
@@ -510,11 +517,8 @@ def _check_eq26a(cfg, ctx):
 def _check_eq26b(cfg, ctx):
     rng = _claim_rng(cfg.seed, "EQ26B")
     worst = 0.0
-    for _ in range(10**4):
-        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if abs(z) >= 1.0:
-            continue
-        t = smap.theta(z, float(rng.uniform(0.01, 0.99)))
+    for z, b in _disk_draws(rng, 1.0, 10**4):
+        t = smap.theta(z, b)
         arg = cmath.phase((1.0 + t) / (1.0 - t))
         worst = max(worst, abs(arg))
         if not -math.pi / 2 < arg < math.pi / 2:
@@ -535,13 +539,8 @@ def _check_eq28b(cfg, ctx):
     rng = _claim_rng(cfg.seed, "EQ28B")
     cap = quad.m_star_half()
     worst = -math.inf
-    k = 0
-    while k < 500:
-        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if abs(z) >= 0.999:
-            continue
-        k += 1
-        v = abs(smap.f_on_disk(z, float(rng.uniform(0.01, 0.99)), 1e-7))
+    for z, b in itertools.islice(_disk_draws(rng, 0.999), 500):
+        v = abs(smap.f_on_disk(z, b, 1e-7))
         worst = max(worst, v - cap)
     return worst < 1e-3, worst, "max |F_on_disk| - M*(1/2) over 500 samples"
 
@@ -611,11 +610,7 @@ def _observe_eq34g_delta(cfg, ctx):
 def _check_eq34h(cfg, ctx):
     rng = _claim_rng(cfg.seed, "EQ34H")
     worst = 0.0
-    for _ in range(10**4):
-        t = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if abs(t) >= 1.0:
-            continue
-        b = float(rng.uniform(0.01, 0.99))
+    for t, b in _disk_draws(rng, 1.0, 10**4):
         worst = max(worst, abs(smap.disk_modulus_H(t, b) - abs(smap.theta_inverse(t, b))))
     return worst < 1e-12, worst, "max |H(t;b) - |theta_inverse(t,b)||"
 
@@ -625,11 +620,7 @@ def _check_eq34h(cfg, ctx):
 def _check_eq34i(cfg, ctx):
     rng = _claim_rng(cfg.seed, "EQ34I")
     worst = 0.0
-    for _ in range(10**4):
-        z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if abs(z) >= 0.999:
-            continue
-        b = float(rng.uniform(0.01, 0.99))
+    for z, b in _disk_draws(rng, 0.999, 10**4):
         w = smap.phi(z, b)
         worst = max(worst, abs(smap.phi_inverse(w, b) - z))
     return worst < 1e-10, worst, "max inversion error phi_inverse(phi(z,b)) - z"

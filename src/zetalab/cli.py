@@ -96,7 +96,6 @@ def _build_parser() -> _Parser:
     p_rouche.add_argument("--lam", type=_positive, default=None)
     p_rouche.add_argument("--epsilon", dest="rouche_epsilon", type=float)
     p_rouche.add_argument("--nu", dest="rouche_nu", type=float)
-    p_rouche.add_argument("--theta-abs", dest="rouche_theta_abs", type=float)
 
     p_audit = sub.add_parser("audit", help="run the full claim audit")
     p_audit.add_argument("--out", type=str, default=None, help="report file (default stdout)")

@@ -35,11 +35,10 @@ class AuditConfig:
     rouche_tau: float = 16.0
     rouche_epsilon: float = 0.1
     rouche_nu: float = 0.01
-    rouche_theta_abs: float = 1.0
 
     def __post_init__(self):
         for name in ("quad_tol", "zero_tol", "boundary_min_modulus", "tau_max",
-                     "rouche_tau", "rouche_epsilon", "rouche_nu", "rouche_theta_abs"):
+                     "rouche_tau", "rouche_epsilon", "rouche_nu"):
             if not 0.0 < getattr(self, name) < math.inf:  # also rejects NaN
                 raise DomainError(f"{name} must be positive and finite")
         if self.zero_tol < MIN_ZERO_TOL:
@@ -57,11 +56,12 @@ class AuditConfig:
     def rouche_options(self, lam: float | None = None) -> dict:
         """Every argument of zero_analysis.rouche_scan but the zeros, from this config.
 
-        lam defaults to lambda_choice of the config's theta_abs, epsilon and
-        nu; the scan's quadrature tolerance is capped at 1e-10.
+        lam defaults to lambda_choice(1, epsilon, nu) = (M*(1/2) + nu)/epsilon,
+        the lam of EQ50C's bound; the scan's quadrature tolerance is capped
+        at 1e-10.
         """
         if lam is None:
-            lam = lambda_choice(self.rouche_theta_abs, self.rouche_epsilon, self.rouche_nu)
+            lam = lambda_choice(1.0, self.rouche_epsilon, self.rouche_nu)
         return dict(
             tau=self.rouche_tau,
             lam=lam,

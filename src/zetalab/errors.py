@@ -39,7 +39,3 @@ class ZeroAtCenter(ZetaLabError):
 
 class PoleProximity(ZetaLabError):
     """Blaschke product evaluated too close to one of its poles."""
-
-
-# Former names of BoundaryZeroError, kept for callers that catch them.
-BoundaryZero = ZeroOnBoundary = BoundaryZeroError

@@ -36,6 +36,7 @@ winding counts, whose integer results cannot move, use it.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -144,8 +145,8 @@ def gamma_abs_product(alpha: float, beta: float, n_terms: int) -> float:
     """
     if not (0.0 < alpha < 1.0 and math.isfinite(beta)):
         raise DomainError(f"need alpha in (0,1) and a finite beta, got {alpha}, {beta}")
-    if n_terms < 1:
-        raise DomainError("n_terms must be >= 1")
+    if not (isinstance(n_terms, (int, np.integer)) and n_terms >= 1):
+        raise DomainError(f"n_terms must be an integer >= 1, got {n_terms!r}")
     n = np.arange(n_terms, dtype=float)
     log_prod = -np.log1p(beta * beta / (n + alpha) ** 2).sum()
     return math.gamma(alpha) * math.exp(0.5 * log_prod)
@@ -154,29 +155,26 @@ def gamma_abs_product(alpha: float, beta: float, n_terms: int) -> float:
 _LOG_CVZ = math.log(3.0 + math.sqrt(8.0))
 _LOG_INV_TOL = math.log(1.0 / 1e-13)
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-_cvz_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
+@functools.cache
 def _cvz_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients c_k/d of the alternating-series acceleration and the
     logarithms of the term indices 1..n they weight, cached per n.
     """
-    cached = _cvz_cache.get(n)
-    if cached is None:
-        try:
-            d = (3.0 + math.sqrt(8.0)) ** n
-        except OverflowError:
-            raise DomainError(f"eta needs {n} terms; the weights overflow past 402") from None
-        d = 0.5 * (d + 1.0 / d)
-        b = -1.0
-        c = -d
-        out = np.empty(n)
-        for k in range(n):
-            c = b - c
-            out[k] = c
-            b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-        cached = _cvz_cache[n] = (out / d, np.log(np.arange(1, n + 1, dtype=float)))
-    return cached
+    try:
+        d = (3.0 + math.sqrt(8.0)) ** n
+    except OverflowError:
+        raise DomainError(f"eta needs {n} terms; the weights overflow past 402") from None
+    d = 0.5 * (d + 1.0 / d)
+    b = -1.0
+    c = -d
+    out = np.empty(n)
+    for k in range(n):
+        c = b - c
+        out[k] = c
+        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
+    return out / d, np.log(np.arange(1, n + 1, dtype=float))
 
 
 def _term_count(log_ratio):

@@ -24,9 +24,10 @@ rectangle of width 2*zero_tol centred on Re(s) = 1/2 follow.
 The boundary scan machinery for the Rouche-style check assembles
 ``f = F_omega * L`` (the shifted Fermi integral times a product of
 conjugate-ratio factors of unit modulus, one per located zero) against
-``g = lam * (eps + omega)``, samples the boundary of the truncated half-strip
-rectangle K(tau), and reports the minimum triangle-inequality margin
-|f| + |g| - |f + g| together with where it occurs.  Near each neutralized
+``g = lam * (eps + omega)``, with lam = (M*(1/2) + nu)/eps in the audit,
+samples the boundary of the truncated half-strip rectangle K(tau), and
+reports the minimum triangle-inequality margin |f| + |g| - |f + g|
+together with where it occurs.  Near each neutralized
 zero i*beta_j the removable 0/0 factor is evaluated through the quotient
 limit, with the derivative of F_omega estimated once per zero from a small
 ring of quadrature values.  L is blaschke_L, the same function the audit
@@ -309,12 +310,11 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
     Hardy's Z changes sign between the cell's bottom and the split height.
     Both kinds of split use the same height (_safe_level), and each
     isolating cell, of count 1 and height at most zero_tol, is measured
-    by a winding count of 1 on the cell itself unless that count was
-    measured already (anything but 1 raises NonConvergence, so a wrong
-    deduction or sign raises rather than moving a zero).  The zero ordinate
-    is then polished by golden-section on |eta| along the critical line,
-    and a final certificate confirms the zero sits inside a rectangle of
-    half-width zero_tol around Re(s) = 1/2.
+    by a winding count of 1 on the cell itself (anything but 1 raises
+    NonConvergence, so a wrong deduction or sign raises rather than moving
+    a zero).  The zero ordinate is then polished by golden-section on |eta|
+    along the critical line, and a final certificate confirms the zero sits
+    inside a rectangle of half-width zero_tol around Re(s) = 1/2.
     """
     _check_positive_finite("tau", (tau,))
     if not zero_tol >= MIN_ZERO_TOL:  # also rejects NaN
@@ -325,15 +325,15 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
         return winding_count(eta, RectangleRegion(re_lo, re_hi, lo, hi))
 
     betas: list[float] = []
-    # (lo, hi, zero count, whether the count was measured on this cell, Z(lo))
-    stack = [(0.0, float(tau), cell_count(0.0, float(tau)), True, _hardy_z(0.0, eta(0.5 + 0j)))]
+    # (lo, hi, zero count, Z(lo))
+    stack = [(0.0, float(tau), cell_count(0.0, float(tau)), _hardy_z(0.0, eta(0.5 + 0j)))]
     min_height = max(zero_tol / 8.0, MIN_ZERO_TOL)
     while stack:
-        lo, hi, count, measured, z_lo = stack.pop()
+        lo, hi, count, z_lo = stack.pop()
         if count == 0:
             continue
         if count == 1 and hi - lo <= zero_tol:
-            if not measured and (n := cell_count(lo, hi)) != 1:
+            if (n := cell_count(lo, hi)) != 1:
                 raise NonConvergence(f"cell [{lo}, {hi}] deduced to hold 1 zero counts {n}")
             beta = _golden_min(_eta_line_abs, lo, hi)
             betas.append(beta)
@@ -345,15 +345,15 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
         mid, eta_mid = _safe_level(lo, hi)
         z_mid = _hardy_z(mid, eta_mid)
         if count == 1:  # the lone zero is on the line and simple: Z changes sign there
-            count_lo, lo_measured = int((z_lo < 0.0) != (z_mid < 0.0)), False
+            count_lo = int((z_lo < 0.0) != (z_mid < 0.0))
         else:
-            count_lo, lo_measured = cell_count(lo, mid), True
+            count_lo = cell_count(lo, mid)
             if not 0 <= count_lo <= count:
                 raise NonConvergence(
                     f"lower cell [{lo}, {mid}] counts {count_lo} zeros, its parent {count}"
                 )
-        stack.append((lo, mid, count_lo, lo_measured, z_lo))
-        stack.append((mid, hi, count - count_lo, False, z_mid))
+        stack.append((lo, mid, count_lo, z_lo))
+        stack.append((mid, hi, count - count_lo, z_mid))
 
     betas.sort()
     for beta in betas:
@@ -464,7 +464,9 @@ def lambda_choice(theta_abs: float, epsilon: float, nu: float) -> float:
 
     Exceeds M*(1/2) / (theta_abs * r) for every boundary point with
     r = |eps + omega| >= eps, since nu > 0.  M*(1/2) is m_star_half(),
-    computed once per process.
+    computed once per process.  The scan's g = lam*(eps + omega) has no
+    theta_abs in it, so theta_abs only rescales lam; the audit and the
+    rouche command take theta_abs = 1, the lam whose bound EQ50C checks.
     """
     _check_positive_finite("theta_abs, epsilon and nu", (theta_abs, epsilon, nu))
     return (m_star_half() + nu) / (theta_abs * epsilon)

@@ -141,11 +141,11 @@ class TestConfig:
             AuditConfig(output_format="xml")
         with pytest.raises(DomainError):
             AuditConfig(jensen_samples=4)
-        for name in ("tau_max", "rouche_tau", "rouche_epsilon", "rouche_nu", "rouche_theta_abs"):
+        for name in ("tau_max", "rouche_tau", "rouche_epsilon", "rouche_nu"):
             with pytest.raises(DomainError):
                 AuditConfig(**{name: float("nan")})
         for name in ("quad_tol", "zero_tol", "boundary_min_modulus", "tau_max",
-                     "rouche_tau", "rouche_epsilon", "rouche_nu", "rouche_theta_abs"):
+                     "rouche_tau", "rouche_epsilon", "rouche_nu"):
             with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
                 AuditConfig(**{name: float("inf")})
 
@@ -173,7 +173,7 @@ class TestConfig:
         assert {f.name for f in fields(AuditConfig)} == {
             "quad_tol", "zero_tol", "tau_max", "seed", "output_format",
             "boundary_min_modulus", "jensen_samples",
-            "rouche_tau", "rouche_epsilon", "rouche_nu", "rouche_theta_abs",
+            "rouche_tau", "rouche_epsilon", "rouche_nu",
         }
         assert params(za.rouche_scan) == [
             "tau", "lam", "epsilon", "zeros", "zero_tol", "quad_tol", "boundary_min_modulus",

@@ -196,12 +196,13 @@ class TestUsageErrors:
     # eval_budget is a constant too; seed=-1 crashed the audit's generators,
     # and a zero_tol below 1e-9 made the zero search fail on a single zero;
     # n_samples and boundary_density are constants now (claim_audit.SWEEP_SAMPLES
-    # and zero_analysis.SAMPLES_PER_UNIT), so each is an unknown key
+    # and zero_analysis.SAMPLES_PER_UNIT), so each is an unknown key, as is
+    # rouche_theta_abs: lam is (M*(1/2) + nu)/epsilon unless rouche --lam sets it
     @pytest.mark.parametrize("line", ["quad_tol=abc", "seed=1.5", "quad_tol=-1",
                                       "pole_tol=1e-3", "grid_re_n=7", "eval_budget=1000000",
                                       "seed=-1", "zero_tol=1e-10", "n_samples=0",
                                       "n_samples=-1", "boundary_density=0",
-                                      "boundary_density=-3"])
+                                      "boundary_density=-3", "rouche_theta_abs=1.0"])
     def test_malformed_config_value_exit_three(self, capsys, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(f"# comment\n{line}\n")
@@ -263,6 +264,10 @@ def test_every_config_field_has_a_flag():
             elif action.option_strings:
                 dests.add(action.dest)
     assert {f.name for f in fields(AuditConfig)} - dests == {"boundary_min_modulus"}
+    # a new flag must show up here
+    assert dests - {f.name for f in fields(AuditConfig)} == {
+        "help", "config", "lo", "hi", "step", "b", "radius", "lam", "out",
+    }
 
 
 class TestDeterminism:

@@ -177,8 +177,9 @@ class TestMBound:
     def test_domain(self):
         with pytest.raises(DomainError):
             m_bound(0.0)
-        with pytest.raises(DomainError):
-            m_bound(1.1)
+        for alpha in (1.1, 0.5 + 0j):  # a complex alpha raised TypeError
+            with pytest.raises(DomainError):
+                m_bound(alpha)
 
 
 class TestMStar:
@@ -210,8 +211,9 @@ class TestMStar:
 
     def test_complex_alpha_rejected(self):
         # a check that survives python -O, unlike an assert
-        with pytest.raises(DomainError):
-            m_star(0.5 + 1.0j, 1e-8)
+        for alpha in (0.5 + 1.0j, 0.5 + 0j):  # 0.5 + 0j returned F(1/2)
+            with pytest.raises(DomainError):
+                m_star(alpha, 1e-8)
 
 
 class TestMStarDerivative:
@@ -243,7 +245,8 @@ class TestMStarDerivative:
             m_star_derivative(0.75, 3, 1e-8)
 
     def test_domain_validation(self):
-        for alpha, tol in ((0.0, 1e-8), (1.5, 1e-8), (0.75, 0.0), (0.75, math.nan)):
+        for alpha, tol in ((0.0, 1e-8), (1.5, 1e-8), (0.75, 0.0), (0.75, math.nan),
+                           (0.5 + 1j, 1e-8)):  # a complex alpha raised TypeError
             with pytest.raises(DomainError):
                 m_star_derivative(alpha, 1, tol)
 
@@ -297,3 +300,6 @@ class TestGOfB:
             g_of_b(0.0)
         with pytest.raises(DomainError):
             g_of_b(1.0)
+        for fn in (g_of_b, omega0, omega0_prime):  # a complex b raised TypeError
+            with pytest.raises(DomainError):
+                fn(0.5 + 0j)

@@ -103,8 +103,9 @@ class TestGammaAbsProduct:
     def test_domain(self):
         with pytest.raises(DomainError):
             gamma_abs_product(1.0, 1.0, 10)
-        with pytest.raises(DomainError):
-            gamma_abs_product(0.5, 1.0, 0)
+        for n_terms in (0, math.nan, 10.5):  # 10.5 summed 11 terms, NaN raised ValueError
+            with pytest.raises(DomainError, match="n_terms"):
+                gamma_abs_product(0.5, 1.0, n_terms)
         for beta in (math.nan, math.inf):
             with pytest.raises(DomainError, match="beta"):
                 gamma_abs_product(0.5, beta, 10)

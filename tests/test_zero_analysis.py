@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from zetalab import zero_analysis
 from zetalab.errors import (
-    BoundaryZero,
     BoundaryZeroError,
     DomainError,
     NonConvergence,
@@ -423,7 +422,7 @@ class TestJensen:
             jensen_check(lambda z: z, [0.0], 1.0, 64)
 
     def test_zero_on_circle(self):
-        with pytest.raises(BoundaryZero):
+        with pytest.raises(BoundaryZeroError):
             jensen_check(lambda z: z - 1.0, [1.0 + 0j], 1.0, 64)
 
     def test_zero_at_circle_sample_names_it(self):
