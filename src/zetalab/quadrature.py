@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ToleranceNotMet
-from .special_functions import ensure_finite
+from .special_functions import ensure_finite, ensure_real
 
 __all__ = [
     "EVAL_BUDGET",
@@ -250,7 +249,7 @@ def _log_moment(s, k: int, tol: float) -> QuadratureEstimate:
     s = ensure_finite(s)
     if not 0.0 < s.real <= 1.0:
         raise DomainError(f"Re(s) = {s.real} outside (0, 1]")
-    if not tol > 0.0:  # also rejects NaN
+    if not ensure_real(tol) > 0.0:  # also rejects NaN
         raise DomainError("tol must be positive")
     alpha, beta = s.real, s.imag
     h, head = _head_cut(alpha, k, tol)
@@ -298,16 +297,9 @@ def f_shifted(omega, tol: float = 1e-8) -> QuadratureEstimate:
     return fermi_mellin(omega + 0.5, tol)
 
 
-def _real(x) -> float:
-    """x as a float; a complex or other non-real argument raises DomainError."""
-    if not isinstance(x, numbers.Real):
-        raise DomainError(f"expected a real argument, got {x!r}")
-    return float(x)
-
-
 def m_bound(alpha: float) -> float:
     """Closed-form bound M(alpha) = 1/(2 alpha) + 1/e on |F|, alpha in (0, 1]."""
-    alpha = _real(alpha)
+    alpha = ensure_real(alpha)
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha = {alpha} outside (0, 1]")
     return 1.0 / (2.0 * alpha) + math.exp(-1.0)
@@ -315,7 +307,7 @@ def m_bound(alpha: float) -> float:
 
 def m_star(alpha: float, tol: float = 1e-8) -> float:
     """Integral bound M*(alpha) = F(alpha) for real alpha in (0, 1]."""
-    return fermi_mellin(_real(alpha), tol).value.real
+    return fermi_mellin(ensure_real(alpha), tol).value.real
 
 
 @functools.cache
@@ -332,7 +324,7 @@ def m_star_derivative(alpha: float, order: int, tol: float = 1e-8) -> float:
     """
     if order not in (1, 2):
         raise DomainError("order must be 1 or 2")
-    return _log_moment(_real(alpha), order, tol).value.real
+    return _log_moment(ensure_real(alpha), order, tol).value.real
 
 
 def omega0(b: float) -> float:
@@ -341,7 +333,7 @@ def omega0(b: float) -> float:
     Equals 1/4 + Arg[(1-bi)/(1+bi)]/(2 pi); the arctangent closed form is
     used because Arg[(1-bi)/(1+bi)] = -2 arctan(b) for b in (0, 1).
     """
-    b = _real(b)
+    b = ensure_real(b)
     if not 0.0 < b < 1.0:
         raise DomainError(f"b = {b} outside (0, 1)")
     return 0.25 - math.atan(b) / math.pi
@@ -349,7 +341,7 @@ def omega0(b: float) -> float:
 
 def omega0_prime(b: float) -> float:
     """Elementary derivative of omega0: -1/(pi (1 + b^2))."""
-    b = _real(b)
+    b = ensure_real(b)
     if not 0.0 < b < 1.0:
         raise DomainError(f"b = {b} outside (0, 1)")
     return -1.0 / (math.pi * (1.0 + b * b))

@@ -38,6 +38,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .errors import DomainError, PoleError
 
 __all__ = [
     "ensure_finite",
+    "ensure_real",
     "ensure_strip",
     "gamma",
     "gamma_abs_product",
@@ -62,6 +64,13 @@ def ensure_finite(s) -> complex:
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise DomainError(f"non-finite complex value {s!r}")
     return s
+
+
+def ensure_real(x) -> float:
+    """x as a float; a complex or other non-real argument raises DomainError."""
+    if not isinstance(x, numbers.Real):
+        raise DomainError(f"expected a real argument, got {x!r}")
+    return float(x)
 
 
 def ensure_strip(s) -> complex:
@@ -143,6 +152,7 @@ def gamma_abs_product(alpha: float, beta: float, n_terms: int) -> float:
     monotonically in n_terms toward the true modulus.  Accumulated in log
     space (log1p) to avoid underflow for large beta, which must be finite.
     """
+    alpha, beta = ensure_real(alpha), ensure_real(beta)
     if not (0.0 < alpha < 1.0 and math.isfinite(beta)):
         raise DomainError(f"need alpha in (0,1) and a finite beta, got {alpha}, {beta}")
     if not (isinstance(n_terms, (int, np.integer)) and n_terms >= 1):

@@ -21,7 +21,7 @@ import math
 
 from .errors import DomainError
 from .quadrature import f_shifted
-from .special_functions import ensure_finite
+from .special_functions import ensure_finite, ensure_real
 
 __all__ = [
     "ensure_disk",
@@ -47,7 +47,7 @@ def ensure_disk(z) -> complex:
 
 def ensure_map_param(b: float) -> float:
     """Validate the map parameter 0 < b < 1."""
-    b = float(b)
+    b = ensure_real(b)
     if not 0.0 < b < 1.0:
         raise DomainError(f"map parameter b = {b} outside (0, 1)")
     return b

@@ -9,17 +9,19 @@ their values: the initial boundary is one call, and each refinement round
 evaluates all its midpoints in one more.
 
 Critical-line zeros are located by recursive bisection of strip rectangles
-symmetric about Re(s) = 1/2.  A cell holding two or more zeros is split by
-a winding count: the winding number is additive, so only the lower child is
-counted and the upper child's count is the parent's minus the lower's.  A
-cell holding one zero is split by a sign test instead.  The non-trivial
-zeros are symmetric about Re(s) = 1/2, so a lone zero in a symmetric cell
-lies on the critical line, and whether it lies below the split height is
-whether Hardy's Z, real on the line, changes sign between the cell's bottom
-and that height.  Every isolating cell is counted directly, so a wrong sign
-or deduction raises instead of moving a zero.  A golden-section polish of
-|eta(1/2 + i y)| inside the isolating cell and a final certificate on a
-rectangle of width 2*zero_tol centred on Re(s) = 1/2 follow.
+symmetric about Re(s) = 1/2, with one split rule for every cell.  The root
+rectangle is counted once by winding number, giving N.  Hardy's Z, real on
+the line, is then sampled on a grid of heights a quarter of the mean zero
+gap apart, in one array eta call.  Each sign change of Z needs a zero on
+the line between its two samples, so if the grid shows exactly N sign
+changes, every zero in the rectangle is simple, lies on the line, and sits
+alone between two neighbouring samples.  A split then gives its lower child
+the sign changes of Z over the child's bottom, the grid samples inside it
+and the split height, and its upper child the rest.  Every isolating cell
+is counted directly, so a wrong sign raises instead of moving a zero.  A
+golden-section polish of |eta(1/2 + i y)| inside the isolating cell and a
+final certificate on a rectangle of width 2*zero_tol centred on Re(s) = 1/2
+follow.
 
 The boundary scan machinery for the Rouche-style check assembles
 ``f = F_omega * L`` (the shifted Fermi integral times a product of
@@ -38,6 +40,7 @@ F_omega quadrature, which runs sample by sample.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -54,7 +57,7 @@ from .errors import (
     ZeroAtCenter,
 )
 from .quadrature import f_shifted, m_star_half
-from .special_functions import ensure_finite, eta, gamma
+from .special_functions import ensure_finite, ensure_real, eta, gamma
 
 __all__ = [
     "RectangleRegion",
@@ -88,6 +91,12 @@ MIN_ZERO_TOL = 1e-9
 # length, and the most one count or one scan takes.  Both are read at call time.
 SAMPLES_PER_UNIT = 64
 MAX_BOUNDARY_SAMPLES = 500_000
+# The grid of heights critical_line_zeros samples Hardy's Z on: this fraction
+# of the mean zero gap 2 pi/log(tau/2 pi) at tau apart, never above 1, and
+# halved at most this many times while its sign changes fall short of the
+# root count.
+Z_GRID_GAP_FRACTION = 0.25
+Z_GRID_DOUBLINGS = 4
 
 AnalyticFn = Callable[[complex], complex]
 
@@ -102,7 +111,8 @@ class RectangleRegion:
     im_max: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.re_min, self.re_max, self.im_min, self.im_max))):
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(math.isfinite(ensure_real(v)) for v in bounds):
             raise DomainError(f"non-finite rectangle {self!r}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise DomainError(f"degenerate rectangle {self!r}")
@@ -154,7 +164,7 @@ class RoucheScanResult:
 
 
 def _check_positive_finite(what: str, values) -> None:
-    if not all(0.0 < v < math.inf for v in values):  # also rejects NaN
+    if not all(0.0 < ensure_real(v) < math.inf for v in values):  # also rejects NaN
         raise DomainError(f"{what} must be positive and finite")
 
 
@@ -275,6 +285,29 @@ def _hardy_z(y: float, eta_value: complex) -> float:
     return z.real
 
 
+def _z_grid(tau: float, n: int) -> tuple[list[float], list[bool]]:
+    """Heights tau*k/n, k = 1..n, and whether Hardy's Z is negative at each.
+
+    One array eta call gives the values; a sample whose Z is not real to
+    working accuracy is dropped, which merges its two neighbouring intervals.
+    """
+    heights = np.linspace(0.0, tau, n + 1)[1:]
+    grid, negative = [], []
+    for y, value in zip(heights.tolist(), eta(0.5 + 1j * heights).tolist()):
+        try:
+            z = _hardy_z(y, value)
+        except NonConvergence:
+            continue
+        grid.append(y)
+        negative.append(z < 0.0)
+    return grid, negative
+
+
+def _sign_changes(negative: list[bool]) -> int:
+    """Sign changes along a sequence of signs, each given as "is negative"."""
+    return sum(a != b for a, b in zip(negative, negative[1:]))
+
+
 def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Golden-section minimiser for a unimodal |analytic| profile."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -300,33 +333,49 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
     """Locate all eta zeros with 0 < Im(s) <= tau by rectangle bisection.
 
     The cells span Re(s) in [0.1, 0.9], symmetric about Re(s) = 1/2.  The
-    root cell is counted once.  A cell holding two or more zeros is split
-    by counting only its lower child; the upper child's count is the
-    parent's minus the lower child's (the winding number is additive), and
-    a lower count outside [0, parent count] raises NonConvergence.  A cell
-    holding one zero is split by a sign test instead: the zeros are
-    symmetric about Re(s) = 1/2, so a lone zero in the cell lies on the
-    critical line, and it is simple, so it lies in the lower child iff
-    Hardy's Z changes sign between the cell's bottom and the split height.
-    Both kinds of split use the same height (_safe_level), and each
-    isolating cell, of count 1 and height at most zero_tol, is measured
-    by a winding count of 1 on the cell itself (anything but 1 raises
-    NonConvergence, so a wrong deduction or sign raises rather than moving
-    a zero).  The zero ordinate is then polished by golden-section on |eta|
+    root cell is counted once by winding number, giving N.  Hardy's Z is
+    then sampled at Z(0) and on a grid over (0, tau] spaced
+    Z_GRID_GAP_FRACTION = 1/4 of the mean zero gap 2 pi/log(tau/2 pi),
+    never above 1.  If the grid shows C == N sign changes, every zero is
+    simple, on the critical line and alone in its own sign-change interval;
+    if C < N the grid is doubled, at most Z_GRID_DOUBLINGS = 4 times, and a
+    C that still differs from N raises NonConvergence.  Every split, at a
+    height from _safe_level, then follows one rule: the lower child holds
+    the sign changes of Z over its bottom, the grid samples inside it and
+    the split height, and the upper child the rest of its parent's count.
+    Each isolating cell, of count 1 and height at most zero_tol, is
+    measured by a winding count of 1 on the cell itself (anything but 1
+    raises NonConvergence, so a wrong sign raises rather than moving a
+    zero).  The zero ordinate is then polished by golden-section on |eta|
     along the critical line, and a final certificate confirms the zero sits
     inside a rectangle of half-width zero_tol around Re(s) = 1/2.
     """
     _check_positive_finite("tau", (tau,))
-    if not zero_tol >= MIN_ZERO_TOL:  # also rejects NaN
+    if not ensure_real(zero_tol) >= MIN_ZERO_TOL:  # also rejects NaN
         raise DomainError(f"zero_tol = {zero_tol} below the minimum cell height {MIN_ZERO_TOL:g}")
+    tau = float(tau)
     re_lo, re_hi = 0.5 - 0.4, 0.5 + 0.4  # 0.09999999999999998: the located zeros depend on it
 
     def cell_count(lo: float, hi: float) -> int:
         return winding_count(eta, RectangleRegion(re_lo, re_hi, lo, hi))
 
+    n_zeros = cell_count(0.0, tau)
+    z_0 = _hardy_z(0.0, eta(0.5 + 0j))
+    spacing = min(1.0, Z_GRID_GAP_FRACTION * _TWO_PI / math.log(max(tau / _TWO_PI, math.e)))
+    n_grid = math.ceil(tau / spacing)
+    for _ in range(Z_GRID_DOUBLINGS + 1):
+        grid, negative = _z_grid(tau, n_grid)
+        changes = _sign_changes([z_0 < 0.0, *negative])
+        if changes >= n_zeros:
+            break
+        n_grid *= 2
+    if changes != n_zeros:
+        raise NonConvergence(
+            f"Hardy's Z changes sign {changes} times on [0, {tau}], where {n_zeros} zeros are counted"
+        )
+
     betas: list[float] = []
-    # (lo, hi, zero count, Z(lo))
-    stack = [(0.0, float(tau), cell_count(0.0, float(tau)), _hardy_z(0.0, eta(0.5 + 0j)))]
+    stack = [(0.0, tau, n_zeros, z_0)]  # (lo, hi, zero count, Z(lo))
     min_height = max(zero_tol / 8.0, MIN_ZERO_TOL)
     while stack:
         lo, hi, count, z_lo = stack.pop()
@@ -344,14 +393,8 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
             )
         mid, eta_mid = _safe_level(lo, hi)
         z_mid = _hardy_z(mid, eta_mid)
-        if count == 1:  # the lone zero is on the line and simple: Z changes sign there
-            count_lo = int((z_lo < 0.0) != (z_mid < 0.0))
-        else:
-            count_lo = cell_count(lo, mid)
-            if not 0 <= count_lo <= count:
-                raise NonConvergence(
-                    f"lower cell [{lo}, {mid}] counts {count_lo} zeros, its parent {count}"
-                )
+        inner = negative[bisect.bisect_right(grid, lo):bisect.bisect_left(grid, mid)]
+        count_lo = _sign_changes([z_lo < 0.0, *inner, z_mid < 0.0])
         stack.append((lo, mid, count_lo, z_lo))
         stack.append((mid, hi, count - count_lo, z_mid))
 
@@ -365,7 +408,7 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
             raise MultiplicityAmbiguity(
                 f"certificate cell at beta = {beta} holds {n} zeros"
             )
-    return CriticalZeroList(tuple(betas), float(tau))
+    return CriticalZeroList(tuple(betas), tau)
 
 
 def riemann_von_mangoldt(T: float) -> float:
@@ -374,7 +417,7 @@ def riemann_von_mangoldt(T: float) -> float:
     The oscillating argument term and the O(1/T) remainder are dropped; the
     estimate is accurate to well under 1.5 at the heights used here.
     """
-    if not _TWO_PI_E <= T < math.inf:  # also rejects NaN
+    if not _TWO_PI_E <= ensure_real(T) < math.inf:  # also rejects NaN
         raise DomainError(f"T = {T} outside [2*pi*e, inf), 2*pi*e = {_TWO_PI_E:.6f}")
     return (T / _TWO_PI) * math.log(T / _TWO_PI_E) + 7.0 / 8.0
 
@@ -418,9 +461,9 @@ def jensen_check(
 
 
 def _check_titchmarsh_args(M: float, f0_abs: float, delta: float) -> None:
-    if not 0.0 < delta < 1.0:
+    if not 0.0 < ensure_real(delta) < 1.0:
         raise DomainError(f"delta = {delta} outside (0,1)")
-    if not 0.0 < f0_abs <= M < math.inf:
+    if not 0.0 < ensure_real(f0_abs) <= ensure_real(M) < math.inf:
         raise DomainError(f"need 0 < |f(0)| <= M < inf, got |f(0)| = {f0_abs}, M = {M}")
 
 

@@ -135,6 +135,10 @@ class TestFermiMellin:
         with pytest.raises(DomainError):
             fermi_mellin(0.5, -1e-8)
 
+    def test_complex_tol_rejected(self):
+        with pytest.raises(DomainError, match="real argument"):  # raised TypeError
+            fermi_mellin(0.5, 1e-8 + 0j)
+
 
 class TestFShifted:
     def test_matches_unshifted_by_construction(self):

@@ -110,6 +110,10 @@ class TestGammaAbsProduct:
             with pytest.raises(DomainError, match="beta"):
                 gamma_abs_product(0.5, beta, 10)
 
+    def test_complex_alpha_rejected(self):
+        with pytest.raises(DomainError, match="real argument"):  # raised TypeError
+            gamma_abs_product(0.5 + 0j, 1.0, 10)
+
 
 class TestEta:
     def test_alternating_harmonic(self):

@@ -44,6 +44,10 @@ class TestTheta:
         with pytest.raises(DomainError):
             theta(0.2j, 1.0)
 
+    def test_complex_parameter_rejected(self):
+        with pytest.raises(DomainError, match="real argument"):  # raised TypeError
+            theta(0.1, 0.5 + 0j)
+
 
 class TestThetaInverse:
     def test_zero_maps_to_bi(self):

@@ -89,6 +89,10 @@ class TestWindingCount:
         with pytest.raises(DomainError, match="non-finite"):
             RectangleRegion(*bounds)
 
+    def test_complex_bound_rejected(self):
+        with pytest.raises(DomainError, match="real argument"):  # raised TypeError
+            RectangleRegion(0.0, 1.0 + 0j, 0.0, 1.0)
+
     @pytest.mark.parametrize("height", [1e300, 1e308])
     def test_initial_boundary_checked_before_it_is_built(self, height):
         # the count comes from the side lengths; fn never sees a point
@@ -219,6 +223,8 @@ class TestBoundaryPoints:
 
 
 class TestCriticalLineZeros:
+    BETAS_30 = (14.134725141734586, 21.022039638771716, 25.010857580145498)
+
     def test_up_to_twenty(self):
         zeros = critical_line_zeros(20.0, 1e-4)
         assert len(zeros) == 1
@@ -248,11 +254,11 @@ class TestCriticalLineZeros:
             critical_line_zeros(16.0, 1e-10)
 
     def test_one_child_counted_per_split(self, monkeypatch):
-        # cells of two or more zeros count only their lower child, and cells of
-        # one zero are split by the sign of Hardy's Z, so tau = 30 evaluates eta
-        # at 7,667 points where counting one child per split took 17,046 and
-        # counting both 29,872; the located zeros are those of counting both,
-        # bit for bit
+        # every split counts its lower child by the sign changes of Hardy's Z,
+        # so tau = 30 evaluates eta at 4,609 points, where a winding count of
+        # the lower child of each cell of two or more zeros took 7,667, one
+        # per split 17,046 and counting both children 29,872; the located
+        # zeros are those of counting both, bit for bit
         calls = 0
 
         def counted_eta(s):
@@ -262,16 +268,14 @@ class TestCriticalLineZeros:
 
         monkeypatch.setattr(zero_analysis, "eta", counted_eta)
         zeros = critical_line_zeros(30.0, 1e-4)
-        assert calls <= 7_667
-        assert zeros.betas == (14.134725141734586, 21.022039638771716, 25.010857580145498)
+        assert calls <= 4_609
+        assert zeros.betas == self.BETAS_30
 
-    def test_lower_child_above_parent_count_raises(self, monkeypatch):
-        def fake_count(fn, rect, **kw):
-            return 2 if (rect.im_min, rect.im_max) == (0.0, 20.0) else 3
-
-        monkeypatch.setattr(zero_analysis, "winding_count", fake_count)
-        with pytest.raises(NonConvergence, match="counts 3 zeros, its parent 2"):
-            critical_line_zeros(20.0, 1e-4)
+    def test_complex_tau_rejected(self):
+        with pytest.raises(DomainError, match="real argument"):  # raised TypeError
+            critical_line_zeros(30.0 + 0j)
+        with pytest.raises(DomainError, match="real argument"):
+            critical_line_zeros(30.0, 1e-4 + 0j)
 
     def test_deduced_isolating_cell_is_measured(self, monkeypatch):
         # every cell at isolating height measures 0, so the zero ends up in a
@@ -313,20 +317,64 @@ def _counted_bisection(tau, zero_tol):
 
 
 class TestHardyZSplits:
-    @pytest.mark.parametrize("tau, zero_tol", [(20.0, 1e-4), (50.0, 1e-3), (100.0, 1e-4),
-                                               (100.0, 1e-6)])
+    @pytest.mark.parametrize("tau, zero_tol", [(20.0, 1e-4), (30.0, 1e-4), (50.0, 1e-3),
+                                               (100.0, 1e-4), (100.0, 1e-6), (100.0, 1e-8)])
     def test_betas_equal_counted_bisection(self, tau, zero_tol):
         assert critical_line_zeros(tau, zero_tol).betas == _counted_bisection(tau, zero_tol)
 
     def test_flipped_sign_raises_rather_than_moving_a_zero(self, monkeypatch):
         # flipping Z everywhere would leave every sign change in place, so
-        # flip it above the root's bottom only: each decision below the first
-        # zero then keeps the empty child
+        # flip it above the root's bottom only: the grid then shows a change
+        # between Z(0) and its first sample that no zero accounts for
         hardy_z = zero_analysis._hardy_z
         monkeypatch.setattr(zero_analysis, "_hardy_z",
                             lambda y, v: -hardy_z(y, v) if y > 0.0 else hardy_z(y, v))
-        with pytest.raises(NonConvergence, match="deduced to hold 1 zero counts 0"):
+        with pytest.raises(NonConvergence, match="changes sign 2 times .* where 1 zeros"):
             critical_line_zeros(20.0, 1e-4)
+
+    def _recorded(self, monkeypatch):
+        """Record the sample counts of the Z grids and the winding-count rectangles."""
+        grids, counts = [], []
+        z_grid, count = zero_analysis._z_grid, zero_analysis.winding_count
+        monkeypatch.setattr(zero_analysis, "_z_grid",
+                            lambda tau, n: grids.append(n) or z_grid(tau, n))
+        monkeypatch.setattr(zero_analysis, "winding_count",
+                            lambda fn, rect: counts.append(rect) or count(fn, rect))
+        return grids, counts
+
+    def test_sign_changes_short_of_the_root_count_raise(self, monkeypatch):
+        # Z flipped above 25.011 hides the sign change of the zero at 25.0109,
+        # one of the three the root counts below tau = 30: every doubling of
+        # the grid still shows two, and no winding count stands in for the third
+        hardy_z = zero_analysis._hardy_z
+        monkeypatch.setattr(zero_analysis, "_hardy_z",
+                            lambda y, v: -hardy_z(y, v) if y > 25.011 else hardy_z(y, v))
+        grids, counts = self._recorded(monkeypatch)
+        with pytest.raises(NonConvergence, match=r"changes sign 2 times on \[0, 30.0\], where 3"):
+            critical_line_zeros(30.0, 1e-4)
+        assert grids == [30 * 2**k for k in range(zero_analysis.Z_GRID_DOUBLINGS + 1)]
+        assert len(counts) == 1  # the root
+
+    @pytest.mark.parametrize("heights, grids", [([14.0], [30]),
+                                                ([21.0, 22.0, 23.0, 24.0, 25.0], [30, 60])])
+    def test_sample_not_real_is_dropped(self, monkeypatch, heights, grids):
+        # eta turned a quarter turn at a grid height makes Z there imaginary;
+        # the sample is dropped, merging its two intervals.  Dropping 14 leaves
+        # the zero at 14.13 alone in (13, 15); dropping 21-25 puts the zeros at
+        # 21.02 and 25.01 in (20, 26) with no sign change between, and the
+        # doubled grid separates them again
+        def turned_eta(s):
+            value = eta(s)
+            if isinstance(s, np.ndarray):
+                value[(s.real == 0.5) & np.isin(s.imag, heights)] *= 1j
+            return value
+
+        monkeypatch.setattr(zero_analysis, "eta", turned_eta)
+        grid, _ = zero_analysis._z_grid(30.0, 30)
+        assert len(grid) == 30 - len(heights) and not set(heights) & set(grid)
+        seen, _ = self._recorded(monkeypatch)
+        assert critical_line_zeros(30.0, 1e-4).betas == TestCriticalLineZeros.BETAS_30
+        assert seen == grids
 
     def test_work_at_tau_100(self, monkeypatch):
         points, scalar_calls, counts = 0, 0, 0
@@ -345,9 +393,10 @@ class TestHardyZSplits:
         monkeypatch.setattr(zero_analysis, "eta", counted_eta)
         monkeypatch.setattr(zero_analysis, "winding_count", counted_winding)
         assert len(critical_line_zeros(100.0, 1e-4)) == 29
-        # counting one child per split took 110,589 points in 506 counts, and
-        # the same 1,651 scalar calls less the one for Z(0)
-        assert points <= 52_130 and counts <= 89 and scalar_calls <= 1_652
+        # the root, 29 isolating cells and 29 certificates; a winding count of
+        # the lower child of each cell of two or more zeros took 52,130 points
+        # in 89 counts, and one per split 110,589 points in 506 counts
+        assert points <= 19_200 and counts <= 59 and scalar_calls <= 1_652
 
     def test_sign_matches_mpmath_siegelz(self):
         mpmath = pytest.importorskip("mpmath")
@@ -393,6 +442,10 @@ class TestRiemannVonMangoldt:
         for T in (10.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 riemann_von_mangoldt(T)
+
+    def test_complex_height_rejected(self):
+        with pytest.raises(DomainError, match="real argument"):  # raised TypeError
+            riemann_von_mangoldt(30.0 + 0j)
 
 
 class TestJensen:
@@ -496,6 +549,10 @@ class TestTitchmarsh:
                          (1.0, 0.5, 1.0), (1.0, 0.0, 0.5), (math.inf, 0.5, 0.5)]:
                 with pytest.raises(DomainError):
                     fn(*args)
+
+    def test_complex_bound_rejected(self):
+        with pytest.raises(DomainError, match="real argument"):  # raised TypeError
+            titchmarsh_zero_bound(2.0 + 0j, 1.0, 0.5)
 
 
 class TestBlaschke:
