@@ -1,27 +1,27 @@
 """Zero counting and location on the critical strip.
 
-Counting is done with a numerical argument principle: the winding number of an
-analytic function along a rectangle boundary equals the number of enclosed
-zeros, and is computed by continuous phase tracking with adaptive midpoint
-insertion whenever a single step turns the phase by more than pi/2.  The
-function counted takes a 1-D complex array of boundary points and returns
-their values: the initial boundary is one call, and each refinement round
-evaluates all its midpoints in one more.
+Counting is done with a numerical argument principle: the change of arg of
+an analytic function along a path is followed continuously, with adaptive
+midpoint insertion whenever a single step turns the phase by more than
+pi/2.  The function takes a 1-D complex array of path points and returns
+their values: the initial path is one call, and each refinement round
+evaluates all its midpoints in one more.  Along a rectangle boundary the
+change is 2 pi times the number of enclosed zeros (winding_count).
 
-Critical-line zeros are located by recursive bisection of strip rectangles
-symmetric about Re(s) = 1/2, with one split rule for every cell.  The root
-rectangle is counted once by winding number, giving N.  Hardy's Z, real on
-the line, is then sampled on a grid of heights a quarter of the mean zero
-gap apart, in one array eta call.  Each sign change of Z needs a zero on
-the line between its two samples, so if the grid shows exactly N sign
-changes, every zero in the rectangle is simple, lies on the line, and sits
-alone between two neighbouring samples.  A split then gives its lower child
-the sign changes of Z over the child's bottom, the grid samples inside it
-and the split height, and its upper child the rest.  Every isolating cell
-is counted directly, so a wrong sign raises instead of moving a zero.  A
-golden-section polish of |eta(1/2 + i y)| inside the isolating cell and a
-final certificate on a rectangle of width 2*zero_tol centred on Re(s) = 1/2
-follow.
+Critical-line zeros are located by bisection of the line itself, with one
+split rule for every interval.  The zeros of zeta in the whole strip below
+tau are counted once, N(tau) = theta(tau)/pi + 1 + S(tau), with pi S(tau)
+the change of arg zeta along the segment from 2 + i tau to 1/2 + i tau.
+Hardy's Z, real on the line, is then sampled on a grid of heights a
+quarter of the mean zero gap apart, in one array eta call.  Each sign
+change of Z needs a zero on the line between its two samples, so if the
+grid shows exactly N sign changes, every zero in the strip is simple, lies
+on the line, and sits alone between two neighbouring samples.  A split then
+gives its lower interval the sign changes of Z over the interval's bottom,
+the grid samples inside it and the split height, and its upper interval the
+rest.  Each zero is polished by golden-section on |eta(1/2 + i y)| inside
+its isolating interval, and certified by a sign change of Z across a
+bracket of half-width zero_tol about it, the N brackets disjoint.
 
 The boundary scan machinery for the Rouche-style check assembles
 ``f = F_omega * L`` (the shifted Fermi integral times a product of
@@ -91,6 +91,9 @@ MIN_ZERO_TOL = 1e-9
 # length, and the most one count or one scan takes.  Both are read at call time.
 SAMPLES_PER_UNIT = 64
 MAX_BOUNDARY_SAMPLES = 500_000
+# Steps of the segment from 2 + i tau to 1/2 + i tau on which the zero count
+# follows arg zeta; not divisible by 3, so no sample falls on Re(s) = 1.
+SEGMENT_STEPS = 97
 # The grid of heights critical_line_zeros samples Hardy's Z on: this fraction
 # of the mean zero gap 2 pi/log(tau/2 pi) at tau apart, never above 1, and
 # halved at most this many times while its sign changes fall short of the
@@ -190,22 +193,14 @@ def _boundary_points(rect: RectangleRegion) -> np.ndarray:
     ])
 
 
-def winding_count(fn: Callable[[np.ndarray], np.ndarray], rect: RectangleRegion) -> int:
-    """Winding number of fn along the rectangle boundary (counterclockwise).
+def _track_phase(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
+                 closed: bool) -> tuple[complex, float]:
+    """fn at points[0], and the change of arg fn along the polygon through points.
 
-    For fn analytic without poles this equals the number of zeros inside.
-    fn takes a 1-D complex ndarray of points and returns their values as an
-    array of the same shape; it is called once with the whole initial
-    boundary, SAMPLES_PER_UNIT = 64 samples per unit of side length (at least
-    8 per side), and once per refinement round.  Each round bisects every
-    step whose phase turns by more than pi/2 and evaluates all the midpoints
-    together, for at most 48 rounds.  A value below 1e-12 in modulus raises
-    BoundaryZeroError naming its point, and a batch that would take the
-    evaluations past MAX_BOUNDARY_SAMPLES = 500,000 raises NonConvergence
-    before fn sees it (the initial boundary before it is built).
+    The polygon runs through the points in order, and back to the first if
+    closed.  fn is called, steps are refined and the evaluation budget and
+    the 1e-12 floor are enforced as winding_count describes.
     """
-    if _boundary_size(rect) > MAX_BOUNDARY_SAMPLES:
-        raise NonConvergence(f"the initial boundary of {rect!r} exceeds the evaluation budget")
     evals = 0
 
     def values(p: np.ndarray) -> np.ndarray:
@@ -223,9 +218,13 @@ def winding_count(fn: Callable[[np.ndarray], np.ndarray], rect: RectangleRegion)
         return v
 
     # each step runs from (p1, v1) to (p2, v2)
-    p1 = _boundary_points(rect)
+    p1 = points
     v1 = values(p1)
-    p2, v2 = np.roll(p1, -1), np.roll(v1, -1)
+    start = complex(v1[0])
+    if closed:
+        p2, v2 = np.roll(p1, -1), np.roll(v1, -1)
+    else:
+        p1, v1, p2, v2 = p1[:-1], v1[:-1], p1[1:], v1[1:]
     total = 0.0
     for depth in range(49):
         d = np.angle(v2 / v1)
@@ -241,11 +240,70 @@ def winding_count(fn: Callable[[np.ndarray], np.ndarray], rect: RectangleRegion)
         vm = values(pm)
         p1, v1 = np.concatenate((p1, pm)), np.concatenate((v1, vm))
         p2, v2 = np.concatenate((pm, p2)), np.concatenate((vm, v2))
-    turns = total / _TWO_PI
-    nearest = round(turns)
-    if abs(turns - nearest) > 0.25:
-        raise NonConvergence(f"phase tracking leaked: {turns} turns")
+    return start, total
+
+
+def _nearest_integer(x: float, what: str) -> int:
+    """round(x), or NonConvergence if x is more than 1/4 from every integer."""
+    nearest = round(x)
+    if abs(x - nearest) > 0.25:
+        raise NonConvergence(f"phase tracking leaked: {what} = {x}")
     return int(nearest)
+
+
+def winding_count(fn: Callable[[np.ndarray], np.ndarray], rect: RectangleRegion) -> int:
+    """Winding number of fn along the rectangle boundary (counterclockwise).
+
+    For fn analytic without poles this equals the number of zeros inside.
+    fn takes a 1-D complex ndarray of points and returns their values as an
+    array of the same shape; it is called once with the whole initial
+    boundary, SAMPLES_PER_UNIT = 64 samples per unit of side length (at least
+    8 per side), and once per refinement round.  Each round bisects every
+    step whose phase turns by more than pi/2 and evaluates all the midpoints
+    together, for at most 48 rounds.  A value below 1e-12 in modulus raises
+    BoundaryZeroError naming its point, and a batch that would take the
+    evaluations past MAX_BOUNDARY_SAMPLES = 500,000 raises NonConvergence
+    before fn sees it (the initial boundary before it is built).
+    """
+    if _boundary_size(rect) > MAX_BOUNDARY_SAMPLES:
+        raise NonConvergence(f"the initial boundary of {rect!r} exceeds the evaluation budget")
+    return _nearest_integer(_track_phase(fn, _boundary_points(rect), closed=True)[1] / _TWO_PI,
+                            "turns")
+
+
+def _theta(t: float) -> float:
+    """Riemann-Siegel theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) log pi.
+
+    With z = 1/4 + i t/2, Im log Gamma(z) = Im log Gamma(z + 8) minus the
+    principal args of z + j, j = 0..7, each continuous in t since Re > 0;
+    Stirling's series for log Gamma(z + 8) with three correction terms then
+    errs by under 1/(1680 |z + 8|^7) < 3e-10 (DLMF 5.11.1).
+    """
+    z = complex(0.25, 0.5 * t)
+    w = z + 8.0
+    u = 1.0 / w
+    u2 = u * u
+    log_gamma = (w - 0.5) * cmath.log(w) - w + u * (1.0 / 12.0 - u2 * (1.0 / 360.0 - u2 / 1260.0))
+    return log_gamma.imag - sum(cmath.phase(z + j) for j in range(8)) - 0.5 * t * _LOG_PI
+
+
+def _zero_count(tau: float) -> int:
+    """N(tau), the zeros of zeta in 0 < Re(s) < 1, 0 < Im(s) < tau, with multiplicity.
+
+    N(tau) = theta(tau)/pi + 1 + S(tau) (Backlund; Edwards, Riemann's Zeta
+    Function (1974), 6.5-6.6) holds at every height tau that is not a zero
+    ordinate.  pi S(tau) = arg zeta(1/2 + i tau), followed continuously along
+    the segment from 2 + i tau, where |zeta - 1| <= pi^2/6 - 1 < 1 makes the
+    principal arg the start, down to 1/2 + i tau: the segment is
+    SEGMENT_STEPS = 97 steps refined as winding_count refines its boundary.
+    zeta is tracked rather than eta, which vanishes at 1 + 2 pi i k/log 2;
+    as 3 does not divide 97, no sample or midpoint falls on Re(s) = 1.
+    """
+    sigma = np.linspace(2.0, 0.5, SEGMENT_STEPS + 1)
+    zeta = lambda s: eta(s) / (1.0 - 2.0 ** (1.0 - s))
+    start, change = _track_phase(zeta, sigma + 1j * tau, closed=False)
+    return _nearest_integer(_theta(tau) / math.pi + 1.0 + (cmath.phase(start) + change) / math.pi,
+                            f"N({tau})")
 
 
 def _eta_line_abs(y: float) -> float:
@@ -330,36 +388,36 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> float:
 
 
 def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
-    """Locate all eta zeros with 0 < Im(s) <= tau by rectangle bisection.
+    """Locate all zeta zeros with 0 < Im(s) <= tau by bisection of the critical line.
 
-    The cells span Re(s) in [0.1, 0.9], symmetric about Re(s) = 1/2.  The
-    root cell is counted once by winding number, giving N.  Hardy's Z is
-    then sampled at Z(0) and on a grid over (0, tau] spaced
-    Z_GRID_GAP_FRACTION = 1/4 of the mean zero gap 2 pi/log(tau/2 pi),
-    never above 1.  If the grid shows C == N sign changes, every zero is
-    simple, on the critical line and alone in its own sign-change interval;
-    if C < N the grid is doubled, at most Z_GRID_DOUBLINGS = 4 times, and a
-    C that still differs from N raises NonConvergence.  Every split, at a
-    height from _safe_level, then follows one rule: the lower child holds
-    the sign changes of Z over its bottom, the grid samples inside it and
-    the split height, and the upper child the rest of its parent's count.
-    Each isolating cell, of count 1 and height at most zero_tol, is
-    measured by a winding count of 1 on the cell itself (anything but 1
-    raises NonConvergence, so a wrong sign raises rather than moving a
-    zero).  The zero ordinate is then polished by golden-section on |eta|
-    along the critical line, and a final certificate confirms the zero sits
-    inside a rectangle of half-width zero_tol around Re(s) = 1/2.
+    N, the number of zeros in the whole strip 0 < Re(s) < 1 below tau, comes
+    from one segment count, N(tau) = theta(tau)/pi + 1 + S(tau) (see
+    _zero_count).  Hardy's Z is then sampled at Z(0) and on a grid over
+    (0, tau] spaced Z_GRID_GAP_FRACTION = 1/4 of the mean zero gap
+    2 pi/log(tau/2 pi), never above 1.  If the grid shows C == N sign
+    changes, every zero is simple, on the critical line and alone in its own
+    sign-change interval; if C < N the grid is doubled, at most
+    Z_GRID_DOUBLINGS = 4 times, and a C that still differs from N raises
+    NonConvergence.  The line [0, tau] is then bisected, at heights from
+    _safe_level, by one rule: the lower interval holds the sign changes of Z
+    over its bottom, the grid samples inside it and the split height, and
+    the upper interval the rest of its parent's count.  Each interval of
+    count 1 and height at most zero_tol is polished by golden-section on
+    |eta| along the line, giving beta.
+
+    The certificate: the brackets [beta - zero_tol, beta + zero_tol], cut to
+    [0, tau], must be pairwise disjoint (MultiplicityAmbiguity naming both
+    betas otherwise), and Z must change sign across each, all endpoints
+    evaluated in one array eta call (MultiplicityAmbiguity naming the
+    bracket otherwise).  N disjoint brackets that each hold a zero account
+    for all N zeros, so a wrong sign anywhere raises instead of moving a
+    zero.
     """
     _check_positive_finite("tau", (tau,))
     if not ensure_real(zero_tol) >= MIN_ZERO_TOL:  # also rejects NaN
         raise DomainError(f"zero_tol = {zero_tol} below the minimum cell height {MIN_ZERO_TOL:g}")
     tau = float(tau)
-    re_lo, re_hi = 0.5 - 0.4, 0.5 + 0.4  # 0.09999999999999998: the located zeros depend on it
-
-    def cell_count(lo: float, hi: float) -> int:
-        return winding_count(eta, RectangleRegion(re_lo, re_hi, lo, hi))
-
-    n_zeros = cell_count(0.0, tau)
+    n_zeros = _zero_count(tau)
     z_0 = _hardy_z(0.0, eta(0.5 + 0j))
     spacing = min(1.0, Z_GRID_GAP_FRACTION * _TWO_PI / math.log(max(tau / _TWO_PI, math.e)))
     n_grid = math.ceil(tau / spacing)
@@ -382,14 +440,11 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
         if count == 0:
             continue
         if count == 1 and hi - lo <= zero_tol:
-            if (n := cell_count(lo, hi)) != 1:
-                raise NonConvergence(f"cell [{lo}, {hi}] deduced to hold 1 zero counts {n}")
-            beta = _golden_min(_eta_line_abs, lo, hi)
-            betas.append(beta)
+            betas.append(_golden_min(_eta_line_abs, lo, hi))
             continue
         if hi - lo <= min_height:
             raise MultiplicityAmbiguity(
-                f"cell [{lo}, {hi}] reports {count} zeros at minimum height"
+                f"interval [{lo}, {hi}] reports {count} zeros at minimum height"
             )
         mid, eta_mid = _safe_level(lo, hi)
         z_mid = _hardy_z(mid, eta_mid)
@@ -399,14 +454,19 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
         stack.append((mid, hi, count - count_lo, z_mid))
 
     betas.sort()
-    for beta in betas:
-        cert = RectangleRegion(
-            0.5 - zero_tol, 0.5 + zero_tol, beta - zero_tol, beta + zero_tol
-        )
-        n = winding_count(eta, cert)
-        if n != 1:
+    for b1, b2 in zip(betas, betas[1:]):
+        if b2 - b1 <= 2.0 * zero_tol:
             raise MultiplicityAmbiguity(
-                f"certificate cell at beta = {beta} holds {n} zeros"
+                f"brackets of half-width {zero_tol} around beta = {b1} and beta = {b2} overlap"
+            )
+    ends = np.array([(max(b - zero_tol, 0.0), min(b + zero_tol, tau)) for b in betas]).ravel()
+    end_negative = [_hardy_z(y, v) < 0.0
+                    for y, v in zip(ends.tolist(), eta(0.5 + 1j * ends).tolist())]
+    for k, beta in enumerate(betas):
+        if end_negative[2 * k] == end_negative[2 * k + 1]:
+            raise MultiplicityAmbiguity(
+                f"Hardy's Z does not change sign across [{ends[2 * k]}, {ends[2 * k + 1]}]"
+                f" around beta = {beta}"
             )
     return CriticalZeroList(tuple(betas), tau)
 

@@ -114,6 +114,14 @@ class TestZeros:
         assert "zeros up to tau = 16: 1" in out
         assert "14.1347" in out
 
+    def test_zero_tol_wider_than_the_strip(self, capsys):
+        # the certificate square of half-width 1 about Re(s) = 1/2 used to
+        # leave the strip and exit 2
+        code, out, _ = run(capsys, "zeros", "--tau", "16", "--zero-tol", "1")
+        assert code == 0
+        beta = float(out.split("beta = ")[1].split()[0])
+        assert abs(beta - 14.134725141734693) < 1.0
+
     def test_tau_ten_empty(self, capsys):
         code, out, _ = run(capsys, "zeros", "--tau", "10")
         assert code == 0

@@ -11,6 +11,7 @@ from zetalab import zero_analysis
 from zetalab.errors import (
     BoundaryZeroError,
     DomainError,
+    MultiplicityAmbiguity,
     NonConvergence,
     PoleProximity,
     ZeroAtCenter,
@@ -254,11 +255,13 @@ class TestCriticalLineZeros:
             critical_line_zeros(16.0, 1e-10)
 
     def test_one_child_counted_per_split(self, monkeypatch):
-        # every split counts its lower child by the sign changes of Hardy's Z,
-        # so tau = 30 evaluates eta at 4,609 points, where a winding count of
-        # the lower child of each cell of two or more zeros took 7,667, one
-        # per split 17,046 and counting both children 29,872; the located
-        # zeros are those of counting both, bit for bit
+        # every split counts its lower child by the sign changes of Hardy's Z
+        # and the root comes from one segment count, so tau = 30 evaluates eta
+        # at 309 points, where the root, isolating and certificate winding
+        # counts took 4,609, a winding count of the lower child of each cell
+        # of two or more zeros 7,667, one per split 17,046 and counting both
+        # children 29,872; the located zeros are those of counting both, bit
+        # for bit
         calls = 0
 
         def counted_eta(s):
@@ -268,7 +271,7 @@ class TestCriticalLineZeros:
 
         monkeypatch.setattr(zero_analysis, "eta", counted_eta)
         zeros = critical_line_zeros(30.0, 1e-4)
-        assert calls <= 4_609
+        assert calls <= 309
         assert zeros.betas == self.BETAS_30
 
     def test_complex_tau_rejected(self):
@@ -277,15 +280,39 @@ class TestCriticalLineZeros:
         with pytest.raises(DomainError, match="real argument"):
             critical_line_zeros(30.0, 1e-4 + 0j)
 
-    def test_deduced_isolating_cell_is_measured(self, monkeypatch):
-        # every cell at isolating height measures 0, so the zero ends up in a
-        # deduced cell of count 1 whose direct count disagrees
-        def fake_count(fn, rect, **kw):
-            return 0 if rect.im_max - rect.im_min <= 1e-4 else winding_count(fn, rect, **kw)
+    def test_bracket_without_sign_change_raises(self, monkeypatch):
+        # Z flipped at the top of the first zero's bracket only: the search
+        # still locates the zero, and the certificate then sees no sign change
+        # across its bracket and raises rather than returning it
+        beta = self.BETAS_30[0]
+        hardy_z = zero_analysis._hardy_z
+        monkeypatch.setattr(zero_analysis, "_hardy_z",
+                            lambda y, v: -hardy_z(y, v) if y == beta + 1e-4 else hardy_z(y, v))
+        bracket = re.escape(f"not change sign across [{beta - 1e-4}, {beta + 1e-4}]")
+        with pytest.raises(MultiplicityAmbiguity, match=bracket):
+            critical_line_zeros(30.0, 1e-4)
 
-        monkeypatch.setattr(zero_analysis, "winding_count", fake_count)
-        with pytest.raises(NonConvergence, match="deduced to hold 1 zero counts 0"):
-            critical_line_zeros(20.0, 1e-4)
+    @pytest.mark.parametrize("zero_tol", [0.5, 1.0])
+    def test_bracket_wider_than_the_strip(self, zero_tol):
+        # the certificate used to be a square of half-width zero_tol about
+        # Re(s) = 1/2, which left the strip from zero_tol = 0.5 on
+        mpmath = pytest.importorskip("mpmath")
+        zeros = critical_line_zeros(16.0, zero_tol)
+        assert len(zeros) == 1
+        assert abs(zeros.betas[0] - float(mpmath.zetazero(1).imag)) < zero_tol
+
+    def test_overlapping_brackets_raise(self):
+        # brackets of half-width 2 about the zeros at 21.02 and 25.01 overlap
+        with pytest.raises(MultiplicityAmbiguity,
+                           match=r"beta = 21\.022\d* and beta = 25\.010\d* overlap"):
+            critical_line_zeros(40.0, 2.0)
+
+    @pytest.mark.parametrize("tau", [14.134725141734645, 21.02203963877163])
+    def test_tau_at_a_zero_raises(self, tau):
+        # zeta(1/2 + i tau) is below 1e-12 in modulus at the end of the
+        # segment, so N(tau) is not defined there
+        with pytest.raises(BoundaryZeroError, match=re.escape(f"(0.5+{tau}j)")):
+            critical_line_zeros(tau, 1e-4)
 
     def test_invariants_enforced(self):
         for betas, tau in [((2.0, 1.0), 10.0), ((-1.0,), 10.0), ((11.0,), 10.0),
@@ -344,7 +371,7 @@ class TestHardyZSplits:
 
     def test_sign_changes_short_of_the_root_count_raise(self, monkeypatch):
         # Z flipped above 25.011 hides the sign change of the zero at 25.0109,
-        # one of the three the root counts below tau = 30: every doubling of
+        # one of the three the segment counts below tau = 30: every doubling of
         # the grid still shows two, and no winding count stands in for the third
         hardy_z = zero_analysis._hardy_z
         monkeypatch.setattr(zero_analysis, "_hardy_z",
@@ -353,7 +380,7 @@ class TestHardyZSplits:
         with pytest.raises(NonConvergence, match=r"changes sign 2 times on \[0, 30.0\], where 3"):
             critical_line_zeros(30.0, 1e-4)
         assert grids == [30 * 2**k for k in range(zero_analysis.Z_GRID_DOUBLINGS + 1)]
-        assert len(counts) == 1  # the root
+        assert counts == []  # the root count is the segment's
 
     @pytest.mark.parametrize("heights, grids", [([14.0], [30]),
                                                 ([21.0, 22.0, 23.0, 24.0, 25.0], [30, 60])])
@@ -393,10 +420,11 @@ class TestHardyZSplits:
         monkeypatch.setattr(zero_analysis, "eta", counted_eta)
         monkeypatch.setattr(zero_analysis, "winding_count", counted_winding)
         assert len(critical_line_zeros(100.0, 1e-4)) == 29
-        # the root, 29 isolating cells and 29 certificates; a winding count of
-        # the lower child of each cell of two or more zeros took 52,130 points
-        # in 89 counts, and one per split 110,589 points in 506 counts
-        assert points <= 19_200 and counts <= 59 and scalar_calls <= 1_652
+        # no winding count: the root count was one of 12,904 points, and with
+        # 29 isolating cells and 29 certificates 19,187 points in 59 counts; a
+        # winding count of the lower child of each cell of two or more zeros
+        # took 52,130 points in 89 counts, and one per split 110,589 in 506
+        assert points <= 1_985 and counts == 0 and scalar_calls <= 1_652
 
     def test_sign_matches_mpmath_siegelz(self):
         mpmath = pytest.importorskip("mpmath")
@@ -419,6 +447,41 @@ class TestHardyZSplits:
             zero_analysis._hardy_z(14.0, complex(math.nan, 0.0))
 
 
+class TestZeroCount:
+    """N(T) = theta(T)/pi + 1 + S(T), the root count of critical_line_zeros."""
+
+    def test_theta_matches_mpmath_siegeltheta(self):
+        mpmath = pytest.importorskip("mpmath")
+        for t in [0.0, 1e-3, *np.random.default_rng(1401).uniform(0.0, 430.0, 100).tolist()]:
+            assert abs(zero_analysis._theta(t) - float(mpmath.siegeltheta(t))) < 1e-9, t
+
+    def test_matches_mpmath_nzeros(self):
+        # seeded heights, some below the first zero, and every height
+        # 2 pi k/log 2, where eta vanishes at 1 + i T on the segment
+        mpmath = pytest.importorskip("mpmath")
+        heights = [0.01, 0.5, 1.0, 5.0, 14.13,
+                   *np.random.default_rng(1402).uniform(0.0, 427.0, 40).tolist(),
+                   *(2.0 * math.pi * k / math.log(2.0) for k in range(1, 48))]
+        for height in heights:
+            assert zero_analysis._zero_count(height) == int(mpmath.nzeros(height)), height
+
+    @pytest.mark.parametrize("height", [30.0, 50.0, 100.0])
+    def test_matches_winding_count(self, height):
+        rect = RectangleRegion(0.1, 0.9, 0.0, height)
+        assert zero_analysis._zero_count(height) == winding_count(eta, rect)
+
+    def test_segment_shares_the_sample_budget(self, monkeypatch):
+        # tau = 10 takes the 98 initial samples and no refinement
+        seen = []
+        monkeypatch.setattr(zero_analysis, "eta", lambda s: seen.append(s.size) or eta(s))
+        monkeypatch.setattr(zero_analysis, "MAX_BOUNDARY_SAMPLES", 98)
+        assert zero_analysis._zero_count(10.0) == 0 and seen == [98]
+        monkeypatch.setattr(zero_analysis, "MAX_BOUNDARY_SAMPLES", 97)
+        with pytest.raises(NonConvergence, match="budget"):
+            zero_analysis._zero_count(10.0)
+        assert seen == [98]
+
+
 class TestRiemannVonMangoldt:
     def test_at_thirty(self):
         assert riemann_von_mangoldt(30.0) == pytest.approx(3.5647, abs=1e-3)
@@ -432,6 +495,14 @@ class TestRiemannVonMangoldt:
         rect = RectangleRegion(0.1, 0.9, 0.0, height)
         count = winding_count(lambda s: eta(s), rect)
         assert abs(count - riemann_von_mangoldt(height)) < 1.5
+
+    def test_within_one_and_a_half_of_the_count(self):
+        # the docstring's claim, against the segment count; the largest gap
+        # below 427 is about 1.10, just above the zero at T = 415.455
+        heights = np.random.default_rng(1403).uniform(2.0 * math.pi * math.e, 427.0, 60)
+        for height in heights.tolist():
+            gap = zero_analysis._zero_count(height) - riemann_von_mangoldt(height)
+            assert abs(gap) < 1.5, height
 
     def test_boundary_value(self):
         assert riemann_von_mangoldt(2.0 * math.pi * math.e) == pytest.approx(
