@@ -22,15 +22,17 @@ exp(pi*|t|/2), which keeps n modest for |Im(s)| <= 100; accuracy is guaranteed
 to 1e-12 for Re(s) >= 0.4 and is best-effort (with the same adaptive n) below.
 
 eta also takes an ndarray and evaluates it in one batch.  The term counts
-come from the same bound and the same rule, with log|Gamma(s)| from
-Stirling's series instead of a gamma call per point, and the points are
-grouped by term count, each group one exp(-s log k) @ w, the scalar
-route's kernel.  For Im(s) <= 220 the batch errs by at most about 2e-13 *
-max(|eta|, 1) against mpmath.altzeta.  The input type selects the route: a
-one-point batch equals the scalar value bit for bit but costs 48-53 us
-against 8-12 us per scalar call (Re 1/2, Im 14-200, 2-CPU Xeon), and a
-multi-point batch differs in the last bits (up to 2.5e-15 relative), so only
-winding counts, whose integer results cannot move, use it.
+come from the same bound and the same rule, with log|Gamma(s)| the real part
+of _loggamma, Stirling's series over an array, instead of a gamma call per
+point (the imaginary part is zero_analysis' theta), and the points are
+grouped by term count, each group one exp(-s log k) @ w, the scalar route's
+kernel.  For Im(s) <= 220 the batch errs by at most about
+2e-13 * max(|eta|, 1) against mpmath.altzeta.  The input type selects the
+route: a one-point batch equals the scalar value bit for bit but costs
+48-53 us against 8-12 us per scalar call (Re 1/2, Im 14-200, 2-CPU Xeon),
+and a multi-point batch differs in the last bits (up to 2.5e-15 relative),
+so only counts and signs use it: winding counts and the zero search's phase
+track and signs of Hardy's Z.
 """
 
 from __future__ import annotations
@@ -204,25 +206,30 @@ def _eta_terms(s: complex) -> int:
     return int(_term_count(math.lgamma(s.real) - math.log(gamma_abs)))
 
 
-def _re_loggamma(s: np.ndarray) -> np.ndarray:
-    """Re log Gamma(s) for an array with Re(s) > 0, without calling gamma.
+def _loggamma(s: np.ndarray) -> np.ndarray:
+    """log Gamma(s) for an array with Re(s) > 0, continuous in Im(s), without calling gamma.
 
     Points with Re(s) < 8 are shifted by eight, log Gamma(s) = log Gamma(s+8)
-    - log|s (s+1) ... (s+7)|; Stirling's series with three correction terms
-    then errs by under 1/(1680 |s|^7) < 3e-10 (DLMF 5.11.1).
+    - log|s (s+1) ... (s+7)| - i (arg s + ... + arg(s+7)), each principal arg
+    continuous in Im(s) since Re(s+j) > 0; Stirling's series with three
+    correction terms then errs by under 1/(1680 |s|^7) < 3e-10 (DLMF 5.11.1).
     """
     shifted = s.real < 8.0
-    prod = s.copy()
+    prod, arg = s.copy(), np.angle(s)
     with np.errstate(over="ignore", invalid="ignore"):  # |Im s| > 1e38: no term count
         for j in range(1, 8):
             prod *= s + j
+            arg += np.angle(s + j)
     z = np.where(shifted, s + 8.0, s)
     x, y = z.real, z.imag
+    log_abs, angle = np.log(np.abs(z)), np.angle(z)
     w = 1.0 / z
     w2 = w * w
     series = w * (1.0 / 12.0 - w2 * (1.0 / 360.0 - w2 / 1260.0))
-    return ((x - 0.5) * np.log(np.abs(z)) - y * np.angle(z) - x + _HALF_LOG_TWO_PI
-            + series.real - np.where(shifted, np.log(np.abs(prod)), 0.0))
+    re = ((x - 0.5) * log_abs - y * angle - x + _HALF_LOG_TWO_PI
+          + series.real - np.where(shifted, np.log(np.abs(prod)), 0.0))
+    im = (x - 0.5) * angle + y * log_abs - y + series.imag - np.where(shifted, arg, 0.0)
+    return re + 1j * im
 
 
 def _eta_array_terms(s: np.ndarray) -> np.ndarray:
@@ -231,7 +238,7 @@ def _eta_array_terms(s: np.ndarray) -> np.ndarray:
         log_gamma_sigma = np.array([math.lgamma(x) for x in s.real.tolist()])
     except OverflowError:
         raise DomainError(f"Gamma(Re s) overflows at some Re(s) up to {s.real.max()}") from None
-    n = _term_count(log_gamma_sigma - _re_loggamma(s))
+    n = _term_count(log_gamma_sigma - _loggamma(s).real)
     if not np.isfinite(n).all():
         bad = s[~np.isfinite(n)][0]
         raise DomainError(f"no term count can be chosen at s = {complex(bad)!r}")

@@ -8,20 +8,18 @@ their values: the initial path is one call, and each refinement round
 evaluates all its midpoints in one more.  Along a rectangle boundary the
 change is 2 pi times the number of enclosed zeros (winding_count).
 
-Critical-line zeros are located by bisection of the line itself, with one
-split rule for every interval.  The zeros of zeta in the whole strip below
-tau are counted once, N(tau) = theta(tau)/pi + 1 + S(tau), with pi S(tau)
-the change of arg zeta along the segment from 2 + i tau to 1/2 + i tau.
-Hardy's Z, real on the line, is then sampled on a grid of heights a
-quarter of the mean zero gap apart, in one array eta call.  Each sign
-change of Z needs a zero on the line between its two samples, so if the
-grid shows exactly N sign changes, every zero in the strip is simple, lies
-on the line, and sits alone between two neighbouring samples.  A split then
-gives its lower interval the sign changes of Z over the interval's bottom,
-the grid samples inside it and the split height, and its upper interval the
-rest.  Each zero is polished by golden-section on |eta(1/2 + i y)| inside
-its isolating interval, and certified by a sign change of Z across a
-bracket of half-width zero_tol about it, the N brackets disjoint.
+Critical-line zeros are located by bisection of the line itself
+(critical_line_zeros).  N(tau) = theta(tau)/pi + 1 + S(tau) counts the zeros
+of zeta in the whole strip below tau once, pi S(tau) the change of arg zeta
+along the segment from 2 + i tau to 1/2 + i tau, and theta the imaginary
+part of special_functions' one Stirling log Gamma, which Hardy's Z uses too.
+N sign changes of Z on a grid a quarter of the mean zero gap apart put every
+zero on the line, simple and alone between two samples.  The line is then
+split level by level, Z at a level's split heights in one array call, and
+each interval is counted by the sign changes of Z.  Each zero is polished by
+golden-section on |eta| in its interval, once that is no taller than
+zero_tol or the grid step, and certified by a sign change of Z across a
+bracket of half-width zero_tol about it.
 
 The boundary scan machinery for the Rouche-style check assembles
 ``f = F_omega * L`` (the shifted Fermi integral times a product of
@@ -57,7 +55,7 @@ from .errors import (
     ZeroAtCenter,
 )
 from .quadrature import f_shifted, m_star_half
-from .special_functions import ensure_finite, ensure_real, eta, gamma
+from .special_functions import _loggamma, ensure_finite, ensure_real, eta
 
 __all__ = [
     "RectangleRegion",
@@ -271,20 +269,10 @@ def winding_count(fn: Callable[[np.ndarray], np.ndarray], rect: RectangleRegion)
                             "turns")
 
 
-def _theta(t: float) -> float:
-    """Riemann-Siegel theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) log pi.
-
-    With z = 1/4 + i t/2, Im log Gamma(z) = Im log Gamma(z + 8) minus the
-    principal args of z + j, j = 0..7, each continuous in t since Re > 0;
-    Stirling's series for log Gamma(z + 8) with three correction terms then
-    errs by under 1/(1680 |z + 8|^7) < 3e-10 (DLMF 5.11.1).
-    """
-    z = complex(0.25, 0.5 * t)
-    w = z + 8.0
-    u = 1.0 / w
-    u2 = u * u
-    log_gamma = (w - 0.5) * cmath.log(w) - w + u * (1.0 / 12.0 - u2 * (1.0 / 360.0 - u2 / 1260.0))
-    return log_gamma.imag - sum(cmath.phase(z + j) for j in range(8)) - 0.5 * t * _LOG_PI
+def _theta(t):
+    """Riemann-Siegel theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) log pi, t a float or an array."""
+    t = np.asarray(t, dtype=float)
+    return _loggamma(0.25 + 0.5j * t).imag - 0.5 * t * _LOG_PI
 
 
 def _zero_count(tau: float) -> int:
@@ -327,38 +315,37 @@ def _safe_level(lo: float, hi: float) -> tuple[float, complex]:
     raise NonConvergence("could not find a zero-free split level")
 
 
-def _hardy_z(y: float, eta_value: complex) -> float:
-    """Hardy's Z(y) = e^(i theta(y)) zeta(1/2 + i y) from eta_value = eta(1/2 + i y).
+def _hardy_z(heights: np.ndarray, eta_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hardy's Z(y) = e^(i theta(y)) eta(1/2 + i y)/(1 - 2^(1/2 - i y)) from eta_values,
+    and whether each Z is real to working accuracy.
 
-    e^(i theta) = Gamma(1/4 + i y/2)/|Gamma(1/4 + i y/2)| * pi^(-i y/2), and
-    zeta = eta/(1 - 2^(1/2 - i y)); Z is real for real y and has the sign of
-    zeta(1/2) = -1.46 at y = 0.  The computed product keeps an imaginary part
-    of rounding size; one not below a tenth of the real part leaves the sign
-    in doubt and raises NonConvergence.
+    Z is real for real y and has the sign of zeta(1/2) = -1.46 at y = 0.  The
+    computed product keeps an imaginary part of rounding size; one not below
+    a tenth of the real part (or a NaN) leaves the sign in doubt.
     """
-    g = gamma(complex(0.25, 0.5 * y))
-    z = g / abs(g) * cmath.exp(-0.5j * y * _LOG_PI) * eta_value / (1.0 - 2.0 ** complex(0.5, -y))
-    if not abs(z.imag) < 0.1 * abs(z.real):  # also rejects NaN
-        raise NonConvergence(f"Z({y}) = {z!r} is not real to working accuracy")
-    return z.real
+    z = np.exp(1j * _theta(heights)) * eta_values / (1.0 - 2.0 ** (0.5 - 1j * heights))
+    return z.real, np.abs(z.imag) < 0.1 * np.abs(z.real)
+
+
+def _z_negative(heights: np.ndarray, eta_values: np.ndarray) -> list[bool]:
+    """Whether Hardy's Z is negative at each height; NonConvergence if any sign is in doubt."""
+    z, real = _hardy_z(heights, eta_values)
+    if not real.all():
+        raise NonConvergence(f"Z({heights[np.argmin(real)]}) is not real to working accuracy")
+    return (z < 0.0).tolist()
 
 
 def _z_grid(tau: float, n: int) -> tuple[list[float], list[bool]]:
-    """Heights tau*k/n, k = 1..n, and whether Hardy's Z is negative at each.
+    """Heights tau*k/n, k = 0..n, and whether Hardy's Z is negative at each.
 
-    One array eta call gives the values; a sample whose Z is not real to
-    working accuracy is dropped, which merges its two neighbouring intervals.
+    One array eta call gives the values.  A sample whose Z is in doubt is
+    dropped, which merges its two neighbouring intervals; Z(0) in doubt raises.
     """
-    heights = np.linspace(0.0, tau, n + 1)[1:]
-    grid, negative = [], []
-    for y, value in zip(heights.tolist(), eta(0.5 + 1j * heights).tolist()):
-        try:
-            z = _hardy_z(y, value)
-        except NonConvergence:
-            continue
-        grid.append(y)
-        negative.append(z < 0.0)
-    return grid, negative
+    heights = np.linspace(0.0, tau, n + 1)
+    z, real = _hardy_z(heights, eta(0.5 + 1j * heights))
+    if not real[0]:
+        raise NonConvergence("Z(0.0) is not real to working accuracy")
+    return heights[real].tolist(), (z[real] < 0.0).tolist()
 
 
 def _sign_changes(negative: list[bool]) -> int:
@@ -398,12 +385,15 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
     changes, every zero is simple, on the critical line and alone in its own
     sign-change interval; if C < N the grid is doubled, at most
     Z_GRID_DOUBLINGS = 4 times, and a C that still differs from N raises
-    NonConvergence.  The line [0, tau] is then bisected, at heights from
-    _safe_level, by one rule: the lower interval holds the sign changes of Z
-    over its bottom, the grid samples inside it and the split height, and
-    the upper interval the rest of its parent's count.  Each interval of
-    count 1 and height at most zero_tol is polished by golden-section on
-    |eta| along the line, giving beta.
+    NonConvergence.  The line [0, tau] is then bisected level by level, at
+    heights from _safe_level, Z at a level's heights in one call, by one
+    rule: the lower interval holds the sign changes of Z over its bottom, the
+    grid samples inside it and the split height, and the upper interval the
+    rest of its parent's count.  Each interval of count 1 no taller than
+    zero_tol and the grid step is polished by golden-section on |eta| along
+    the line, giving beta (a taller one can hold other minima of |eta|).  A
+    grid sample whose Z is in doubt is dropped; a doubt at Z(0), a split
+    height or a bracket end raises NonConvergence.
 
     The certificate: the brackets [beta - zero_tol, beta + zero_tol], cut to
     [0, tau], must be pairwise disjoint (MultiplicityAmbiguity naming both
@@ -418,12 +408,11 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
         raise DomainError(f"zero_tol = {zero_tol} below the minimum cell height {MIN_ZERO_TOL:g}")
     tau = float(tau)
     n_zeros = _zero_count(tau)
-    z_0 = _hardy_z(0.0, eta(0.5 + 0j))
     spacing = min(1.0, Z_GRID_GAP_FRACTION * _TWO_PI / math.log(max(tau / _TWO_PI, math.e)))
     n_grid = math.ceil(tau / spacing)
     for _ in range(Z_GRID_DOUBLINGS + 1):
         grid, negative = _z_grid(tau, n_grid)
-        changes = _sign_changes([z_0 < 0.0, *negative])
+        changes = _sign_changes(negative)
         if changes >= n_zeros:
             break
         n_grid *= 2
@@ -433,25 +422,28 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
         )
 
     betas: list[float] = []
-    stack = [(0.0, tau, n_zeros, z_0)]  # (lo, hi, zero count, Z(lo))
-    min_height = max(zero_tol / 8.0, MIN_ZERO_TOL)
-    while stack:
-        lo, hi, count, z_lo = stack.pop()
-        if count == 0:
-            continue
-        if count == 1 and hi - lo <= zero_tol:
-            betas.append(_golden_min(_eta_line_abs, lo, hi))
-            continue
-        if hi - lo <= min_height:
-            raise MultiplicityAmbiguity(
-                f"interval [{lo}, {hi}] reports {count} zeros at minimum height"
-            )
-        mid, eta_mid = _safe_level(lo, hi)
-        z_mid = _hardy_z(mid, eta_mid)
-        inner = negative[bisect.bisect_right(grid, lo):bisect.bisect_left(grid, mid)]
-        count_lo = _sign_changes([z_lo < 0.0, *inner, z_mid < 0.0])
-        stack.append((lo, mid, count_lo, z_lo))
-        stack.append((mid, hi, count - count_lo, z_mid))
+    cell = min(zero_tol, tau / n_grid)
+    min_height = max(cell / 8.0, MIN_ZERO_TOL)
+    level = [(0.0, tau, n_zeros, negative[0])]  # (lo, hi, zero count, Z(lo) < 0)
+    while True:
+        splits = []  # (lo, hi, count, Z(lo) < 0, split height, eta there)
+        for lo, hi, count, negative_lo in level:
+            if count == 1 and hi - lo <= cell:
+                betas.append(_golden_min(_eta_line_abs, lo, hi))
+            elif count > 0 and hi - lo <= min_height:
+                raise MultiplicityAmbiguity(
+                    f"interval [{lo}, {hi}] reports {count} zeros at minimum height")
+            elif count > 0:
+                splits.append((lo, hi, count, negative_lo, *_safe_level(lo, hi)))
+        if not splits:
+            break
+        *_, mids, eta_mids = map(np.array, zip(*splits))
+        level = []
+        for (lo, hi, count, negative_lo, mid, _), negative_mid in zip(
+                splits, _z_negative(mids, eta_mids)):
+            inner = negative[bisect.bisect_right(grid, lo):bisect.bisect_left(grid, mid)]
+            count_lo = _sign_changes([negative_lo, *inner, negative_mid])
+            level += [(lo, mid, count_lo, negative_lo), (mid, hi, count - count_lo, negative_mid)]
 
     betas.sort()
     for b1, b2 in zip(betas, betas[1:]):
@@ -459,9 +451,9 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
             raise MultiplicityAmbiguity(
                 f"brackets of half-width {zero_tol} around beta = {b1} and beta = {b2} overlap"
             )
-    ends = np.array([(max(b - zero_tol, 0.0), min(b + zero_tol, tau)) for b in betas]).ravel()
-    end_negative = [_hardy_z(y, v) < 0.0
-                    for y, v in zip(ends.tolist(), eta(0.5 + 1j * ends).tolist())]
+    b = np.array(betas)
+    ends = np.column_stack((np.maximum(b - zero_tol, 0.0), np.minimum(b + zero_tol, tau))).ravel()
+    end_negative = _z_negative(ends, eta(0.5 + 1j * ends))
     for k, beta in enumerate(betas):
         if end_negative[2 * k] == end_negative[2 * k + 1]:
             raise MultiplicityAmbiguity(

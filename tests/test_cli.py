@@ -122,6 +122,13 @@ class TestZeros:
         beta = float(out.split("beta = ")[1].split()[0])
         assert abs(beta - 14.134725141734693) < 1.0
 
+    def test_zero_tol_above_the_zero_gap(self, capsys):
+        # the polish of a count-1 interval 16 tall used to print the local
+        # minimum of |eta| at 9.0415637025 as a zero
+        code, out, _ = run(capsys, "zeros", "--tau", "16", "--zero-tol", "20")
+        assert code == 0
+        assert "beta = 14.1347251417" in out
+
     def test_tau_ten_empty(self, capsys):
         code, out, _ = run(capsys, "zeros", "--tau", "10")
         assert code == 0

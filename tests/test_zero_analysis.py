@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab import zero_analysis
+from zetalab import special_functions, zero_analysis
 from zetalab.errors import (
     BoundaryZeroError,
     DomainError,
@@ -285,9 +285,7 @@ class TestCriticalLineZeros:
         # still locates the zero, and the certificate then sees no sign change
         # across its bracket and raises rather than returning it
         beta = self.BETAS_30[0]
-        hardy_z = zero_analysis._hardy_z
-        monkeypatch.setattr(zero_analysis, "_hardy_z",
-                            lambda y, v: -hardy_z(y, v) if y == beta + 1e-4 else hardy_z(y, v))
+        _patch_hardy_z(monkeypatch, flip=lambda y: y == beta + 1e-4)
         bracket = re.escape(f"not change sign across [{beta - 1e-4}, {beta + 1e-4}]")
         with pytest.raises(MultiplicityAmbiguity, match=bracket):
             critical_line_zeros(30.0, 1e-4)
@@ -307,6 +305,16 @@ class TestCriticalLineZeros:
                            match=r"beta = 21\.022\d* and beta = 25\.010\d* overlap"):
             critical_line_zeros(40.0, 2.0)
 
+    @pytest.mark.parametrize("zero_tol", [3.0, 5.0, 8.0, 20.0, 100.0])
+    def test_zero_tol_above_the_grid_step(self, zero_tol):
+        # an interval up to zero_tol tall used to be polished, and |eta| has
+        # more than one local minimum on [0, 16]: zero_tol = 20 returned
+        # 9.0416, where |eta| = 0.61; the polish now waits for the grid step
+        mpmath = pytest.importorskip("mpmath")
+        zeros = critical_line_zeros(16.0, zero_tol)
+        assert zeros.betas == (14.134725141734645,)
+        assert abs(zeros.betas[0] - float(mpmath.zetazero(1).imag)) < 1e-9
+
     @pytest.mark.parametrize("tau", [14.134725141734645, 21.02203963877163])
     def test_tau_at_a_zero_raises(self, tau):
         # zeta(1/2 + i tau) is below 1e-12 in modulus at the end of the
@@ -319,6 +327,18 @@ class TestCriticalLineZeros:
                            ((math.nan,), 10.0), ((1.0,), math.nan)]:
             with pytest.raises(DomainError):
                 CriticalZeroList(betas, tau)
+
+
+def _patch_hardy_z(monkeypatch, flip=lambda y: False, doubt=lambda y: False):
+    """Make zero_analysis._hardy_z negate Z at the heights where flip holds and
+    leave it in doubt (not real) at the heights where doubt holds."""
+    hardy_z = zero_analysis._hardy_z
+
+    def patched(heights, eta_values):
+        z, real = hardy_z(heights, eta_values)
+        return np.where(flip(heights), -z, z), real & np.logical_not(doubt(heights))
+
+    monkeypatch.setattr(zero_analysis, "_hardy_z", patched)
 
 
 def _counted_bisection(tau, zero_tol):
@@ -353,9 +373,7 @@ class TestHardyZSplits:
         # flipping Z everywhere would leave every sign change in place, so
         # flip it above the root's bottom only: the grid then shows a change
         # between Z(0) and its first sample that no zero accounts for
-        hardy_z = zero_analysis._hardy_z
-        monkeypatch.setattr(zero_analysis, "_hardy_z",
-                            lambda y, v: -hardy_z(y, v) if y > 0.0 else hardy_z(y, v))
+        _patch_hardy_z(monkeypatch, flip=lambda y: y > 0.0)
         with pytest.raises(NonConvergence, match="changes sign 2 times .* where 1 zeros"):
             critical_line_zeros(20.0, 1e-4)
 
@@ -373,9 +391,7 @@ class TestHardyZSplits:
         # Z flipped above 25.011 hides the sign change of the zero at 25.0109,
         # one of the three the segment counts below tau = 30: every doubling of
         # the grid still shows two, and no winding count stands in for the third
-        hardy_z = zero_analysis._hardy_z
-        monkeypatch.setattr(zero_analysis, "_hardy_z",
-                            lambda y, v: -hardy_z(y, v) if y > 25.011 else hardy_z(y, v))
+        _patch_hardy_z(monkeypatch, flip=lambda y: y > 25.011)
         grids, counts = self._recorded(monkeypatch)
         with pytest.raises(NonConvergence, match=r"changes sign 2 times on \[0, 30.0\], where 3"):
             critical_line_zeros(30.0, 1e-4)
@@ -398,13 +414,13 @@ class TestHardyZSplits:
 
         monkeypatch.setattr(zero_analysis, "eta", turned_eta)
         grid, _ = zero_analysis._z_grid(30.0, 30)
-        assert len(grid) == 30 - len(heights) and not set(heights) & set(grid)
+        assert len(grid) == 31 - len(heights) and not set(heights) & set(grid)
         seen, _ = self._recorded(monkeypatch)
         assert critical_line_zeros(30.0, 1e-4).betas == TestCriticalLineZeros.BETAS_30
         assert seen == grids
 
     def test_work_at_tau_100(self, monkeypatch):
-        points, scalar_calls, counts = 0, 0, 0
+        points, scalar_calls, counts, z_calls, gamma_calls = 0, 0, 0, 0, 0
 
         def counted_eta(s):
             nonlocal points, scalar_calls
@@ -417,34 +433,60 @@ class TestHardyZSplits:
             counts += 1
             return winding_count(fn, rect)
 
+        def counted_hardy_z(heights, eta_values):
+            nonlocal z_calls
+            z_calls += 1
+            return hardy_z(heights, eta_values)
+
+        def counted_gamma(s):
+            nonlocal gamma_calls
+            gamma_calls += 1
+            return gamma(s)
+
+        hardy_z, gamma = zero_analysis._hardy_z, special_functions.gamma
         monkeypatch.setattr(zero_analysis, "eta", counted_eta)
         monkeypatch.setattr(zero_analysis, "winding_count", counted_winding)
+        monkeypatch.setattr(zero_analysis, "_hardy_z", counted_hardy_z)
+        monkeypatch.setattr(special_functions, "gamma", counted_gamma)
         assert len(critical_line_zeros(100.0, 1e-4)) == 29
         # no winding count: the root count was one of 12,904 points, and with
         # 29 isolating cells and 29 certificates 19,187 points in 59 counts; a
         # winding count of the lower child of each cell of two or more zeros
         # took 52,130 points in 89 counts, and one per split 110,589 in 506
         assert points <= 1_985 and counts == 0 and scalar_calls <= 1_652
+        # Z at 698 heights in one call for the grid, one per split level and
+        # one for the bracket ends, where one call per height took 698; the
+        # gamma calls left are the scalar eta calls' term counts, where the
+        # phase of Gamma(1/4 + i y/2) in Z took 3,048 with the reflection
+        assert z_calls <= 23 and gamma_calls <= 1_652
 
     def test_sign_matches_mpmath_siegelz(self):
         mpmath = pytest.importorskip("mpmath")
-        heights = np.random.default_rng(1101).uniform(0.0, 420.0, 80).tolist()
-        checked = 0
-        for y in [0.0, *heights]:
-            ref = float(mpmath.siegelz(y))
-            if abs(ref) > 1e-10:
-                z = zero_analysis._hardy_z(y, eta(complex(0.5, y)))
-                assert (z < 0.0) == (ref < 0.0), y
-                assert z == pytest.approx(ref, rel=1e-6, abs=1e-11), y
-                checked += 1
-        assert checked > 75
+        heights = np.array([0.0, *np.random.default_rng(1101).uniform(0.0, 420.0, 80)])
+        ref = np.array([float(mpmath.siegelz(y)) for y in heights])
+        z, real = zero_analysis._hardy_z(heights, eta(0.5 + 1j * heights))
+        checked = np.abs(ref) > 1e-10
+        assert checked.sum() > 75 and real[checked].all()
+        assert ((z < 0.0) == (ref < 0.0))[checked].all()
+        assert z[checked] == pytest.approx(ref[checked], rel=1e-6, abs=1e-11)
 
     def test_imaginary_z_raises(self):
-        # eta turned a quarter turn makes Z purely imaginary: no sign to read
-        with pytest.raises(NonConvergence, match="not real"):
-            zero_analysis._hardy_z(14.0, 1j * eta(complex(0.5, 14.0)))
-        with pytest.raises(NonConvergence, match="not real"):
-            zero_analysis._hardy_z(14.0, complex(math.nan, 0.0))
+        # eta turned a quarter turn makes Z purely imaginary, and a NaN has no
+        # sign either: each is in doubt, and a needed sign in doubt raises
+        value = eta(complex(0.5, 14.0))
+        heights, values = np.full(3, 14.0), np.array([value, 1j * value, complex(math.nan, 0.0)])
+        assert zero_analysis._hardy_z(heights, values)[1].tolist() == [True, False, False]
+        for k in (1, 2):
+            with pytest.raises(NonConvergence, match=re.escape("Z(14.0) is not real")):
+                zero_analysis._z_negative(heights[[0, k]], values[[0, k]])
+
+    @pytest.mark.parametrize("height", [0.0, 15.0, TestCriticalLineZeros.BETAS_30[0] + 1e-4])
+    def test_z_in_doubt_raises(self, monkeypatch, height):
+        # Z(0), the first split height and a bracket end are each needed:
+        # a doubt there raises, where a doubtful grid sample is dropped
+        _patch_hardy_z(monkeypatch, doubt=lambda y: y == height)
+        with pytest.raises(NonConvergence, match=re.escape(f"Z({height}) is not real")):
+            critical_line_zeros(30.0, 1e-4)
 
 
 class TestZeroCount:
@@ -452,8 +494,9 @@ class TestZeroCount:
 
     def test_theta_matches_mpmath_siegeltheta(self):
         mpmath = pytest.importorskip("mpmath")
-        for t in [0.0, 1e-3, *np.random.default_rng(1401).uniform(0.0, 430.0, 100).tolist()]:
-            assert abs(zero_analysis._theta(t) - float(mpmath.siegeltheta(t))) < 1e-9, t
+        t = np.array([0.0, 1e-3, *np.random.default_rng(1401).uniform(0.0, 430.0, 100)])
+        ref = np.array([float(mpmath.siegeltheta(x)) for x in t])
+        assert np.all(np.abs(zero_analysis._theta(t) - ref) < 1e-9)
 
     def test_matches_mpmath_nzeros(self):
         # seeded heights, some below the first zero, and every height
