@@ -39,7 +39,6 @@ from .quadrature import (
 )
 from .special_functions import (
     eta,
-    functional_equation_residual,
     gamma,
     gamma_abs_product,
     zeta,

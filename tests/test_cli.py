@@ -269,8 +269,7 @@ class TestUsageErrors:
 
 
 def test_every_config_field_has_a_flag():
-    # a setting only tests change has no flag, and belongs in a constant;
-    # boundary_min_modulus stays a config-only tuning, documented at rouche_scan
+    # a setting only tests change has no flag, and belongs in a constant
     parsers, dests = [_build_parser()], set()
     while parsers:
         for action in parsers.pop()._actions:
@@ -278,7 +277,7 @@ def test_every_config_field_has_a_flag():
                 parsers.extend(action.choices.values())
             elif action.option_strings:
                 dests.add(action.dest)
-    assert {f.name for f in fields(AuditConfig)} - dests == {"boundary_min_modulus"}
+    assert {f.name for f in fields(AuditConfig)} - dests == set()
     # a new flag must show up here
     assert dests - {f.name for f in fields(AuditConfig)} == {
         "help", "config", "lo", "hi", "step", "b", "radius", "lam", "out",

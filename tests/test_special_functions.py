@@ -12,13 +12,12 @@ from zetalab.special_functions import (
     ensure_finite,
     ensure_strip,
     eta,
-    functional_equation_residual,
     gamma,
     gamma_abs_product,
     zeta,
 )
 
-from oracles import ZERO_ORDINATES, eta_euler_transform
+from oracles import ZERO_ORDINATES, eta_euler_transform, functional_equation_residual
 
 SQRT_PI = math.sqrt(math.pi)
 

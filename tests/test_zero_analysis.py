@@ -812,23 +812,28 @@ class TestRoucheScan:
         assert scan.min_margin >= -1e-12
 
     def test_two_neutralized_zeros(self, monkeypatch):
-        # both zero heights below tau enter the product; the quotient route
-        # must handle each while the other factor stays in play.  At this
-        # height the left-edge |F| sits at the 1e-14 scale, so the modulus
-        # floor must be set below it.
-        monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 32)
+        # above the second zero the left-edge |F_omega| ~ e^(-pi Im/2) sinks
+        # under its own quadrature error bound near Im 21, so no scan over
+        # both zeros can exclude a boundary zero: it must raise, naming the
+        # first unresolved sample as the per-sample loop does.  The two-zero
+        # arithmetic is checked at tau = 16 in TestRoucheScanMatchesPerSampleLoop.
         lam = lambda_choice(1.0, 0.1, 0.01)
-        scan = rouche_scan(
-            22.0,
-            lam,
-            0.1,
-            zeros=list(ZERO_ORDINATES[:2]),
-            quad_tol=1e-12,
-            boundary_min_modulus=1e-16,
-        )
-        assert scan.zeros == ZERO_ORDINATES[:2]
+        kw = dict(zeros=list(ZERO_ORDINATES[:2]), quad_tol=1e-12)
+        with pytest.raises(BoundaryZeroError, match="within its error bound") as ref:
+            _per_sample_scan(22.0, lam, 0.1, density=32, **kw)
+        monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 32)
+        with pytest.raises(BoundaryZeroError) as got:
+            rouche_scan(22.0, lam, 0.1, **kw)
+        assert str(got.value) == str(ref.value)
+
+    def test_answers_where_f_is_small_but_resolved(self, monkeypatch):
+        # the corner 0.5 + 18i lies 0.13 from F's zero at s = 1 + 18.13i
+        # (1 - 2^(1-s) vanishes there): |f| = 9.3e-13, yet every estimate
+        # stands above its error bound, so no boundary zero is possible there
+        monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 16)
+        scan = rouche_scan(18.0, lambda_choice(1.0, 0.1, 0.01), 0.1, zeros=[ZERO_ORDINATES[0]])
+        assert 0.0 < scan.min_f_abs < 1e-12
         assert scan.min_margin >= -1e-12
-        assert scan.min_f_abs > 0.0
 
     def test_margin_nonnegative_everywhere(self, monkeypatch):
         monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 32)
@@ -858,10 +863,10 @@ class TestRoucheScan:
         assert zero_analysis._boundary_size(RectangleRegion(0.0, 0.5, 0.0, 3905.75)) == 500_000
 
 
-def _per_sample_scan(tau, lam, epsilon, *, zeros, density, quad_tol=1e-10,
-                     boundary_min_modulus=1e-12):
+def _per_sample_scan(tau, lam, epsilon, *, zeros, density, quad_tol=1e-10):
     """rouche_scan as a loop over samples with one f_at call each, the
-    reference for the array version; returns (result, quotient-limit samples)."""
+    reference for the array version; returns (result, the number of
+    quotient-limit samples at each neutralized height)."""
     pole_tol, exclusion_tol = zero_analysis.POLE_TOL, zero_analysis.EXCLUSION_TOL
     estimate = zero_analysis._f_omega_estimate
     betas = [float(b) for b in zeros]
@@ -874,22 +879,26 @@ def _per_sample_scan(tau, lam, epsilon, *, zeros, density, quad_tol=1e-10,
         up = estimate(1j * (b + pole_tol), quad_tol).value
         dn = estimate(1j * (b - pole_tol), quad_tol).value
         quotients.append((up - dn) / (2j * pole_tol))
-    hits = 0
+    hits = [0] * len(betas)
 
     def f_at(omega):
-        nonlocal hits
         near = False
         if beta_arr.size:
             d = omega - 1j * beta_arr
             j = int(np.argmin(np.abs(d)))
             near = abs(d[j]) < 10.0 * pole_tol
             if abs(d[j]) < pole_tol:
-                hits += 1
+                hits[j] += 1
                 rest = np.delete(beta_arr, j)
                 other = blaschke_L(omega, rest) if rest.size else 1.0
                 return d[j].conjugate() * quotients[j] * other, True
-        value = estimate(omega, quad_tol).value
-        return value * blaschke_L(omega, betas), near
+        est = estimate(omega, quad_tol)
+        if not near and not est.resolved:
+            raise BoundaryZeroError(
+                f"|F_omega({omega})| = {abs(est.value):.3e}"
+                f" within its error bound {est.abs_error:.3e}"
+            )
+        return est.value * blaschke_L(omega, betas), near
 
     samples = _list_boundary_points(RectangleRegion(0.0, 0.5, 0.0, tau), density)
     min_margin, argmin_omega = math.inf, samples[0]
@@ -900,13 +909,8 @@ def _per_sample_scan(tau, lam, epsilon, *, zeros, density, quad_tol=1e-10,
         margin = abs(fv) + abs(gv) - abs(fv + gv)
         if margin < min_margin:
             min_margin, argmin_omega = margin, omega
-        if not near_zero:
-            if abs(fv) < boundary_min_modulus:
-                raise BoundaryZeroError(
-                    f"|f({omega})| = {abs(fv):.3e} below {boundary_min_modulus:.1e}"
-                )
-            if abs(fv) < min_f_abs:
-                min_f_abs, argmin_f = abs(fv), omega
+        if not near_zero and abs(fv) < min_f_abs:
+            min_f_abs, argmin_f = abs(fv), omega
     result = zero_analysis.RoucheScanResult(
         tau=float(tau), lam=float(lam), epsilon=float(epsilon), min_margin=float(min_margin),
         argmin_omega=argmin_omega, boundary_samples=len(samples), min_f_abs=float(min_f_abs),
@@ -917,13 +921,16 @@ def _per_sample_scan(tau, lam, epsilon, *, zeros, density, quad_tol=1e-10,
 
 class TestRoucheScanMatchesPerSampleLoop:
     LAM = lambda_choice(1.0, 0.1, 0.01)
-    # (args, keywords, samples per unit, whether some sample takes the quotient
-    # limit); the densities 37 put one sample within POLE_TOL of the first zero
+    # (args, keywords, samples per unit, whether every neutralized height takes
+    # the quotient limit at some sample); at density 37 one sample lies within
+    # POLE_TOL of the first zero and one within POLE_TOL of 8.0005.  That
+    # second height is not a zero: it is there for the two-height arithmetic
+    # of L over the other heights, which no tau above the second zero can
+    # check, since the scan raises there (test_two_neutralized_zeros)
     CASES = [
         ((10.0, 10.0, 0.1), dict(zeros=[]), 8, False),
         ((16.0, LAM, 0.1), dict(zeros=ZERO_ORDINATES[:1]), 37, True),
-        ((22.0, LAM, 0.1), dict(zeros=ZERO_ORDINATES[:2], quad_tol=1e-12,
-                                boundary_min_modulus=1e-16), 37, True),
+        ((16.0, LAM, 0.1), dict(zeros=[ZERO_ORDINATES[0], 8.0005]), 37, True),
         ((ZERO_ORDINATES[0], 10.0, 0.1), dict(zeros=ZERO_ORDINATES[:1]), 16, False),
     ]
 
@@ -931,7 +938,7 @@ class TestRoucheScanMatchesPerSampleLoop:
     def test_every_field_equal(self, case, monkeypatch):
         args, kw, density, quotient_route = self.CASES[case]
         ref, hits = _per_sample_scan(*args, density=density, **kw)
-        assert (hits > 0) == quotient_route
+        assert (min(hits, default=0) > 0) == quotient_route
         monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", density)
         assert rouche_scan(*args, **kw) == ref
 
@@ -946,12 +953,16 @@ class TestRoucheScanMatchesPerSampleLoop:
         assert np.array_equal(zero_analysis._product(a, b), product)
 
     def test_floor_violation_names_the_same_first_sample(self, monkeypatch):
-        kw = dict(zeros=[ZERO_ORDINATES[0]], boundary_min_modulus=1e-4)
-        with pytest.raises(BoundaryZeroError) as ref:
-            _per_sample_scan(16.0, self.LAM, 0.1, density=8, **kw)
+        # F_omega vanishes on the right edge at Im = 2 pi k / log 2; with tau
+        # at k = 2 the k = 1 zero is the right edge's midpoint sample and the
+        # k = 2 zero its top corner, both unresolved: the first is named
+        tau = 4.0 * math.pi / math.log(2.0)
+        kw = dict(zeros=[ZERO_ORDINATES[0]])
+        with pytest.raises(BoundaryZeroError, match=re.escape(f"(0.5+{tau / 2}j)")) as ref:
+            _per_sample_scan(tau, self.LAM, 0.1, density=8, **kw)
         monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 8)
         with pytest.raises(BoundaryZeroError) as got:
-            rouche_scan(16.0, self.LAM, 0.1, **kw)
+            rouche_scan(tau, self.LAM, 0.1, **kw)
         assert str(got.value) == str(ref.value)
 
 
