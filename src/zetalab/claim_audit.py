@@ -108,7 +108,7 @@ class _Context:
 
     @cached_property
     def scan16(self) -> za.RoucheScanResult:
-        return za.rouche_scan(zeros=self.zeros30.betas, **self.cfg.rouche_options())
+        return za.rouche_scan(**self.cfg.rouche_options())
 
     @cached_property
     def upper_sweep(self):

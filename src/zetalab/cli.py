@@ -27,6 +27,10 @@ __all__ = ["main", "AuditConfig"]
 
 USAGE_EXIT = 3
 NUMERIC_EXIT = 2
+# The accuracy of special_functions.eta, relative to max(|eta|, 1): absolute
+# near a zero.  Against mpmath.altzeta the largest error seen is 0.14 of it,
+# over 94 seeded points with Re(s) in (0, 1) and Im(s) up to 220.
+ETA_REL_TOL = 1e-12
 
 
 class _CliExit(Exception):
@@ -134,9 +138,14 @@ def _cmd_eval(args, cfg: AuditConfig) -> int:
         value = sf.gamma(s)
         err = abs(value) * 1e-12
     elif args.function == "eta":
-        value, err = sf.eta(s), 1e-13
+        value = sf.eta(s)
+        err = ETA_REL_TOL * max(abs(value), 1.0)
     else:
-        value, err = sf.zeta(s), 1e-12
+        # zeta = eta/(1 - 2^(1-s)) carries eta's error divided by the factor,
+        # which is small near Re(s) = 1
+        value = sf.zeta(s)
+        factor = abs(1.0 - 2.0 ** (1.0 - s))
+        err = ETA_REL_TOL * max(abs(value) * factor, 1.0) / factor
     print(f"value = {_fmt(value.real)} {'+' if value.imag >= 0 else '-'} {_fmt(abs(value.imag))}i")
     print(f"modulus = {_fmt(abs(value))}" if resolved else f"modulus < {err:.3e} (unresolved)")
     print(f"abs_error <= {err:.3e}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -37,9 +38,14 @@ class AuditConfig:
     rouche_nu: float = 0.01
 
     def __post_init__(self):
+        for name in ("seed", "jensen_samples"):
+            if not _is_number(value := getattr(self, name), numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         for name in ("quad_tol", "zero_tol", "tau_max", "rouche_tau", "rouche_epsilon",
                      "rouche_nu"):
-            if not 0.0 < getattr(self, name) < math.inf:  # also rejects NaN
+            if not _is_number(value := getattr(self, name), numbers.Real):
+                raise DomainError(f"{name} must be a real number, got {value!r}")
+            if not 0.0 < value < math.inf:  # also rejects NaN
                 raise DomainError(f"{name} must be positive and finite")
         if self.zero_tol < MIN_ZERO_TOL:
             raise DomainError(f"zero_tol must be >= {MIN_ZERO_TOL:g}, the minimum cell height")
@@ -54,7 +60,7 @@ class AuditConfig:
         return hashlib.sha256(dump_config(self).encode()).hexdigest()
 
     def rouche_options(self, lam: float | None = None) -> dict:
-        """Every argument of zero_analysis.rouche_scan but the zeros, from this config.
+        """Every argument of zero_analysis.rouche_scan, from this config.
 
         lam defaults to lambda_choice(1, epsilon, nu) = (M*(1/2) + nu)/epsilon,
         the lam of EQ50C's bound; the scan's quadrature tolerance is capped
@@ -66,9 +72,13 @@ class AuditConfig:
             tau=self.rouche_tau,
             lam=lam,
             epsilon=self.rouche_epsilon,
-            zero_tol=self.zero_tol,
             quad_tol=min(self.quad_tol, 1e-10),
         )
+
+
+def _is_number(value, kind: type) -> bool:
+    """Whether value is an instance of the numbers ABC kind, bools excluded."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def dump_config(config: AuditConfig) -> str:

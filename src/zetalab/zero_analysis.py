@@ -599,16 +599,16 @@ def rouche_scan(
     lam: float,
     epsilon: float,
     *,
-    zeros: CriticalZeroList | Sequence[float] | None = None,
-    zero_tol: float = 1e-4,
     quad_tol: float = 1e-10,
 ) -> RoucheScanResult:
     """Sample |f| + |g| - |f+g| over the boundary of K(tau).
 
     K(tau) is the rectangle Re(omega) in [0, 1/2], Im(omega) in [0, tau],
     sampled as winding_count samples its rectangles (SAMPLES_PER_UNIT);
-    f = F_omega * L with L built over the positive, finite zero heights below
-    tau, and g = lam * (epsilon + omega).  Two module constants fix the
+    f = F_omega * L and g = lam * (epsilon + omega).  L is built over the
+    zeros the scan locates itself, critical_line_zeros(tau + 6*EXCLUSION_TOL)
+    at its default zero_tol, that lie below the final tau: no caller can
+    neutralize a height that is not a zero.  Two module constants fix the
     geometry around the zeros: if a zero height falls within EXCLUSION_TOL =
     1e-2 of tau, tau is shifted up by 5*EXCLUSION_TOL (repeatedly if needed)
     so the top edge stays clear, and samples within POLE_TOL = 1e-3 of a
@@ -639,10 +639,7 @@ def rouche_scan(
     n = _boundary_size(RectangleRegion(0.0, 0.5, 0.0, tau))
     if n > MAX_BOUNDARY_SAMPLES:
         raise DomainError(f"K({tau}) needs {n:.4g} samples, above {MAX_BOUNDARY_SAMPLES}")
-    if zeros is None:
-        zeros = critical_line_zeros(tau + 6.0 * EXCLUSION_TOL, zero_tol)
-    betas = [float(b) for b in zeros]
-    _check_positive_finite("zero heights", betas)
+    betas = critical_line_zeros(tau + 6.0 * EXCLUSION_TOL).betas
     while any(abs(b - tau) < EXCLUSION_TOL for b in betas):
         tau += 5.0 * EXCLUSION_TOL
     betas = [b for b in betas if b <= tau]

@@ -2,6 +2,7 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zetalab.claim_audit import (
@@ -149,6 +150,32 @@ class TestConfig:
             with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
                 AuditConfig(**{name: float("inf")})
 
+    # a wrong type used to surface late: seed=1.5 as a bare TypeError from
+    # NumPy's generator in run_audit, quad_tol="1e-8" as a bare TypeError from
+    # the range check, and jensen_samples=100.5 as a FAIL verdict on EQ19B
+    def test_seed_must_be_an_integer(self):
+        from zetalab.errors import DomainError
+
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            run_audit(AuditConfig(seed=1.5))
+
+    def test_float_fields_must_be_real_numbers(self):
+        from zetalab.errors import DomainError
+
+        for name in ("quad_tol", "zero_tol", "tau_max", "rouche_tau", "rouche_epsilon",
+                     "rouche_nu"):
+            for value in ("1e-8", True, 1e-8 + 0j):
+                with pytest.raises(DomainError, match=f"{name} must be a real number"):
+                    AuditConfig(**{name: value})
+
+    def test_jensen_samples_must_be_an_integer(self):
+        from zetalab.errors import DomainError
+
+        for value in (100.5, 384.0, "384", True):
+            with pytest.raises(DomainError, match="jensen_samples must be an integer"):
+                AuditConfig(jensen_samples=value)
+        assert AuditConfig(jensen_samples=np.int64(384)) == AuditConfig()
+
     def test_rouche_options_are_the_scan_arguments(self):
         import inspect
 
@@ -156,7 +183,7 @@ class TestConfig:
 
         cfg = AuditConfig(quad_tol=1e-12)
         options = cfg.rouche_options()
-        assert set(options) == set(inspect.signature(za.rouche_scan).parameters) - {"zeros"}
+        assert set(options) == set(inspect.signature(za.rouche_scan).parameters)
         assert options["lam"] == za.lambda_choice(1.0, 0.1, 0.01)
         assert (options["tau"], options["epsilon"], options["quad_tol"]) == (16.0, 0.1, 1e-12)
         assert cfg.rouche_options(2.5)["lam"] == 2.5
@@ -174,7 +201,7 @@ class TestConfig:
             "quad_tol", "zero_tol", "tau_max", "seed", "output_format", "jensen_samples",
             "rouche_tau", "rouche_epsilon", "rouche_nu",
         }
-        assert params(za.rouche_scan) == ["tau", "lam", "epsilon", "zeros", "zero_tol", "quad_tol"]
+        assert params(za.rouche_scan) == ["tau", "lam", "epsilon", "quad_tol"]
         assert params(za.winding_count) == ["fn", "rect"]
         assert params(quad.fermi_mellin) == ["s", "tol"]
         assert params(quad.f_shifted) == ["omega", "tol"]

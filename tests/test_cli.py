@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from zetalab.cli import _build_parser, main
@@ -41,6 +42,27 @@ class TestEval:
         assert f"modulus < {err} (unresolved)" in out
         _, out, _ = run(capsys, "eval", function, "0.5", "2")
         assert "modulus = " in out and "unresolved" not in out
+
+    def test_eta_and_zeta_bounds_hold(self, capsys):
+        # the bounds were a fixed 1e-13 (eta) and 1e-12 (zeta): zeta at
+        # 0.999 + 90.647i errs by 1.5e-11, since 1 - 2^(1-s) = 6.9e-4 there
+        # divides eta's error, and eta at 0.0731 + 96.515i by 2.0e-13
+        mpmath = pytest.importorskip("mpmath")
+        from zetalab import special_functions as sf
+
+        rng = np.random.default_rng(2017)
+        points = [complex(0.999, 2.0 * math.pi * k / math.log(2.0)) for k in range(1, 11)]
+        points += [complex(0.0731, 96.515), complex(0.0548, 219.34)]
+        points += [complex(r, i) for r, i in zip(rng.uniform(0.01, 0.999, 20),
+                                                 rng.uniform(0.0, 220.0, 20))]
+        with mpmath.workdps(30):
+            for s in points:
+                for function, ref in (("eta", mpmath.altzeta), ("zeta", mpmath.zeta)):
+                    code, out, _ = run(capsys, "eval", function, repr(s.real), repr(s.imag))
+                    assert code == 0
+                    bound = float(out.split("abs_error <= ")[1].split()[0])
+                    value = getattr(sf, function)(s)
+                    assert abs(value - complex(ref(s))) <= bound, (function, s)
 
     def test_unknown_function_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "eval", "bogus", "0.5", "0.0")

@@ -791,23 +791,24 @@ class TestTriangleEquality:
 
 class TestRoucheScan:
     def test_no_zeros_below_ten(self):
-        scan = rouche_scan(10.0, 10.0, 0.1, zeros=[])
+        scan = rouche_scan(10.0, 10.0, 0.1)
         assert scan.min_margin >= -1e-12
         assert scan.min_f_abs > 0.0
         assert scan.zeros == ()
 
     def test_k16_with_first_zero(self):
         lam = lambda_choice(1.0, 0.1, 0.01)
-        scan = rouche_scan(16.0, lam, 0.1, zeros=[ZERO_ORDINATES[0]])
+        scan = rouche_scan(16.0, lam, 0.1)
         assert scan.min_margin >= -1e-12
         assert scan.min_f_abs > 0.0
         assert scan.boundary_samples > 2000
-        assert scan.zeros == (ZERO_ORDINATES[0],)
+        assert scan.zeros == _located_zeros(16.0)
+        assert scan.zeros == pytest.approx((ZERO_ORDINATES[0],), abs=1e-9)
 
     def test_genericity_shift(self, monkeypatch):
         # tau placed exactly on a zero height must be shifted upward.
         monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 16)
-        scan = rouche_scan(ZERO_ORDINATES[0], 10.0, 0.1, zeros=[ZERO_ORDINATES[0]])
+        scan = rouche_scan(ZERO_ORDINATES[0], 10.0, 0.1)
         assert scan.tau > ZERO_ORDINATES[0] + 1e-2 / 2
         assert scan.min_margin >= -1e-12
 
@@ -818,12 +819,13 @@ class TestRoucheScan:
         # first unresolved sample as the per-sample loop does.  The two-zero
         # arithmetic is checked at tau = 16 in TestRoucheScanMatchesPerSampleLoop.
         lam = lambda_choice(1.0, 0.1, 0.01)
-        kw = dict(zeros=list(ZERO_ORDINATES[:2]), quad_tol=1e-12)
+        zeros = _located_zeros(22.0)
+        assert zeros == pytest.approx(ZERO_ORDINATES[:2], abs=1e-9)
         with pytest.raises(BoundaryZeroError, match="within its error bound") as ref:
-            _per_sample_scan(22.0, lam, 0.1, density=32, **kw)
+            _per_sample_scan(22.0, lam, 0.1, zeros=zeros, density=32, quad_tol=1e-12)
         monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 32)
         with pytest.raises(BoundaryZeroError) as got:
-            rouche_scan(22.0, lam, 0.1, **kw)
+            rouche_scan(22.0, lam, 0.1, quad_tol=1e-12)
         assert str(got.value) == str(ref.value)
 
     def test_answers_where_f_is_small_but_resolved(self, monkeypatch):
@@ -831,13 +833,13 @@ class TestRoucheScan:
         # (1 - 2^(1-s) vanishes there): |f| = 9.3e-13, yet every estimate
         # stands above its error bound, so no boundary zero is possible there
         monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 16)
-        scan = rouche_scan(18.0, lambda_choice(1.0, 0.1, 0.01), 0.1, zeros=[ZERO_ORDINATES[0]])
+        scan = rouche_scan(18.0, lambda_choice(1.0, 0.1, 0.01), 0.1)
         assert 0.0 < scan.min_f_abs < 1e-12
         assert scan.min_margin >= -1e-12
 
     def test_margin_nonnegative_everywhere(self, monkeypatch):
         monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 32)
-        scan = rouche_scan(10.0, 5.0, 0.25, zeros=[])
+        scan = rouche_scan(10.0, 5.0, 0.25)
         assert scan.min_margin >= -1e-12
 
     def test_domain(self):
@@ -848,11 +850,7 @@ class TestRoucheScan:
         for args in [(math.nan, 1.0, 0.1), (10.0, math.nan, 0.1), (10.0, 1.0, math.nan),
                      (math.inf, 1.0, 0.1), (10.0, math.inf, 0.1), (10.0, 1.0, math.inf)]:
             with pytest.raises(DomainError):
-                rouche_scan(*args, zeros=[])
-        # a non-finite height was dropped, a negative one neutralized
-        for zeros in ([math.nan], [-3.0], [math.inf]):
-            with pytest.raises(DomainError, match="zero heights"):
-                rouche_scan(10.0, 1.0, 0.1, zeros=zeros)
+                rouche_scan(*args)
 
     def test_sample_budget_checked_before_the_zeros(self, monkeypatch):
         # K(tau) takes 2 * (32 + ceil(64 tau)) samples: 500,000 up to tau = 3905.75
@@ -861,6 +859,29 @@ class TestRoucheScan:
             with pytest.raises(DomainError, match="500000"):
                 rouche_scan(tau, 1.0, 0.1)
         assert zero_analysis._boundary_size(RectangleRegion(0.0, 0.5, 0.0, 3905.75)) == 500_000
+
+    @pytest.mark.parametrize("tau", [16.0, ZERO_ORDINATES[0]])
+    def test_neutralizes_exactly_the_located_zeros(self, tau, monkeypatch):
+        # the scan locates its zeros above tau with the default zero_tol and
+        # neutralizes those below its final tau, shifted or not
+        monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 8)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return critical_line_zeros(*args, **kwargs)
+
+        monkeypatch.setattr(zero_analysis, "critical_line_zeros", spy)
+        scan = rouche_scan(tau, 10.0, 0.1)
+        assert calls == [((tau + 6.0 * zero_analysis.EXCLUSION_TOL,), {})]
+        located = _located_zeros(tau)
+        assert scan.zeros == tuple(b for b in located if b <= scan.tau)
+        assert scan.zeros == pytest.approx((ZERO_ORDINATES[0],), abs=1e-9)
+
+
+def _located_zeros(tau):
+    """The zeros rouche_scan(tau, ...) locates: critical_line_zeros above tau."""
+    return critical_line_zeros(tau + 6.0 * zero_analysis.EXCLUSION_TOL).betas
 
 
 def _per_sample_scan(tau, lam, epsilon, *, zeros, density, quad_tol=1e-10):
@@ -921,26 +942,32 @@ def _per_sample_scan(tau, lam, epsilon, *, zeros, density, quad_tol=1e-10):
 
 class TestRoucheScanMatchesPerSampleLoop:
     LAM = lambda_choice(1.0, 0.1, 0.01)
-    # (args, keywords, samples per unit, whether every neutralized height takes
-    # the quotient limit at some sample); at density 37 one sample lies within
-    # POLE_TOL of the first zero and one within POLE_TOL of 8.0005.  That
-    # second height is not a zero: it is there for the two-height arithmetic
-    # of L over the other heights, which no tau above the second zero can
-    # check, since the scan raises there (test_two_neutralized_zeros)
+    # (args, injected heights or None for the located zeros, samples per unit,
+    # whether every neutralized height takes the quotient limit at some
+    # sample); at density 37 one sample lies within POLE_TOL of the first zero
+    # and one within POLE_TOL of 8.0005.  That height is not a zero, so only a
+    # stand-in for critical_line_zeros can inject it: it is there for the
+    # two-height arithmetic of L over the other heights, which no tau above
+    # the second zero can check, since the scan raises there
+    # (test_two_neutralized_zeros)
     CASES = [
-        ((10.0, 10.0, 0.1), dict(zeros=[]), 8, False),
-        ((16.0, LAM, 0.1), dict(zeros=ZERO_ORDINATES[:1]), 37, True),
-        ((16.0, LAM, 0.1), dict(zeros=[ZERO_ORDINATES[0], 8.0005]), 37, True),
-        ((ZERO_ORDINATES[0], 10.0, 0.1), dict(zeros=ZERO_ORDINATES[:1]), 16, False),
+        ((10.0, 10.0, 0.1), None, 8, False),
+        ((16.0, LAM, 0.1), None, 37, True),
+        ((16.0, LAM, 0.1), (8.0005, ZERO_ORDINATES[0]), 37, True),
+        ((ZERO_ORDINATES[0], 10.0, 0.1), None, 16, False),
     ]
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_every_field_equal(self, case, monkeypatch):
-        args, kw, density, quotient_route = self.CASES[case]
-        ref, hits = _per_sample_scan(*args, density=density, **kw)
+        args, injected, density, quotient_route = self.CASES[case]
+        zeros = _located_zeros(args[0]) if injected is None else injected
+        ref, hits = _per_sample_scan(*args, zeros=zeros, density=density)
         assert (min(hits, default=0) > 0) == quotient_route
         monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", density)
-        assert rouche_scan(*args, **kw) == ref
+        if injected is not None:
+            monkeypatch.setattr(zero_analysis, "critical_line_zeros",
+                                lambda tau: CriticalZeroList(injected, tau))
+        assert rouche_scan(*args) == ref
 
     def test_array_arithmetic_rounds_as_python_scalars(self):
         # np.abs and NumPy's complex multiply (fused multiply-add) differ from
@@ -957,12 +984,11 @@ class TestRoucheScanMatchesPerSampleLoop:
         # at k = 2 the k = 1 zero is the right edge's midpoint sample and the
         # k = 2 zero its top corner, both unresolved: the first is named
         tau = 4.0 * math.pi / math.log(2.0)
-        kw = dict(zeros=[ZERO_ORDINATES[0]])
         with pytest.raises(BoundaryZeroError, match=re.escape(f"(0.5+{tau / 2}j)")) as ref:
-            _per_sample_scan(tau, self.LAM, 0.1, density=8, **kw)
+            _per_sample_scan(tau, self.LAM, 0.1, zeros=_located_zeros(tau), density=8)
         monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 8)
         with pytest.raises(BoundaryZeroError) as got:
-            rouche_scan(tau, self.LAM, 0.1, **kw)
+            rouche_scan(tau, self.LAM, 0.1)
         assert str(got.value) == str(ref.value)
 
 
