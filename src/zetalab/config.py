@@ -30,9 +30,9 @@ class AuditConfig:
     tau_max: float = 50.0
     seed: int = 20201219
     output_format: str = "doc"  # "doc" (single JSON document) or "csv"
+    jensen_samples: int = 384  # circle samples of the Jensen check (audit and jensen)
     # boundary-scan knobs; the scan's nonvanishing test takes none, as it
     # reads each sample's own quadrature error bound
-    jensen_samples: int = 384
     rouche_tau: float = 16.0
     rouche_epsilon: float = 0.1
     rouche_nu: float = 0.01
@@ -41,12 +41,18 @@ class AuditConfig:
         for name in ("seed", "jensen_samples"):
             if not _is_number(value := getattr(self, name), numbers.Integral):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
+            # stored as the declared type, so equal configs dump and digest alike
+            object.__setattr__(self, name, int(value))
         for name in ("quad_tol", "zero_tol", "tau_max", "rouche_tau", "rouche_epsilon",
                      "rouche_nu"):
             if not _is_number(value := getattr(self, name), numbers.Real):
                 raise DomainError(f"{name} must be a real number, got {value!r}")
             if not 0.0 < value < math.inf:  # also rejects NaN
                 raise DomainError(f"{name} must be positive and finite")
+            try:  # 50 and Fraction(50) are stored as 50.0
+                object.__setattr__(self, name, float(value))
+            except OverflowError:  # an integer or fraction past the float range
+                raise DomainError(f"{name} must be positive and finite") from None
         if self.zero_tol < MIN_ZERO_TOL:
             raise DomainError(f"zero_tol must be >= {MIN_ZERO_TOL:g}, the minimum cell height")
         if self.seed < 0:
@@ -82,10 +88,7 @@ def _is_number(value, kind: type) -> bool:
 
 
 def dump_config(config: AuditConfig) -> str:
-    lines = [f"{f.name}={getattr(config, f.name)!r}" if isinstance(getattr(config, f.name), str)
-             else f"{f.name}={getattr(config, f.name)}"
-             for f in fields(config)]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{f.name}={getattr(config, f.name)!r}\n" for f in fields(config))
 
 
 def load_config(path: str | Path) -> AuditConfig:

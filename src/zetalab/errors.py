@@ -38,4 +38,4 @@ class ZeroAtCenter(ZetaLabError):
 
 
 class PoleProximity(ZetaLabError):
-    """Blaschke product evaluated too close to one of its poles."""
+    """Blaschke product evaluated at one of its poles."""

@@ -13,8 +13,11 @@ Scheme: the integrand is singular like x**(alpha-1) at 0 and decays like
 e**(-x).  The integral is split three ways:
 
 * head [0, h]: bounded analytically using |1/(e**x+1)| <= 1/2 and the exact
-  incomplete-gamma form of integral x**(alpha-1) |log x|**k dx; h is chosen so
-  the head is below tol/10 and its bound is added to the reported error;
+  incomplete-gamma form of integral x**(alpha-1) |log x|**k dx; h >= 1e-300
+  is chosen so the head is below tol/10 and its bound is added to the
+  reported error.  Where no such h exists, at small Re(s) (for F below
+  about 0.034 at tol 1e-8 and 0.047 at tol 1e-12), ToleranceNotMet is raised
+  before the mesh is built;
 * body [h, X]: geometric panels (ratio capped so that the oscillation of
   x**(i Im s) = e**(i Im s log x) is a few radians per panel), each integrated
   with a 15-point Gauss-Kronrod rule and refined adaptively, worst panels
@@ -178,13 +181,18 @@ def _head_bound(alpha: float, k: int, t: float) -> float:
         inc = math.exp(-t) * (1.0 + t)
     else:
         inc = math.exp(-t) * (2.0 + 2.0 * t + t * t)
-    return inc / (2.0 * alpha ** (k + 1))
+    scale = 2.0 * alpha ** (k + 1)
+    return inc / scale if scale else math.inf  # alpha**(k+1) underflows at tiny alpha
 
 
 def _head_cut(alpha: float, k: int, tol: float):
-    """Pick h (as alpha*log(1/h)) so the head bound is <= tol/10, h >= 1e-300."""
-    t = max(2.0 * (k + 1), 1.0)
+    """Pick h (as alpha*log(1/h)) so the head bound is <= tol/10, h >= 1e-300.
+
+    Where h = 1e-300 leaves the head above tol/10, that h and its bound are
+    returned, and _log_moment raises.
+    """
     t_cap = 300.0 * math.log(10.0) * alpha
+    t = min(max(2.0 * (k + 1), 1.0), t_cap)
     while _head_bound(alpha, k, t) > tol / 10.0 and t < t_cap:
         t = min(t * 1.5, t_cap)
     h = math.exp(-t / alpha)
@@ -253,6 +261,11 @@ def _log_moment(s, k: int, tol: float) -> QuadratureEstimate:
         raise DomainError("tol must be positive")
     alpha, beta = s.real, s.imag
     h, head = _head_cut(alpha, k, tol)
+    if head > tol / 10.0:
+        raise ToleranceNotMet(
+            f"Re(s) = {alpha}: the head bound {head:.3e} at h = {h:.3e} stays above"
+            f" tol/10, tol = {tol:.3e}"
+        )
     x_max, tail = _tail_cut(k, tol)
     exponent = s - 1.0
 

@@ -27,13 +27,11 @@ conjugate-ratio factors of unit modulus, one per located zero) against
 ``g = lam * (eps + omega)``, with lam = (M*(1/2) + nu)/eps in the audit,
 samples the boundary of the truncated half-strip rectangle K(tau), and
 reports the minimum triangle-inequality margin |f| + |g| - |f + g|
-together with where it occurs.  Near each neutralized
-zero i*beta_j the removable 0/0 factor is evaluated through the quotient
-limit, with the derivative of F_omega estimated once per zero from a small
-ring of quadrature values.  L is blaschke_L, the same function the audit
-certifies as unimodular, called once on the whole boundary array away from
-the zeros; all of the scan is computed over that array at once, except the
-F_omega quadrature, which runs sample by sample.
+together with where it occurs.  f is computed one way at every sample: an
+F_omega quadrature times L, where L is blaschke_L, the same function the
+audit certifies as unimodular, called once on the whole boundary array.
+All of the scan is computed over that array at once, except the F_omega
+quadrature, which runs sample by sample.
 """
 
 from __future__ import annotations
@@ -78,10 +76,9 @@ _TWO_PI = 2.0 * math.pi
 _TWO_PI_E = 2.0 * math.pi * math.e
 _LOG_PI = math.log(math.pi)
 
-# Radius around a neutralized zero i*b_j inside which the boundary scan uses
-# the quotient limit (and blaschke_L refuses to divide), and the clearance the
-# scan keeps between tau and every zero height.
-POLE_TOL = 1e-3
+# The clearance the boundary scan keeps between tau and every zero height,
+# and the radius around a neutralized zero i*b_j inside which it waives its
+# resolution check.
 EXCLUSION_TOL = 1e-2
 # Smallest cell height critical_line_zeros splits down to, so the least zero_tol.
 MIN_ZERO_TOL = 1e-9
@@ -207,6 +204,12 @@ def _track_phase(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
         if evals > MAX_BOUNDARY_SAMPLES:
             raise NonConvergence(f"boundary refinement budget {MAX_BOUNDARY_SAMPLES} exhausted")
         v = np.asarray(fn(p), dtype=complex)
+        if v.shape != p.shape:
+            raise DomainError(f"fn returned shape {v.shape} for points of shape {p.shape}")
+        bad = ~np.isfinite(v)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise DomainError(f"fn({complex(p[j])}) = {complex(v[j])} is not finite")
         small = np.abs(v) < 1e-12
         if small.any():
             j = int(np.argmax(small))
@@ -258,7 +261,9 @@ def winding_count(fn: Callable[[np.ndarray], np.ndarray], rect: RectangleRegion)
     boundary, SAMPLES_PER_UNIT = 64 samples per unit of side length (at least
     8 per side), and once per refinement round.  Each round bisects every
     step whose phase turns by more than pi/2 and evaluates all the midpoints
-    together, for at most 48 rounds.  A value below 1e-12 in modulus raises
+    together, for at most 48 rounds.  A result whose shape is not its
+    argument's, or a value that is not finite, raises DomainError (naming the
+    first such point); a value below 1e-12 in modulus raises
     BoundaryZeroError naming its point, and a batch that would take the
     evaluations past MAX_BOUNDARY_SAMPLES = 500,000 raises NonConvergence
     before fn sees it (the initial boundary before it is built).
@@ -535,11 +540,12 @@ def blaschke_L(omega, zeros):
     """Product of conjugate-ratio factors (conj(omega)+i b_j)/(omega-i b_j).
 
     Numerator and denominator of each factor are complex conjugates (the
-    heights b_j are real), so the product has modulus exactly 1 away from
-    the poles at i*b_j.  A scalar omega gives a complex; an ndarray gives a
-    complex array of its shape, each entry the value the scalar call gives,
-    bit for bit.  An empty zero list gives ones.  Any omega within POLE_TOL
-    of a pole raises PoleProximity, and a non-finite omega or zero height
+    heights b_j are real, and fl(b_j - y) = -fl(y - b_j)), so the product
+    has modulus 1 to rounding, however close omega comes to a pole i*b_j.
+    A scalar omega gives a complex; an ndarray gives a complex array of its
+    shape, each entry the value the scalar call gives, bit for bit.  An
+    empty zero list gives ones.  An omega at a pole itself, where a factor
+    is 0/0, raises PoleProximity, and a non-finite omega or zero height
     DomainError.
     """
     w = np.asarray(omega, dtype=complex)
@@ -547,9 +553,9 @@ def blaschke_L(omega, zeros):
     if not (np.isfinite(w).all() and np.isfinite(betas).all()):
         raise DomainError(f"blaschke_L requires finite omega and zero heights, got {omega!r}")
     den = w[..., None] - 1j * betas
-    gap = _modulus(den).min(initial=math.inf)
-    if gap < POLE_TOL:
-        raise PoleProximity(f"omega within {gap:.3e} of a zero height (pole_tol {POLE_TOL:.1e})")
+    at_pole = np.nonzero(den == 0)[-1]
+    if at_pole.size:
+        raise PoleProximity(f"omega at the pole i*{betas[at_pole[0]]}, where a factor is 0/0")
     value = ((w.conj()[..., None] + 1j * betas) / den).prod(axis=-1)
     return value if isinstance(omega, np.ndarray) else complex(value)
 
@@ -579,11 +585,6 @@ def _modulus(v: np.ndarray) -> np.ndarray:
     return np.hypot(v.real, v.imag)
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b elementwise, rounded as Python's complex product (no fused multiply-add)."""
-    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
-
-
 def _f_omega_estimate(omega: complex, quad_tol: float):
     """F_omega with a second, tighter pass when the value drowns in the error."""
     est = f_shifted(omega, quad_tol)
@@ -608,15 +609,15 @@ def rouche_scan(
     f = F_omega * L and g = lam * (epsilon + omega).  L is built over the
     zeros the scan locates itself, critical_line_zeros(tau + 6*EXCLUSION_TOL)
     at its default zero_tol, that lie below the final tau: no caller can
-    neutralize a height that is not a zero.  Two module constants fix the
-    geometry around the zeros: if a zero height falls within EXCLUSION_TOL =
-    1e-2 of tau, tau is shifted up by 5*EXCLUSION_TOL (repeatedly if needed)
-    so the top edge stays clear, and samples within POLE_TOL = 1e-3 of a
-    neutralized zero are evaluated through the quotient limit.  Elsewhere,
-    outside 10*POLE_TOL of every neutralized zero, each sample's F_omega
-    estimate must be resolved (|value| > abs_error, after _f_omega_estimate's
-    tighter pass): one that is not raises BoundaryZeroError, since a zero on
-    the contour cannot be excluded there.  |L| = 1, so f is resolved wherever
+    neutralize a height that is not a zero.  If a zero height falls within
+    EXCLUSION_TOL = 1e-2 of tau, tau is shifted up by 5*EXCLUSION_TOL
+    (repeatedly if needed) so the top edge stays clear.  Every sample's f is
+    its F_omega estimate (_f_omega_estimate, with its tighter pass) times L.
+    Outside EXCLUSION_TOL of every neutralized zero that estimate must be
+    resolved (|value| > abs_error): one that is not raises BoundaryZeroError,
+    since a zero on the contour cannot be excluded there.  Within it, where
+    F_omega decays linearly toward the zero, the check is waived and the
+    sample is left out of min_f_abs.  |L| = 1, so f is resolved wherever
     F_omega is.
 
     Two facts limit where this holds.  |F_omega| on the left edge decays like
@@ -627,13 +628,13 @@ def rouche_scan(
     Re(s) = 1), which no neutralizer covers; a sample close enough to one to
     be unresolved raises.  A margin below -1e-10 raises NonConvergence.
 
-    L is blaschke_L over the neutralized zeros, one call for every sample
-    away from them; a quotient-limit sample takes L over the other zeros.
-    Each estimate is checked as soon as it is known, so the first unresolved
-    sample in boundary order is named; the minima report first occurrences.
-    Two zero heights within POLE_TOL of one sample raise PoleProximity before
-    any quadrature, and a K(tau) that needs more than MAX_BOUNDARY_SAMPLES
-    samples raises DomainError before the zeros are located.
+    L is one blaschke_L call over the whole boundary, made before any
+    quadrature, so a sample at a neutralized zero height raises
+    PoleProximity first.  Each estimate is checked as soon as it is known,
+    so the first unresolved sample in boundary order is named; the minima
+    report first occurrences.  A K(tau) that needs more than
+    MAX_BOUNDARY_SAMPLES samples raises DomainError before the zeros are
+    located.
     """
     _check_positive_finite("tau, lam and epsilon", (tau, lam, epsilon))
     n = _boundary_size(RectangleRegion(0.0, 0.5, 0.0, tau))
@@ -643,35 +644,14 @@ def rouche_scan(
     while any(abs(b - tau) < EXCLUSION_TOL for b in betas):
         tau += 5.0 * EXCLUSION_TOL
     betas = [b for b in betas if b <= tau]
-    beta_arr = np.asarray(betas, dtype=float)
-
-    # Quotient limits F_omega(omega)/(omega - i b_j) near each zero, estimated
-    # once per zero from the symmetric pair of ring points of radius POLE_TOL
-    # that stay inside the half strip (the pair cancels the second-order term,
-    # giving a central difference along the edge).
-    quotients = np.array([
-        (_f_omega_estimate(1j * (b + POLE_TOL), quad_tol).value
-         - _f_omega_estimate(1j * (b - POLE_TOL), quad_tol).value) / (2j * POLE_TOL)
-        for b in betas
-    ], dtype=complex)
 
     samples = _boundary_points(RectangleRegion(0.0, 0.5, 0.0, tau))
-    offsets = samples[:, None] - 1j * beta_arr  # one column per neutralized zero
-    dist = _modulus(offsets)
-    pole = dist < POLE_TOL
-    if (pole.sum(axis=1) > 1).any():
-        raise PoleProximity(f"two zero heights within pole_tol {POLE_TOL:.1e} of one sample")
-    # rows within POLE_TOL of zero j take the quotient limit, with L over the
-    # other zeros; the resolution check is waived on a 10x wider
-    # neighbourhood, where |f| legitimately decays linearly toward the zero
-    rows, cols = np.nonzero(pole)
-    near = (dist < 10.0 * POLE_TOL).any(axis=1)
-    rest = np.array([blaschke_L(samples[i], np.delete(beta_arr, j)) for i, j in zip(rows, cols)],
-                    dtype=complex)
-    f = np.empty_like(samples)
-    f[rows] = _product(_product(offsets[rows, cols].conj(), quotients[cols]), rest)
-    away = np.flatnonzero(~pole.any(axis=1))
-    for i, L in zip(away, blaschke_L(samples[away], beta_arr).tolist()):
+    # near a neutralized zero |f| legitimately decays linearly toward it, so
+    # the resolution check is waived there
+    near = (_modulus(samples[:, None] - 1j * np.asarray(betas, dtype=float))
+            < EXCLUSION_TOL).any(axis=1)
+    f = blaschke_L(samples, betas)  # L, multiplied by F_omega sample by sample
+    for i, L in enumerate(f.tolist()):
         est = _f_omega_estimate(samples[i], quad_tol)
         if not near[i] and not est.resolved:
             raise BoundaryZeroError(

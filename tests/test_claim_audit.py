@@ -176,6 +176,19 @@ class TestConfig:
                 AuditConfig(jensen_samples=value)
         assert AuditConfig(jensen_samples=np.int64(384)) == AuditConfig()
 
+    def test_equal_configs_have_equal_digests(self):
+        # each numeric field is stored as its declared type, so an int or a
+        # Fraction for a float field dumps as the float ("tau_max=50" differed)
+        from fractions import Fraction
+
+        default = AuditConfig()
+        for cfg in (AuditConfig(tau_max=50), AuditConfig(rouche_tau=Fraction(16)),
+                    AuditConfig(jensen_samples=np.int64(384)), AuditConfig(seed=np.int64(20201219))):
+            assert cfg == default and cfg.digest() == default.digest()
+        assert default.digest().startswith("5b9664d7")
+        with pytest.raises(Exception, match="tau_max must be positive and finite"):
+            AuditConfig(tau_max=10**400)  # past the float range
+
     def test_rouche_options_are_the_scan_arguments(self):
         import inspect
 

@@ -229,7 +229,8 @@ class TestAudit:
 
 
 class TestUsageErrors:
-    # pole_tol and grid_re_n name values fixed in the code, not config keys
+    # pole_tol and grid_re_n are not config keys (grid_re_n names a value
+    # fixed in the code, pole_tol one that no longer exists)
     # eval_budget is a constant too; seed=-1 crashed the audit's generators,
     # and a zero_tol below 1e-9 made the zero search fail on a single zero;
     # n_samples and boundary_density are constants now (claim_audit.SWEEP_SAMPLES
@@ -288,6 +289,29 @@ class TestUsageErrors:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "numerical error" in err
+
+
+class TestNoTraceback:
+    # ROADMAP: no input ends in a traceback, and no exit code but the audit's
+    # FAIL verdicts is 1.  The first three ended in a bare ValueError from the
+    # quadrature's mesh (exit 1)
+    @pytest.mark.parametrize("argv", ["eval F 1e-320 0", "eval F 0.001 0",
+                                      "bounds --lo 0.001 --hi 0.001", "eval F 0.5 1e300", "eval zeta 0.5 1e300",
+                                      "eval eta 1e-320 0", "eval zeta 1e-320 5",
+                                      "eval gamma 1e-320 0", "zeros --tau 1e300",
+                                      "rouche --tau 1e300"])
+    def test_edge_input_exits_two_or_three(self, capsys, argv):
+        code, _, err = run(capsys, *argv.split())
+        assert code in (2, 3)
+        assert "error" in err
+
+    # eval F 0.01 3 answered with an error of 0.05 at tol 1e-8
+    @pytest.mark.parametrize("argv", ["eval F 0.001 0", "bounds --lo 0.001 --hi 0.001",
+                                      "eval F 0.01 3"])
+    def test_small_real_part_misses_the_head_rule(self, capsys, argv):
+        code, _, err = run(capsys, *argv.split())
+        assert code == 2
+        assert "above tol/10" in err
 
 
 def test_every_config_field_has_a_flag():

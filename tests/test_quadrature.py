@@ -89,13 +89,27 @@ class TestFermiMellin:
             assert mesh.shape == ref.shape and np.array_equal(mesh, ref), (h, x_max, beta)
 
     def test_error_reporting_honest_at_small_alpha(self):
-        # near the left strip edge the head cut saturates at the smallest
-        # representable point; the reported error must still cover the true
-        # deviation from the product route
-        for alpha in (0.05, 0.03):
-            est = fermi_mellin(alpha, 1e-8)
+        # near the left strip edge the head cut saturates at h = 1e-300; the
+        # reported error must still cover the true deviation from the product
+        # route.  At alpha = 0.03 the head bound there is 1.7e-8, so tol 1e-8
+        # cannot be met and raises, while tol 1e-6 is met
+        for alpha, tol in ((0.05, 1e-8), (0.03, 1e-6)):
+            est = fermi_mellin(alpha, tol)
             truth = (gamma(alpha) * eta(alpha)).real
-            assert abs(est.value.real - truth) <= max(est.abs_error, 1e-8)
+            assert abs(est.value.real - truth) <= max(est.abs_error, tol)
+        with pytest.raises(ToleranceNotMet, match="above tol/10"):
+            fermi_mellin(0.03, 1e-8)
+
+    @pytest.mark.parametrize("alpha, k", [(0.001, 0), (0.003, 0), (0.01, 0), (0.003, 1),
+                                          (0.003, 2), (1e-320, 0), (1e-320, 1)])
+    def test_head_above_tol_raises_before_the_mesh(self, alpha, k, monkeypatch):
+        # alpha = 0.001 (k = 0) and 1e-320 crashed in _mesh_panels' log(0);
+        # 0.003 returned an error of 21 and 0.01 one of 0.05 at tol 1e-8
+        for name in ("_mesh_panels", "_mesh"):
+            monkeypatch.setattr(quadrature, name, None)
+        integral = fermi_mellin if k == 0 else lambda a, tol: m_star_derivative(a, k, tol)
+        with pytest.raises(ToleranceNotMet, match=f"Re\\(s\\) = {alpha}: the head bound"):
+            integral(alpha, 1e-8)
 
     def test_budget_exhaustion(self):
         # high enough that the initial mesh alone exceeds EVAL_BUDGET

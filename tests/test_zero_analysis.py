@@ -16,7 +16,7 @@ from zetalab.errors import (
     PoleProximity,
     ZeroAtCenter,
 )
-from zetalab.quadrature import g_of_b, m_star
+from zetalab.quadrature import f_shifted, g_of_b, m_star
 from zetalab.special_functions import eta
 from zetalab.strip_map import f_on_disk
 from zetalab.zero_analysis import (
@@ -93,6 +93,30 @@ class TestWindingCount:
     def test_complex_bound_rejected(self):
         with pytest.raises(DomainError, match="real argument"):  # raised TypeError
             RectangleRegion(0.0, 1.0 + 0j, 0.0, 1.0)
+
+    def test_short_result_raises(self):
+        # one value fewer than points misaligned the phase steps and gave a count
+        with pytest.raises(DomainError, match=re.escape("shape (511,) for points of shape (512,)")):
+            winding_count(lambda z: (z - 0.2)[:-1], UNIT_RECT)
+
+    def test_scalar_result_raises(self):
+        # ended in a bare IndexError
+        with pytest.raises(DomainError, match="shape"):
+            winding_count(lambda z: 1.0 + 0j, UNIT_RECT)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_names_its_point(self, bad):
+        # spent the 500,000-evaluation budget, then raised NonConvergence
+        point = complex(zero_analysis._boundary_points(UNIT_RECT)[5])
+        seen = []
+
+        def fn(z):
+            seen.append(z.size)
+            return np.where(z == point, bad, z - 0.2)
+
+        with pytest.raises(DomainError, match=re.escape(f"fn({point}) = ")):
+            winding_count(fn, UNIT_RECT)
+        assert seen == [512]
 
     @pytest.mark.parametrize("height", [1e300, 1e308])
     def test_initial_boundary_checked_before_it_is_built(self, height):
@@ -693,9 +717,12 @@ class TestBlaschke:
         assert got.dtype == complex and got.tolist() == [1.0, 1.0, 1.0]
 
     def test_array_pole_proximity(self):
-        omega = np.array([0.2 + 3j, 0.1 + 20j, 1e-5 + 1j * ZERO_ORDINATES[1]])
-        with pytest.raises(PoleProximity):
+        # only a pole itself, where a factor is 0/0, raises; 1e-5 away the
+        # product is unimodular to rounding
+        omega = np.array([0.2 + 3j, 0.1 + 20j, 1j * ZERO_ORDINATES[1]])
+        with pytest.raises(PoleProximity, match=f"pole i\\*{ZERO_ORDINATES[1]}"):
             blaschke_L(omega, ZERO_ORDINATES)
+        assert np.abs(np.abs(blaschke_L(omega + 1e-5, ZERO_ORDINATES)) - 1.0).max() <= 1e-15
         with pytest.raises(DomainError):
             blaschke_L(np.array([0.2 + 3j, complex(math.nan, 1.0)]), ZERO_ORDINATES)
 
@@ -713,7 +740,19 @@ class TestBlaschke:
 
     def test_pole_proximity(self):
         with pytest.raises(PoleProximity):
-            blaschke_L(1e-5 + 14.1347j, [14.1347])
+            blaschke_L(14.1347j, [14.1347])
+        for omega in (1e-5 + 14.1347j, 14.13471j, 14.13469j):
+            assert abs(abs(blaschke_L(omega, [14.1347])) - 1.0) <= 1e-15
+
+    def test_unimodular_near_its_poles(self):
+        # numerator and denominator of a factor are exact conjugates however
+        # close omega comes to its pole, so no radius around a pole is refused
+        rng = np.random.default_rng(2024)
+        for b in ZERO_ORDINATES:
+            dist = 10.0 ** rng.uniform(-14.0, -3.0, 2000)
+            angle = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, 2000)  # Re(omega) >= 0
+            L = blaschke_L(1j * b + dist * np.exp(1j * angle), ZERO_ORDINATES)
+            assert np.abs(np.abs(L) - 1.0).max() <= 1e-15
 
     def test_random_sweep(self):
         rng = np.random.default_rng(73)
@@ -878,6 +917,35 @@ class TestRoucheScan:
         assert scan.zeros == tuple(b for b in located if b <= scan.tau)
         assert scan.zeros == pytest.approx((ZERO_ORDINATES[0],), abs=1e-9)
 
+    def test_sample_at_a_neutralized_height_raises_before_any_quadrature(self, monkeypatch):
+        # at 8 samples per unit the left edge of K(16) holds the sample 12j
+        # exactly, where a factor of L is 0/0
+        monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 8)
+        assert 12j in zero_analysis._boundary_points(RectangleRegion(0.0, 0.5, 0.0, 16.0))
+        monkeypatch.setattr(zero_analysis, "critical_line_zeros",
+                            lambda tau: CriticalZeroList((12.0,), tau))
+        monkeypatch.setattr(zero_analysis, "f_shifted", None)
+        with pytest.raises(PoleProximity, match=re.escape("pole i*12.0")):
+            rouche_scan(16.0, 10.0, 0.1)
+
+    def test_f_shifted_once_per_sample_plus_tighter_passes(self, monkeypatch):
+        # every sample takes the same route, so no quadrature runs off the
+        # boundary: 2,112 first passes and 31 tighter ones at tau = 16
+        calls = []
+
+        def spy(omega, tol):
+            calls.append((omega, tol))
+            return f_shifted(omega, tol)
+
+        monkeypatch.setattr(zero_analysis, "f_shifted", spy)
+        scan = rouche_scan(16.0, lambda_choice(1.0, 0.1, 0.01), 0.1)
+        samples = zero_analysis._boundary_points(RectangleRegion(0.0, 0.5, 0.0, scan.tau))
+        assert [w for w, tol in calls if tol == 1e-10] == samples.tolist()
+        for k, (omega, tol) in enumerate(calls):
+            if tol != 1e-10:  # a tighter pass right after its sample's first
+                assert tol < 1e-10 and calls[k - 1] == (omega, 1e-10)
+        assert scan.boundary_samples == 2112 < len(calls)
+
 
 def _located_zeros(tau):
     """The zeros rouche_scan(tau, ...) locates: critical_line_zeros above tau."""
@@ -885,99 +953,77 @@ def _located_zeros(tau):
 
 
 def _per_sample_scan(tau, lam, epsilon, *, zeros, density, quad_tol=1e-10):
-    """rouche_scan as a loop over samples with one f_at call each, the
-    reference for the array version; returns (result, the number of
-    quotient-limit samples at each neutralized height)."""
-    pole_tol, exclusion_tol = zero_analysis.POLE_TOL, zero_analysis.EXCLUSION_TOL
-    estimate = zero_analysis._f_omega_estimate
+    """rouche_scan as a loop over samples, each f its F_omega estimate times
+    one scalar blaschke_L call: the reference for the array version."""
+    exclusion_tol = zero_analysis.EXCLUSION_TOL
     betas = [float(b) for b in zeros]
     while any(abs(b - tau) < exclusion_tol for b in betas):
         tau += 5.0 * exclusion_tol
     betas = [b for b in betas if b <= tau]
-    beta_arr = np.asarray(betas, dtype=float)
-    quotients = []
-    for b in betas:
-        up = estimate(1j * (b + pole_tol), quad_tol).value
-        dn = estimate(1j * (b - pole_tol), quad_tol).value
-        quotients.append((up - dn) / (2j * pole_tol))
-    hits = [0] * len(betas)
-
-    def f_at(omega):
-        near = False
-        if beta_arr.size:
-            d = omega - 1j * beta_arr
-            j = int(np.argmin(np.abs(d)))
-            near = abs(d[j]) < 10.0 * pole_tol
-            if abs(d[j]) < pole_tol:
-                hits[j] += 1
-                rest = np.delete(beta_arr, j)
-                other = blaschke_L(omega, rest) if rest.size else 1.0
-                return d[j].conjugate() * quotients[j] * other, True
-        est = estimate(omega, quad_tol)
-        if not near and not est.resolved:
-            raise BoundaryZeroError(
-                f"|F_omega({omega})| = {abs(est.value):.3e}"
-                f" within its error bound {est.abs_error:.3e}"
-            )
-        return est.value * blaschke_L(omega, betas), near
 
     samples = _list_boundary_points(RectangleRegion(0.0, 0.5, 0.0, tau), density)
     min_margin, argmin_omega = math.inf, samples[0]
     min_f_abs, argmin_f = math.inf, samples[0]
     for omega in samples:
-        fv, near_zero = f_at(omega)
+        near = any(abs(omega - 1j * b) < exclusion_tol for b in betas)
+        est = zero_analysis._f_omega_estimate(omega, quad_tol)
+        if not near and not est.resolved:
+            raise BoundaryZeroError(
+                f"|F_omega({omega})| = {abs(est.value):.3e}"
+                f" within its error bound {est.abs_error:.3e}"
+            )
+        fv = est.value * blaschke_L(omega, betas)
         gv = lam * (epsilon + omega)
         margin = abs(fv) + abs(gv) - abs(fv + gv)
         if margin < min_margin:
             min_margin, argmin_omega = margin, omega
-        if not near_zero and abs(fv) < min_f_abs:
+        if not near and abs(fv) < min_f_abs:
             min_f_abs, argmin_f = abs(fv), omega
-    result = zero_analysis.RoucheScanResult(
+    return zero_analysis.RoucheScanResult(
         tau=float(tau), lam=float(lam), epsilon=float(epsilon), min_margin=float(min_margin),
         argmin_omega=argmin_omega, boundary_samples=len(samples), min_f_abs=float(min_f_abs),
         argmin_f_omega=argmin_f, zeros=tuple(betas),
     )
-    return result, hits
 
 
 class TestRoucheScanMatchesPerSampleLoop:
     LAM = lambda_choice(1.0, 0.1, 0.01)
-    # (args, injected heights or None for the located zeros, samples per unit,
-    # whether every neutralized height takes the quotient limit at some
-    # sample); at density 37 one sample lies within POLE_TOL of the first zero
-    # and one within POLE_TOL of 8.0005.  That height is not a zero, so only a
-    # stand-in for critical_line_zeros can inject it: it is there for the
-    # two-height arithmetic of L over the other heights, which no tau above
-    # the second zero can check, since the scan raises there
+    # (args, injected heights or None for the located zeros, samples per
+    # unit); at density 37 one sample lies within 1e-3 of the first zero and
+    # one within 1e-3 of 8.0005 (test_density_37_samples_next_to_each_height).
+    # That height is not a zero, so only a stand-in for critical_line_zeros
+    # can inject it: it is there for the two-height arithmetic of L, which no
+    # tau above the second zero can check, since the scan raises there
     # (test_two_neutralized_zeros)
     CASES = [
-        ((10.0, 10.0, 0.1), None, 8, False),
-        ((16.0, LAM, 0.1), None, 37, True),
-        ((16.0, LAM, 0.1), (8.0005, ZERO_ORDINATES[0]), 37, True),
-        ((ZERO_ORDINATES[0], 10.0, 0.1), None, 16, False),
+        ((10.0, 10.0, 0.1), None, 8),
+        ((16.0, LAM, 0.1), None, 37),
+        ((16.0, LAM, 0.1), (8.0005, ZERO_ORDINATES[0]), 37),
+        ((ZERO_ORDINATES[0], 10.0, 0.1), None, 16),
     ]
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_every_field_equal(self, case, monkeypatch):
-        args, injected, density, quotient_route = self.CASES[case]
+        args, injected, density = self.CASES[case]
         zeros = _located_zeros(args[0]) if injected is None else injected
-        ref, hits = _per_sample_scan(*args, zeros=zeros, density=density)
-        assert (min(hits, default=0) > 0) == quotient_route
+        ref = _per_sample_scan(*args, zeros=zeros, density=density)
         monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", density)
         if injected is not None:
             monkeypatch.setattr(zero_analysis, "critical_line_zeros",
                                 lambda tau: CriticalZeroList(injected, tau))
         assert rouche_scan(*args) == ref
 
+    def test_density_37_samples_next_to_each_height(self):
+        samples = _list_boundary_points(RectangleRegion(0.0, 0.5, 0.0, 16.0), 37)
+        for b in (8.0005, ZERO_ORDINATES[0]):
+            assert min(abs(w - 1j * b) for w in samples) < 1e-3
+
     def test_array_arithmetic_rounds_as_python_scalars(self):
-        # np.abs and NumPy's complex multiply (fused multiply-add) differ from
-        # Python's abs and complex product in the last bit on many values
+        # np.abs differs from Python's abs in the last bit on many values
         rng = np.random.default_rng(4242)
         parts = rng.normal(size=(4, 20_000)) * 10.0 ** rng.uniform(-12, 3, (4, 20_000))
-        a, b = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
-        assert np.array_equal(zero_analysis._modulus(a), [abs(x) for x in a.tolist()])
-        product = [x * y for x, y in zip(a.tolist(), b.tolist())]
-        assert np.array_equal(zero_analysis._product(a, b), product)
+        for v in (parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]):
+            assert np.array_equal(zero_analysis._modulus(v), [abs(x) for x in v.tolist()])
 
     def test_floor_violation_names_the_same_first_sample(self, monkeypatch):
         # F_omega vanishes on the right edge at Im = 2 pi k / log 2; with tau
