@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -40,6 +41,11 @@ class _CliExit(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes -1e-3 for an option; no option looks like a number
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # argparse default exits 2; the contract wants 3
         self.print_usage(sys.stderr)
         raise _CliExit(USAGE_EXIT, f"error: {message}")
@@ -65,7 +71,8 @@ _alpha = _float_where(lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="zetalab", description=__doc__)
-    parser.add_argument("--tol", dest="quad_tol", type=float, help="quadrature tolerance")
+    parser.add_argument("--tol", dest="quad_tol", type=float,
+                        help="quadrature tolerance of eval, bounds and jensen (the audit fixes its own)")
     parser.add_argument("--format", dest="output_format", choices=("csv", "doc"))
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
@@ -156,6 +163,8 @@ def _cmd_bounds(args, cfg: AuditConfig) -> int:
     lo, hi, step = args.lo, args.hi, args.step
     if lo > hi:
         raise _CliExit(USAGE_EXIT, "error: bounds grid needs --lo <= --hi")
+    if lo < hi and step < math.ulp(hi):  # lo + i * step would never pass lo
+        raise _CliExit(USAGE_EXIT, f"error: --step {step!r} is below the float spacing at --hi")
     print("alpha,m,m_star,m_star_d1,m_star_d2")
     for i in range(math.floor((hi - lo) / step + 1e-9) + 1):
         a = lo + i * step

@@ -22,17 +22,15 @@ __all__ = ["AuditConfig", "load_config", "dump_config"]
 
 @dataclass(frozen=True)
 class AuditConfig:
-    # the tolerance of the CLI operations; the audit's claims fix their own,
-    # and its boundary scan uses min(quad_tol, 1e-10), so quad_tol reaches the
-    # audit only when it is tighter than 1e-10
-    quad_tol: float = 1e-8
-    zero_tol: float = 1e-4
-    tau_max: float = 50.0
+    # the audit reads seed, output_format and the rouche_* fields; every claim
+    # fixes its own tolerances and sample counts
+    quad_tol: float = 1e-8  # eval, bounds and jensen
+    zero_tol: float = 1e-4  # zeros
+    tau_max: float = 50.0  # zeros
     seed: int = 20201219
     output_format: str = "doc"  # "doc" (single JSON document) or "csv"
-    jensen_samples: int = 384  # circle samples of the Jensen check (audit and jensen)
-    # boundary-scan knobs; the scan's nonvanishing test takes none, as it
-    # reads each sample's own quadrature error bound
+    jensen_samples: int = 384  # circle samples of the jensen command
+    # the paper's tau, epsilon and nu of the boundary scan (audit and rouche)
     rouche_tau: float = 16.0
     rouche_epsilon: float = 0.1
     rouche_nu: float = 0.01
@@ -69,17 +67,11 @@ class AuditConfig:
         """Every argument of zero_analysis.rouche_scan, from this config.
 
         lam defaults to lambda_choice(1, epsilon, nu) = (M*(1/2) + nu)/epsilon,
-        the lam of EQ50C's bound; the scan's quadrature tolerance is capped
-        at 1e-10.
+        the lam of EQ50C's bound.
         """
         if lam is None:
             lam = lambda_choice(1.0, self.rouche_epsilon, self.rouche_nu)
-        return dict(
-            tau=self.rouche_tau,
-            lam=lam,
-            epsilon=self.rouche_epsilon,
-            quad_tol=min(self.quad_tol, 1e-10),
-        )
+        return dict(tau=self.rouche_tau, lam=lam, epsilon=self.rouche_epsilon)
 
 
 def _is_number(value, kind: type) -> bool:

@@ -585,23 +585,15 @@ def _modulus(v: np.ndarray) -> np.ndarray:
     return np.hypot(v.real, v.imag)
 
 
-def _f_omega_estimate(omega: complex, quad_tol: float):
-    """F_omega with a second, tighter pass when the value drowns in the error."""
-    est = f_shifted(omega, quad_tol)
+def _f_omega_estimate(omega: complex):
+    """F_omega at tol 1e-10, again at 1e-13 where |value| < 50 * abs_error."""
+    est = f_shifted(omega, 1e-10)
     if abs(est.value) < 50.0 * est.abs_error:
-        tighter = max(1e-13, est.abs_error / 1e4)
-        if tighter < quad_tol:
-            est = f_shifted(omega, tighter)
+        est = f_shifted(omega, 1e-13)
     return est
 
 
-def rouche_scan(
-    tau: float,
-    lam: float,
-    epsilon: float,
-    *,
-    quad_tol: float = 1e-10,
-) -> RoucheScanResult:
+def rouche_scan(tau: float, lam: float, epsilon: float) -> RoucheScanResult:
     """Sample |f| + |g| - |f+g| over the boundary of K(tau).
 
     K(tau) is the rectangle Re(omega) in [0, 1/2], Im(omega) in [0, tau],
@@ -612,7 +604,8 @@ def rouche_scan(
     neutralize a height that is not a zero.  If a zero height falls within
     EXCLUSION_TOL = 1e-2 of tau, tau is shifted up by 5*EXCLUSION_TOL
     (repeatedly if needed) so the top edge stays clear.  Every sample's f is
-    its F_omega estimate (_f_omega_estimate, with its tighter pass) times L.
+    its F_omega estimate times L: a quadrature at tol 1e-10, repeated at
+    1e-13 where |value| < 50 * abs_error (_f_omega_estimate).
     Outside EXCLUSION_TOL of every neutralized zero that estimate must be
     resolved (|value| > abs_error): one that is not raises BoundaryZeroError,
     since a zero on the contour cannot be excluded there.  Within it, where
@@ -652,7 +645,7 @@ def rouche_scan(
             < EXCLUSION_TOL).any(axis=1)
     f = blaschke_L(samples, betas)  # L, multiplied by F_omega sample by sample
     for i, L in enumerate(f.tolist()):
-        est = _f_omega_estimate(samples[i], quad_tol)
+        est = _f_omega_estimate(samples[i])
         if not near[i] and not est.resolved:
             raise BoundaryZeroError(
                 f"|F_omega({complex(samples[i])})| = {abs(est.value):.3e}"

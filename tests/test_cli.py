@@ -80,6 +80,32 @@ class TestEval:
         assert code == 2
         assert "error" in err.lower()
 
+    # eta is entire: within gamma's pole radius of 0 these exited 2 with
+    # "gamma pole at 0"
+    @pytest.mark.parametrize("function, re, value", [("eta", "1e-13", "0.5"),
+                                                     ("eta", "1e-320", "0.5"),
+                                                     ("zeta", "1e-13", "-0.5")])
+    def test_next_to_zero(self, capsys, function, re, value):
+        code, out, _ = run(capsys, "eval", function, re, "0")
+        assert code == 0
+        assert out.splitlines()[0] == f"value = {value} + 0i"
+
+    # argparse took a negative coordinate in scientific notation for an
+    # option: "the following arguments are required", exit 3
+    @pytest.mark.parametrize("argv, line", [
+        ("eval gamma -1e-3 0", "value = -1000.57820563 + 0i"),
+        ("eval eta 0.5 -1e1", "value = -0.0981715533486 - 1.33391819185i"),
+        ("map 0.3 -4e-1 0.9", "H      = 0.5"),
+    ])
+    def test_negative_coordinate_in_scientific_notation(self, capsys, argv, line):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert line in out.splitlines()
+
+    def test_negative_flag_value_meets_its_range_check(self, capsys):
+        code, out, err = run(capsys, "bounds", "--lo", "-1e-3")
+        assert (code, out) == (3, "") and "--lo: -1e-3 must lie in (0, 1]" in err
+
 
 class TestBounds:
     def test_grid_rows(self, capsys):
@@ -107,6 +133,19 @@ class TestBounds:
     def test_bad_grid(self, capsys):
         code, _, _ = run(capsys, "bounds", "--lo", "0.0", "--hi", "1.0", "--step", "0.1")
         assert code == 3
+
+    def test_step_below_the_spacing_at_hi_is_usage_error(self, capsys, monkeypatch):
+        # lo + k * step never passed lo: 1e-300 printed the row 0.5 practically
+        # forever, 1e-320 ended in a bare OverflowError from floor(inf)
+        from zetalab import quadrature as quad
+
+        monkeypatch.setattr(quad, "m_star", None)  # no row may be computed
+        for step in ("1e-320", "1e-300", repr(math.ulp(1.0) / 2)):
+            code, out, err = run(capsys, "bounds", "--lo", "0.5", "--hi", "1", "--step", step)
+            assert (code, out) == (3, "") and "--step" in err
+        monkeypatch.undo()
+        code, out, _ = run(capsys, "bounds", "--lo", "0.5", "--hi", "0.5", "--step", "1e-320")
+        assert code == 0 and len(out.strip().splitlines()) == 2
 
     def test_rows_on_the_grid(self, capsys, monkeypatch):
         # lo + k*step, not a running sum, and the end point is hi itself
@@ -297,9 +336,9 @@ class TestNoTraceback:
     # quadrature's mesh (exit 1)
     @pytest.mark.parametrize("argv", ["eval F 1e-320 0", "eval F 0.001 0",
                                       "bounds --lo 0.001 --hi 0.001", "eval F 0.5 1e300", "eval zeta 0.5 1e300",
-                                      "eval eta 1e-320 0", "eval zeta 1e-320 5",
-                                      "eval gamma 1e-320 0", "zeros --tau 1e300",
-                                      "rouche --tau 1e300"])
+                                      "eval zeta 1e-320 5", "eval gamma 1e-320 0",
+                                      "zeros --tau 1e300", "rouche --tau 1e300",
+                                      "eval gamma 1e308 1e308", "eval eta 1e308 1e308"])
     def test_edge_input_exits_two_or_three(self, capsys, argv):
         code, _, err = run(capsys, *argv.split())
         assert code in (2, 3)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab import special_functions
-from zetalab.errors import DomainError, PoleError
+from zetalab.errors import DomainError, PoleError, ZetaLabError
 from zetalab.special_functions import (
     ensure_finite,
     ensure_strip,
@@ -145,10 +145,12 @@ class TestEta:
     # Past the double-precision limits: gamma's reflection overflows, the
     # series weights overflow (n > 402 terms), |Gamma(s)| underflows, and
     # from Re(s) ~ 171.6 Gamma itself overflows (scalar eta takes its term
-    # count from gamma).
+    # count from gamma); at 171.64 + 0.15i both parts are finite but the
+    # modulus is not (a bare OverflowError from abs)
     @pytest.mark.parametrize("fn, s", [(gamma, 0.3 + 300j), (eta, 0.3 + 300j),
                                        (eta, 0.5 + 440j), (eta, 0.5 + 500j),
-                                       (gamma, 171.7), (eta, 1e300)])
+                                       (gamma, 171.7), (eta, 1e300),
+                                       (gamma, 171.64 + 0.15j), (eta, 171.64 + 0.15j)])
     def test_height_limit_is_domain_error(self, fn, s):
         with pytest.raises(DomainError):
             fn(s)
@@ -164,6 +166,18 @@ class TestEta:
         with mpmath.workdps(30):
             ref = complex((mpmath.gamma if fn is gamma else mpmath.altzeta)(s))
         assert abs(fn(s) - ref) <= 1e-12 * abs(ref)
+
+    # eta is entire; the scalar term count once divided by Gamma(s) and
+    # raised "gamma pole at 0" within 1e-12 of s = 0
+    @pytest.mark.parametrize("s", [1e-13, 1e-320, 5e-324, 1e-13 + 5e-13j, 1e-13 - 5e-13j,
+                                   1e-300 + 5e-13j])
+    def test_inside_gammas_pole_radius_of_zero(self, s):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = complex(mpmath.altzeta(mpmath.mpc(s.real, s.imag)))
+        got = eta(s)
+        assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0)
+        assert got == eta(np.array([complex(s)]))[0]
 
     def test_scalar_route_equals_one_point_batch(self):
         rng = np.random.default_rng(5000)
@@ -287,3 +301,23 @@ class TestZeroEquivalence:
 def test_eta_conjugation_property(re, im):
     s = complex(re, im)
     assert abs(eta(s.conjugate()) - eta(s).conjugate()) < 1e-12
+
+
+# every finite s gets a value or a ZetaLabError: the Lanczos power and the
+# reflection's sin(pi s) once ended in a bare ZeroDivisionError or ValueError
+# far from the strip
+_SWEEP_PARTS = sorted({sign * m for m in (0.0, 1e-320, 1e-300, 1e-200, 1e-100, 1e-13, 1e-12,
+                                          0.1, 1.0, 10.0, 100.0, 1e3, 1e10, 1e100, 1e200,
+                                          1e300, 1e307, 1e308, 1.7e308) for sign in (1, -1)})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("fn", [gamma, eta, lambda s: eta(np.array([s])), zeta],
+                         ids=["gamma", "eta", "eta_array", "zeta"])
+def test_no_bare_exception_at_any_finite_point(fn):
+    for re in _SWEEP_PARTS:
+        for im in _SWEEP_PARTS:
+            try:
+                fn(complex(re, im))
+            except ZetaLabError:
+                pass

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -861,11 +862,13 @@ class TestRoucheScan:
         zeros = _located_zeros(22.0)
         assert zeros == pytest.approx(ZERO_ORDINATES[:2], abs=1e-9)
         with pytest.raises(BoundaryZeroError, match="within its error bound") as ref:
-            _per_sample_scan(22.0, lam, 0.1, zeros=zeros, density=32, quad_tol=1e-12)
+            _per_sample_scan(22.0, lam, 0.1, zeros=zeros, density=32)
         monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 32)
         with pytest.raises(BoundaryZeroError) as got:
-            rouche_scan(22.0, lam, 0.1, quad_tol=1e-12)
+            rouche_scan(22.0, lam, 0.1)
         assert str(got.value) == str(ref.value)
+        assert str(got.value) == ("|F_omega(21.15625j)| = 3.100e-15"
+                                  " within its error bound 3.370e-15")
 
     def test_answers_where_f_is_small_but_resolved(self, monkeypatch):
         # the corner 0.5 + 18i lies 0.13 from F's zero at s = 1 + 18.13i
@@ -930,7 +933,8 @@ class TestRoucheScan:
 
     def test_f_shifted_once_per_sample_plus_tighter_passes(self, monkeypatch):
         # every sample takes the same route, so no quadrature runs off the
-        # boundary: 2,112 first passes and 31 tighter ones at tau = 16
+        # boundary: 2,112 first passes at tol 1e-10 and 31 tighter ones at
+        # 1e-13 at tau = 16
         calls = []
 
         def spy(omega, tol):
@@ -943,8 +947,9 @@ class TestRoucheScan:
         assert [w for w, tol in calls if tol == 1e-10] == samples.tolist()
         for k, (omega, tol) in enumerate(calls):
             if tol != 1e-10:  # a tighter pass right after its sample's first
-                assert tol < 1e-10 and calls[k - 1] == (omega, 1e-10)
-        assert scan.boundary_samples == 2112 < len(calls)
+                assert tol == 1e-13 and calls[k - 1] == (omega, 1e-10)
+        assert scan.boundary_samples == 2112
+        assert Counter(tol for _, tol in calls) == {1e-10: 2112, 1e-13: 31}
 
 
 def _located_zeros(tau):
@@ -952,9 +957,11 @@ def _located_zeros(tau):
     return critical_line_zeros(tau + 6.0 * zero_analysis.EXCLUSION_TOL).betas
 
 
-def _per_sample_scan(tau, lam, epsilon, *, zeros, density, quad_tol=1e-10):
+def _per_sample_scan(tau, lam, epsilon, *, zeros, density):
     """rouche_scan as a loop over samples, each f its F_omega estimate times
-    one scalar blaschke_L call: the reference for the array version."""
+    one scalar blaschke_L call: the reference for the array version.  The
+    estimate is f_shifted at tol 1e-10, again at 1e-13 where the value is
+    below 50 times its error bound."""
     exclusion_tol = zero_analysis.EXCLUSION_TOL
     betas = [float(b) for b in zeros]
     while any(abs(b - tau) < exclusion_tol for b in betas):
@@ -966,7 +973,9 @@ def _per_sample_scan(tau, lam, epsilon, *, zeros, density, quad_tol=1e-10):
     min_f_abs, argmin_f = math.inf, samples[0]
     for omega in samples:
         near = any(abs(omega - 1j * b) < exclusion_tol for b in betas)
-        est = zero_analysis._f_omega_estimate(omega, quad_tol)
+        est = f_shifted(omega, 1e-10)
+        if abs(est.value) < 50.0 * est.abs_error:
+            est = f_shifted(omega, 1e-13)
         if not near and not est.resolved:
             raise BoundaryZeroError(
                 f"|F_omega({omega})| = {abs(est.value):.3e}"
