@@ -28,8 +28,8 @@ PASS total says nothing about any headline claim.
 Checks draw randomness from a per-claim generator seeded by (config seed,
 claim id), so the report body is byte-identical across runs with the same
 config digest regardless of execution order.  Every claim fixes its own
-tolerances and sample counts: the body reads the config's seed and its
-rouche_tau, rouche_epsilon and rouche_nu, and no other field.
+tolerances and sample counts: the body reads each config field, the seed
+and rouche_tau, rouche_epsilon and rouche_nu, and no CLI setting.
 """
 
 from __future__ import annotations

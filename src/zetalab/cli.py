@@ -4,15 +4,17 @@ Subcommands: eval, bounds, map, zeros, jensen, rouche, audit.  Complex
 arguments are passed as two positional reals (re, im).  Exit codes:
 0 success, 1 FAIL verdicts present in an audit, 2 numerical error,
 3 usage error (including a missing or malformed config file and an
-out-of-range config value or flag; a point outside the domain is exit 2).
-A flag that sets a config field (its dest is the field name) overrides the
-config file, which applies to every subcommand.
+out-of-range config value or flag; a point outside the domain is exit 2),
+141 stdout closed by its reader (as for a process ended by SIGPIPE).
+The config file holds the audit's inputs and applies to every subcommand; a
+flag whose dest is a config field overrides it.  Other settings are flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from dataclasses import fields, replace
@@ -28,6 +30,10 @@ __all__ = ["main", "AuditConfig"]
 
 USAGE_EXIT = 3
 NUMERIC_EXIT = 2
+BROKEN_PIPE_EXIT = 141  # 128 + SIGPIPE, as a shell reports `yes | head`
+# The most rows bounds prints: one per 1e-6 of alpha over (0, 1], about
+# 4 minutes at 0.26 ms a row (tol 1e-8, 2-CPU Xeon)
+BOUNDS_MAX_ROWS = 10**6
 # The accuracy of special_functions.eta, relative to max(|eta|, 1): absolute
 # near a zero.  Against mpmath.altzeta the largest error seen is 0.14 of it,
 # over 94 seeded points with Re(s) in (0, 1) and Im(s) up to 220.
@@ -51,29 +57,32 @@ class _Parser(argparse.ArgumentParser):
         raise _CliExit(USAGE_EXIT, f"error: {message}")
 
 
-def _float_where(ok: Callable[[float], bool], requirement: str) -> Callable[[str], float]:
-    """An argparse type: a float that ok accepts, else a usage error (NaN fails both)."""
+def _number_where(kind: type, ok: Callable, requirement: str) -> Callable[[str], object]:
+    """An argparse type: an int or float that ok accepts, else a usage error (NaN fails all)."""
 
-    def parse(text: str) -> float:
-        value = float(text)
+    def parse(text: str):
+        value = kind(text)
         if not ok(value):
             raise argparse.ArgumentTypeError(f"{text} {requirement}")
         return value
 
-    parse.__name__ = "float"  # argparse names the type in "invalid float value"
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid float value"
     return parse
 
 
-_positive = _float_where(lambda v: 0.0 < v < math.inf, "must be positive and finite")
-_unit_open = _float_where(lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
-_alpha = _float_where(lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
+_positive = _number_where(float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
+_unit_open = _number_where(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
+_alpha = _number_where(float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
+_zero_tol = _number_where(float, lambda v: za.MIN_ZERO_TOL <= v < math.inf,
+                          f"must be positive and finite, and >= {za.MIN_ZERO_TOL:g}")
+_samples = _number_where(int, lambda v: v >= 8, "must be >= 8")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="zetalab", description=__doc__)
-    parser.add_argument("--tol", dest="quad_tol", type=float,
+    parser.add_argument("--tol", type=_positive, default=1e-8,
                         help="quadrature tolerance of eval, bounds and jensen (the audit fixes its own)")
-    parser.add_argument("--format", dest="output_format", choices=("csv", "doc"))
+    parser.add_argument("--format", choices=("csv", "doc"), default="doc", help="audit report format")
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -94,13 +103,13 @@ def _build_parser() -> _Parser:
     p_map.add_argument("b", type=_unit_open)
 
     p_zeros = sub.add_parser("zeros", help="critical-line zeros up to a height")
-    p_zeros.add_argument("--tau", dest="tau_max", type=float, help="height")
-    p_zeros.add_argument("--zero-tol", type=float)
+    p_zeros.add_argument("--tau", type=_positive, default=50.0, help="height")
+    p_zeros.add_argument("--zero-tol", type=_zero_tol, default=1e-4)
 
     p_jensen = sub.add_parser("jensen", help="zero-free disk identity for the composed integral")
     p_jensen.add_argument("--b", type=_unit_open, default=0.9)
     p_jensen.add_argument("--radius", type=_unit_open, default=0.95)
-    p_jensen.add_argument("--samples", dest="jensen_samples", type=int)
+    p_jensen.add_argument("--samples", type=_samples, default=384, help="circle samples")
 
     p_rouche = sub.add_parser("rouche", help="triangle-margin scan over the K(tau) boundary")
     p_rouche.add_argument("--tau", dest="rouche_tau", type=float, required=True)
@@ -139,7 +148,7 @@ def _cmd_eval(args, cfg: AuditConfig) -> int:
     resolved = True
     if args.function in ("F", "F_shifted"):
         integral = quad.fermi_mellin if args.function == "F" else quad.f_shifted
-        est = integral(s, cfg.quad_tol)
+        est = integral(s, args.tol)
         value, err, resolved = est.value, est.abs_error, est.resolved
     elif args.function == "gamma":
         value = sf.gamma(s)
@@ -163,15 +172,16 @@ def _cmd_bounds(args, cfg: AuditConfig) -> int:
     lo, hi, step = args.lo, args.hi, args.step
     if lo > hi:
         raise _CliExit(USAGE_EXIT, "error: bounds grid needs --lo <= --hi")
-    if lo < hi and step < math.ulp(hi):  # lo + i * step would never pass lo
-        raise _CliExit(USAGE_EXIT, f"error: --step {step!r} is below the float spacing at --hi")
+    steps = (hi - lo) / step + 1e-9  # a float, so a step of 1e-320 gives inf
+    if steps >= BOUNDS_MAX_ROWS:
+        raise _CliExit(USAGE_EXIT, f"error: --step {step!r} gives more than {BOUNDS_MAX_ROWS} rows")
     print("alpha,m,m_star,m_star_d1,m_star_d2")
-    for i in range(math.floor((hi - lo) / step + 1e-9) + 1):
+    for i in range(math.floor(steps) + 1):
         a = lo + i * step
         if a >= hi - 1e-9 * step:  # hi on the grid to 1e-9 of a step: the last row is hi
             a = hi
-        row = (a, quad.m_bound(a), quad.m_star(a, cfg.quad_tol),
-               *(quad.m_star_derivative(a, k, cfg.quad_tol) for k in (1, 2)))
+        row = (a, quad.m_bound(a), quad.m_star(a, args.tol),
+               *(quad.m_star_derivative(a, k, args.tol) for k in (1, 2)))
         print(",".join(_fmt(x) for x in row))
     return 0
 
@@ -189,8 +199,8 @@ def _cmd_map(args, cfg: AuditConfig) -> int:
 
 
 def _cmd_zeros(args, cfg: AuditConfig) -> int:
-    tau = cfg.tau_max
-    zeros = za.critical_line_zeros(tau, cfg.zero_tol)
+    tau = args.tau
+    zeros = za.critical_line_zeros(tau, args.zero_tol)
     print(f"zeros up to tau = {_fmt(tau)}: {len(zeros)}")
     for beta in zeros:
         print(f"  beta = {_fmt(beta)}")
@@ -201,8 +211,8 @@ def _cmd_zeros(args, cfg: AuditConfig) -> int:
 
 
 def _cmd_jensen(args, cfg: AuditConfig) -> int:
-    fn = lambda z: smap.f_on_disk(z, args.b, cfg.quad_tol)
-    lhs, rhs = za.jensen_check(fn, [], args.radius, cfg.jensen_samples)
+    fn = lambda z: smap.f_on_disk(z, args.b, args.tol)
+    lhs, rhs = za.jensen_check(fn, [], args.radius, args.samples)
     print(f"lhs (log|f(0)|)        = {_fmt(lhs)}")
     print(f"rhs (circle average)   = {_fmt(rhs)}")
     print(f"|lhs - rhs|            = {abs(lhs - rhs):.3e}")
@@ -222,7 +232,7 @@ def _cmd_rouche(args, cfg: AuditConfig) -> int:
 
 def _cmd_audit(args, cfg: AuditConfig) -> int:
     report = claim_audit.run_audit(cfg)
-    if cfg.output_format == "csv":
+    if args.format == "csv":
         payload = "\n".join(claim_audit.report_to_lines(report)) + "\n"
     else:
         payload = claim_audit.report_to_json(report) + "\n"
@@ -254,7 +264,14 @@ def main(argv: list[str] | None = None) -> int:
             "rouche": _cmd_rouche,
             "audit": _cmd_audit,
         }[args.command]
-        return handler(args, cfg)
+        code = handler(args, cfg)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # zetalab bounds | head: the interpreter's last flush goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE_EXIT
     except _CliExit as exc:
         if str(exc):
             print(str(exc), file=sys.stderr)

@@ -229,16 +229,16 @@ def _loggamma(s: np.ndarray) -> np.ndarray:
         for j in range(1, 8):
             prod *= s + j
             arg += np.angle(s + j)
-    z = np.where(shifted, s + 8.0, s)
-    x, y = z.real, z.imag
-    log_abs, angle = np.log(np.abs(z)), np.angle(z)
-    w = 1.0 / z
-    w2 = w * w
-    series = w * (1.0 / 12.0 - w2 * (1.0 / 360.0 - w2 / 1260.0))
-    re = ((x - 0.5) * log_abs - y * angle - x + _HALF_LOG_TWO_PI
-          + series.real - np.where(shifted, np.log(np.abs(prod)), 0.0))
-    im = (x - 0.5) * angle + y * log_abs - y + series.imag - np.where(shifted, arg, 0.0)
-    return re + 1j * im
+        z = np.where(shifted, s + 8.0, s)
+        x, y = z.real, z.imag
+        log_abs, angle = np.log(np.abs(z)), np.angle(z)
+        w = 1.0 / z
+        w2 = w * w
+        series = w * (1.0 / 12.0 - w2 * (1.0 / 360.0 - w2 / 1260.0))
+        re = ((x - 0.5) * log_abs - y * angle - x + _HALF_LOG_TWO_PI
+              + series.real - np.where(shifted, np.log(np.abs(prod)), 0.0))
+        im = (x - 0.5) * angle + y * log_abs - y + series.imag - np.where(shifted, arg, 0.0)
+        return re + 1j * im
 
 
 def _eta_array_terms(s: np.ndarray) -> np.ndarray:

@@ -99,14 +99,27 @@ class TestDeterminism:
         (first, again), _ = default_audit
         assert report_to_json(again) == report_to_json(first)
 
-    def test_claims_independent_of_the_operation_settings(self, default_report):
-        # every claim fixes its own tolerances and sample counts, so the
-        # settings of the eval, bounds, zeros and jensen commands leave every
-        # claim record unchanged, observed values and notes included (EQ43,
-        # EQ17D and EQ19B once read quad_tol, zero_tol and jensen_samples)
-        other = run_audit(AuditConfig(quad_tol=1e-12, zero_tol=1e-8, jensen_samples=128,
-                                      tau_max=10.0))
-        assert other.claims == default_report.claims
+    def test_claims_independent_of_the_operation_settings(self, default_report, monkeypatch,
+                                                          tmp_path):
+        # every claim fixes its own tolerances and sample counts (EQ43, EQ17D
+        # and EQ19B once read quad_tol, zero_tol and jensen_samples), and the
+        # settings of the other commands are flags that never reach the audit:
+        # with --tol and --format set, the audit still runs on the default
+        # config, whose claims are the shipped report's
+        from zetalab import cli
+
+        seen = []
+
+        def spy(config):
+            seen.append(config)
+            return default_report
+
+        monkeypatch.setattr(cli.claim_audit, "run_audit", spy)
+        out_path = tmp_path / "report.csv"
+        assert cli.main(["--tol", "1e-12", "--format", "csv", "audit",
+                         "--out", str(out_path)]) == 0
+        assert seen == [AuditConfig()]
+        assert out_path.read_text().splitlines() == report_to_lines(default_report)
 
     def test_default_report_matches_golden(self, default_report):
         assert report_to_json(default_report) == GOLDEN_DEFAULT.read_text(encoding="ascii")
@@ -130,51 +143,50 @@ class TestConfig:
         assert a.digest() != b.digest()
 
     def test_validation(self):
+        # the settings of the other commands are range-checked by their flags
+        # (tests/test_cli.py, TestUsageErrors)
         from zetalab.errors import DomainError
 
         with pytest.raises(DomainError):
-            AuditConfig(quad_tol=0.0)
-        with pytest.raises(DomainError):
             AuditConfig(seed=-1)  # np.random.default_rng rejects a negative seed
-        with pytest.raises(DomainError, match="1e-09"):
-            AuditConfig(zero_tol=1e-10)  # below the minimum cell height of the zero search
-        with pytest.raises(DomainError):
-            AuditConfig(output_format="xml")
-        with pytest.raises(DomainError):
-            AuditConfig(jensen_samples=4)
-        for name in ("tau_max", "rouche_tau", "rouche_epsilon", "rouche_nu"):
+        for name in ("rouche_tau", "rouche_epsilon", "rouche_nu"):
+            with pytest.raises(DomainError):
+                AuditConfig(**{name: 0.0})
             with pytest.raises(DomainError):
                 AuditConfig(**{name: float("nan")})
-        for name in ("quad_tol", "zero_tol", "tau_max", "rouche_tau", "rouche_epsilon",
-                     "rouche_nu"):
             with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
                 AuditConfig(**{name: float("inf")})
 
     # a wrong type used to surface late: seed=1.5 as a bare TypeError from
-    # NumPy's generator in run_audit, quad_tol="1e-8" as a bare TypeError from
-    # the range check, and jensen_samples=100.5 as a FAIL verdict on EQ19B
+    # NumPy's generator in run_audit, and a string as a bare TypeError from
+    # the range check
     def test_seed_must_be_an_integer(self):
         from zetalab.errors import DomainError
 
         with pytest.raises(DomainError, match="seed must be an integer"):
             run_audit(AuditConfig(seed=1.5))
+        for value in (100.5, 384.0, "384", True):
+            with pytest.raises(DomainError, match="seed must be an integer"):
+                AuditConfig(seed=value)
+        assert AuditConfig(seed=np.int64(20201219)) == AuditConfig()
 
     def test_float_fields_must_be_real_numbers(self):
         from zetalab.errors import DomainError
 
-        for name in ("quad_tol", "zero_tol", "tau_max", "rouche_tau", "rouche_epsilon",
-                     "rouche_nu"):
+        for name in ("rouche_tau", "rouche_epsilon", "rouche_nu"):
             for value in ("1e-8", True, 1e-8 + 0j):
                 with pytest.raises(DomainError, match=f"{name} must be a real number"):
                     AuditConfig(**{name: value})
 
-    def test_jensen_samples_must_be_an_integer(self):
-        from zetalab.errors import DomainError
+    def test_jensen_samples_must_be_an_integer(self, capsys):
+        # jensen_samples is the jensen --samples flag now, not a config field:
+        # the flag takes integers only, and the key is unknown in a config file
+        from zetalab.cli import main
 
-        for value in (100.5, 384.0, "384", True):
-            with pytest.raises(DomainError, match="jensen_samples must be an integer"):
-                AuditConfig(jensen_samples=value)
-        assert AuditConfig(jensen_samples=np.int64(384)) == AuditConfig()
+        for value in ("100.5", "384.0", "True"):
+            assert main(["jensen", "--samples", value]) == 3
+            assert "invalid int value" in capsys.readouterr().err
+        assert "jensen_samples" not in {f.name for f in fields(AuditConfig)}
 
     def test_equal_configs_have_equal_digests(self):
         # each numeric field is stored as its declared type, so an int or a
@@ -182,12 +194,13 @@ class TestConfig:
         from fractions import Fraction
 
         default = AuditConfig()
-        for cfg in (AuditConfig(tau_max=50), AuditConfig(rouche_tau=Fraction(16)),
-                    AuditConfig(jensen_samples=np.int64(384)), AuditConfig(seed=np.int64(20201219))):
+        for cfg in (AuditConfig(rouche_tau=16), AuditConfig(rouche_tau=Fraction(16)),
+                    AuditConfig(seed=np.int64(20201219))):
             assert cfg == default and cfg.digest() == default.digest()
-        assert default.digest().startswith("5b9664d7")
-        with pytest.raises(Exception, match="tau_max must be positive and finite"):
-            AuditConfig(tau_max=10**400)  # past the float range
+        # the four audit inputs, in field order, and nothing else
+        assert default.digest().startswith("14c26d1a6a6afe2d")
+        with pytest.raises(Exception, match="rouche_tau must be positive and finite"):
+            AuditConfig(rouche_tau=10**400)  # past the float range
 
     def test_rouche_options_are_the_scan_arguments(self):
         import inspect
@@ -200,9 +213,9 @@ class TestConfig:
         assert options["lam"] == za.lambda_choice(1.0, 0.1, 0.01)
         assert (options["tau"], options["epsilon"]) == (16.0, 0.1)
         assert cfg.rouche_options(2.5)["lam"] == 2.5
-        # the scan takes no quadrature tolerance from the config
-        assert AuditConfig(quad_tol=1e-12).rouche_options() == options
-        assert AuditConfig(quad_tol=1e-3).rouche_options() == options
+        # the options are the rouche_* fields alone
+        assert AuditConfig(seed=1).rouche_options() == options
+        assert AuditConfig(rouche_nu=0.02).rouche_options()["lam"] == za.lambda_choice(1.0, 0.1, 0.02)
 
     def test_option_inventory(self):
         # a new setting must show up here; one value in use belongs in a constant
@@ -213,10 +226,9 @@ class TestConfig:
         def params(fn):
             return list(inspect.signature(fn).parameters)
 
-        assert {f.name for f in fields(AuditConfig)} == {
-            "quad_tol", "zero_tol", "tau_max", "seed", "output_format", "jensen_samples",
-            "rouche_tau", "rouche_epsilon", "rouche_nu",
-        }
+        assert [f.name for f in fields(AuditConfig)] == [
+            "seed", "rouche_tau", "rouche_epsilon", "rouche_nu",
+        ]
         assert params(za.rouche_scan) == ["tau", "lam", "epsilon"]
         assert params(za.winding_count) == ["fn", "rect"]
         assert params(quad.fermi_mellin) == ["s", "tol"]
@@ -253,7 +265,7 @@ class TestConfig:
     def test_roundtrip_file(self, tmp_path):
         from zetalab.config import dump_config, load_config
 
-        cfg = AuditConfig(seed=99, quad_tol=1e-6)
+        cfg = AuditConfig(seed=99, rouche_nu=0.02)
         path = tmp_path / "audit.cfg"
         path.write_text(dump_config(cfg))
         assert load_config(path) == cfg

@@ -1,13 +1,21 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zetalab
+from zetalab import cli
 from zetalab.cli import _build_parser, main
 from zetalab.config import AuditConfig, dump_config
+
+GOLDEN_DEFAULT = Path(__file__).parent / "data" / "audit_default.json"
 
 
 def run(capsys, *argv):
@@ -140,12 +148,23 @@ class TestBounds:
         from zetalab import quadrature as quad
 
         monkeypatch.setattr(quad, "m_star", None)  # no row may be computed
-        for step in ("1e-320", "1e-300", repr(math.ulp(1.0) / 2)):
+        # 1e-15 passed the float-spacing rule this replaced, for 5e14 rows
+        for step in ("1e-320", "1e-300", repr(math.ulp(1.0) / 2), "1e-15"):
             code, out, err = run(capsys, "bounds", "--lo", "0.5", "--hi", "1", "--step", step)
             assert (code, out) == (3, "") and "--step" in err
         monkeypatch.undo()
         code, out, _ = run(capsys, "bounds", "--lo", "0.5", "--hi", "0.5", "--step", "1e-320")
         assert code == 0 and len(out.strip().splitlines()) == 2
+
+    def test_row_limit_checked_before_any_row(self, capsys, monkeypatch):
+        from zetalab import quadrature as quad
+
+        monkeypatch.setattr(cli, "BOUNDS_MAX_ROWS", 3)
+        code, out, _ = run(capsys, "bounds", "--lo", "0.8", "--hi", "1", "--step", "0.1")
+        assert code == 0 and len(out.strip().splitlines()) == 1 + 3
+        monkeypatch.setattr(quad, "m_star", None)  # no row may be computed
+        code, out, err = run(capsys, "bounds", "--lo", "0.7", "--hi", "1", "--step", "0.1")
+        assert (code, out) == (3, "") and "more than 3 rows" in err
 
     def test_rows_on_the_grid(self, capsys, monkeypatch):
         # lo + k*step, not a running sum, and the end point is hi itself
@@ -195,12 +214,11 @@ class TestZeros:
         assert code == 0
         assert "zeros up to tau = 10: 0" in out
 
-    def test_tau_defaults_to_config_tau_max(self, capsys, tmp_path):
-        cfg_path = tmp_path / "short.cfg"
-        cfg_path.write_text("tau_max=10.0\n")
-        code, out, _ = run(capsys, "--config", str(cfg_path), "zeros")
+    def test_tau_defaults_to_fifty(self, capsys):
+        code, out, _ = run(capsys, "zeros")
         assert code == 0
-        assert "zeros up to tau = 10: 0" in out
+        assert out.splitlines()[0] == "zeros up to tau = 50: 10"
+        assert run(capsys, "zeros", "--tau", "50")[1] == out
 
 
 class TestJensen:
@@ -210,12 +228,11 @@ class TestJensen:
         diff = float(out.split("|lhs - rhs|")[1].split("=")[1])
         assert diff < 1e-3
 
-    def test_samples_from_config(self, capsys, tmp_path):
-        path = tmp_path / "jensen.cfg"
-        path.write_text("jensen_samples=128\n")
-        _, from_config, _ = run(capsys, "--config", str(path), "jensen")
-        _, from_flag, _ = run(capsys, "jensen", "--samples", "128")
-        assert from_config.splitlines()[-1] == from_flag.splitlines()[-1]
+    def test_samples_default_to_384(self, capsys):
+        _, default, _ = run(capsys, "jensen")
+        _, from_flag, _ = run(capsys, "jensen", "--samples", "384")
+        _, other, _ = run(capsys, "jensen", "--samples", "128")
+        assert default == from_flag != other
 
 
 class TestRouche:
@@ -241,30 +258,38 @@ class TestAudit:
         assert "not found" in err
 
     def test_audit_with_config_file(self, capsys, tmp_path):
-        cfg = AuditConfig(jensen_samples=128)
-        path = tmp_path / "light.cfg"
-        path.write_text(dump_config(cfg))
+        # every claim fixes its own tolerances and sample counts, and --tol
+        # is no audit input, so the report is the golden one byte for byte,
+        # digest included (EQ43, EQ17D and EQ19B once read the quadrature,
+        # zero search and jensen settings, and the digest hashed all three)
+        path = tmp_path / "default.cfg"
+        path.write_text(dump_config(AuditConfig()))
         out_path = tmp_path / "report.json"
         code, _, err = run(
-            capsys, "--config", str(path), "audit", "--out", str(out_path)
+            capsys, "--tol", "1e-12", "--config", str(path), "audit", "--out", str(out_path)
         )
         assert code == 0
+        assert out_path.read_text() == GOLDEN_DEFAULT.read_text(encoding="ascii") + "\n"
         doc = json.loads(out_path.read_text())
         assert doc["totals"]["NOT_NUMERIC"] == 4
         assert doc["totals"]["PASS"] >= 25
-        assert doc["config_digest"] == cfg.digest()
+        assert doc["config_digest"] == AuditConfig().digest()
         assert "PASS" in err
 
     def test_csv_format_lines(self, capsys, tmp_path):
-        cfg = AuditConfig(jensen_samples=128, output_format="csv")
-        path = tmp_path / "light.cfg"
-        path.write_text(dump_config(cfg))
+        path = tmp_path / "default.cfg"
+        path.write_text(dump_config(AuditConfig()))
         out_path = tmp_path / "report.jsonl"
-        code, _, _ = run(capsys, "--config", str(path), "audit", "--out", str(out_path))
+        code, _, _ = run(capsys, "--config", str(path), "--format", "csv", "audit",
+                         "--out", str(out_path))
         assert code == 0
         lines = out_path.read_text().strip().splitlines()
-        assert json.loads(lines[0])["config_digest"] == cfg.digest()
-        assert all("id" in json.loads(l) for l in lines[1:])
+        golden = json.loads(GOLDEN_DEFAULT.read_text(encoding="ascii"))
+        # the format is no audit input: the doc's digest and the doc's claims
+        assert json.loads(lines[0]) == {"config_digest": golden["config_digest"]}
+        assert golden["config_digest"] == AuditConfig().digest()
+        records = [json.loads(l) for l in lines[1:]]
+        assert {r.pop("id"): r for r in records} == golden["claims"]
 
 
 class TestUsageErrors:
@@ -274,18 +299,32 @@ class TestUsageErrors:
     # and a zero_tol below 1e-9 made the zero search fail on a single zero;
     # n_samples and boundary_density are constants now (claim_audit.SWEEP_SAMPLES
     # and zero_analysis.SAMPLES_PER_UNIT), so each is an unknown key, as is
-    # rouche_theta_abs: lam is (M*(1/2) + nu)/epsilon unless rouche --lam sets it
+    # rouche_theta_abs: lam is (M*(1/2) + nu)/epsilon unless rouche --lam sets it;
+    # the file holds the audit's inputs only, so quad_tol, zero_tol, tau_max,
+    # jensen_samples and output_format, which only flags set, are unknown keys
     @pytest.mark.parametrize("line", ["quad_tol=abc", "seed=1.5", "quad_tol=-1",
                                       "pole_tol=1e-3", "grid_re_n=7", "eval_budget=1000000",
                                       "seed=-1", "zero_tol=1e-10", "n_samples=0",
                                       "n_samples=-1", "boundary_density=0",
-                                      "boundary_density=-3", "rouche_theta_abs=1.0"])
+                                      "boundary_density=-3", "rouche_theta_abs=1.0",
+                                      "quad_tol=1e-6", "zero_tol=1e-4", "tau_max=50.0",
+                                      "jensen_samples=384", "output_format='doc'",
+                                      "rouche_tau=nan", "rouche_nu=0"])
     def test_malformed_config_value_exit_three(self, capsys, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(f"# comment\n{line}\n")
         code, _, err = run(capsys, "--config", str(path), "zeros", "--tau", "10")
         assert code == 3
         assert f"{path}:2" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("jensen", "--samples", "100.5"), "invalid int value"),
+        (("--format", "xml", "audit"), "invalid choice"),
+    ])
+    def test_malformed_setting_flag_exit_three(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "argument" in err and message in err  # rejected by the parser
 
     @pytest.mark.parametrize("flags", [("--seed", "-1", "audit"),
                                        ("--tol", "nan", "eval", "F", "0.5", "0.0"),
@@ -306,7 +345,9 @@ class TestUsageErrors:
                                       ("jensen", "--radius", "0"),
                                       ("jensen", "--b", "2"),
                                       ("map", "0.3", "0.4", "2"),
-                                      ("bounds", "--step", "nan")])
+                                      ("bounds", "--step", "nan"),
+                                      ("jensen", "--samples", "4"),
+                                      ("--tol", "0", "eval", "F", "0.5", "0.0")])
     def test_out_of_range_operation_flag_exit_three(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 3
@@ -366,7 +407,26 @@ def test_every_config_field_has_a_flag():
     # a new flag must show up here
     assert dests - {f.name for f in fields(AuditConfig)} == {
         "help", "config", "lo", "hi", "step", "b", "radius", "lam", "out",
+        "tol", "format", "tau", "zero_tol", "samples",
     }
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # a reader that stops early ended the CLI in a BrokenPipeError traceback
+    # and exit 1, the audit's FAIL code; 141 is what a shell reports for a
+    # process ended by SIGPIPE
+    env = dict(os.environ, PYTHONPATH=str(Path(zetalab.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "zetalab.cli", "bounds", "--step", "1e-4"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.readline() == b"alpha,m,m_star,m_star_d1,m_star_d2\n"
+        proc.stdout.readline()
+        proc.stdout.close()  # 5,000 rows: the rest is written into a closed pipe
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 class TestDeterminism:

@@ -232,6 +232,18 @@ class TestEtaArray:
         with pytest.raises(DomainError):
             eta(s)
 
+    # the log Gamma of the term count overflowed outside its np.errstate
+    # block, so NumPy warned "overflow/invalid value encountered in multiply"
+    # before the DomainError
+    @pytest.mark.parametrize("bad", [0.5 + 1e308j, 0.5 - 1e308j, 0.5 + 1.7e308j, 0.5 + 1e39j])
+    def test_height_past_the_term_count_raises_without_warning(self, bad):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="no term count"):
+                eta(np.array([bad]))
+
     def test_scalar_route_unchanged_for_scalars(self):
         assert isinstance(eta(np.complex128(0.5 + 14.0j)), complex)
         assert isinstance(eta(0.5 + 14.0j), complex)
