@@ -627,7 +627,8 @@ def rouche_scan(tau: float, lam: float, epsilon: float) -> RoucheScanResult:
     so the first unresolved sample in boundary order is named; the minima
     report first occurrences.  A K(tau) that needs more than
     MAX_BOUNDARY_SAMPLES samples raises DomainError before the zeros are
-    located.
+    located, and a g or |g| that overflows at a sample raises DomainError
+    before any quadrature.
     """
     _check_positive_finite("tau, lam and epsilon", (tau, lam, epsilon))
     n = _boundary_size(RectangleRegion(0.0, 0.5, 0.0, tau))
@@ -639,6 +640,14 @@ def rouche_scan(tau: float, lam: float, epsilon: float) -> RoucheScanResult:
     betas = [b for b in betas if b <= tau]
 
     samples = _boundary_points(RectangleRegion(0.0, 0.5, 0.0, tau))
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = lam * (epsilon + samples)
+        g_abs = _modulus(g)
+    finite = np.isfinite(g_abs)
+    if not finite.all():
+        omega = complex(samples[np.argmin(finite)])
+        raise DomainError(f"g = lam*(epsilon + omega) is not finite at omega = {omega}"
+                          f" (lam = {lam:g}, epsilon = {epsilon:g})")
     # near a neutralized zero |f| legitimately decays linearly toward it, so
     # the resolution check is waived there
     near = (_modulus(samples[:, None] - 1j * np.asarray(betas, dtype=float))
@@ -652,8 +661,7 @@ def rouche_scan(tau: float, lam: float, epsilon: float) -> RoucheScanResult:
                 f" within its error bound {est.abs_error:.3e}"
             )
         f[i] = est.value * L
-    g = lam * (epsilon + samples)
-    margin = _modulus(f) + _modulus(g) - _modulus(f + g)
+    margin = _modulus(f) + g_abs - _modulus(f + g)
     f_abs = np.where(near, math.inf, _modulus(f))
     k, m = int(np.argmin(margin)), int(np.argmin(f_abs))  # first occurrences
     if margin[k] < -1e-10:

@@ -1,10 +1,15 @@
+import ast
+import inspect
 import json
-from dataclasses import fields
+import math
+import textwrap
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from zetalab import claim_audit
 from zetalab.claim_audit import (
     FLAGGED_CLAIMS,
     list_claims,
@@ -56,6 +61,60 @@ class TestRegistry:
     def test_ordered_by_id(self):
         ids = [c.id for c in list_claims()]
         assert ids == sorted(ids)
+
+    def test_kinds_and_tolerances(self):
+        kinds = {"equality", "inequality", "limit", "monotonicity", "count", "flagged"}
+        for c in list_claims():
+            assert c.check_kind in kinds, c.id
+            assert isinstance(c.tolerance, float) and 0.0 <= c.tolerance < math.inf, c.id
+
+    def test_checks_take_ctx_tol_rng(self):
+        # the declaration is the only source of a claim's id, tolerance and
+        # generator: no check takes the config or names its own id
+        for cid, (record, fn, _) in claim_audit._CLAIMS.items():
+            want = ["ctx"] if record.check_kind == "flagged" else ["ctx", "tol", "rng"]
+            assert list(inspect.signature(fn).parameters) == want, cid
+            strings = {n.value for n in ast.walk(_body(fn)) if isinstance(n, ast.Constant)}
+            assert cid not in strings, cid
+
+    def test_no_check_repeats_its_tolerance(self):
+        # a literal equal to the declared tolerance, in a comparison or bound
+        # to a name, is a second copy the report does not show; a threshold
+        # that is not the tolerance (EQ13B's 1e-10, P2A's 1e-3 spacing) may stay
+        repeats = set()
+        for cid, (record, fn, _) in claim_audit._CLAIMS.items():
+            if record.tolerance == 0.0:
+                continue  # a sign test
+            for node in ast.walk(_body(fn)):
+                if isinstance(node, ast.Compare) or (
+                        isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)):
+                    if any(_is_number(n, record.tolerance) for n in ast.walk(node)):
+                        repeats.add(cid)
+        assert sorted(repeats) == []
+
+    @pytest.mark.parametrize("cid", ["EQ7", "EQ25A"])
+    def test_verdict_follows_the_declared_tolerance(self, cid, monkeypatch):
+        # each compares strictly, so a tolerance at the observed value fails
+        record, fn, note = claim_audit._CLAIMS[cid]
+        monkeypatch.setattr(claim_audit, "_CLAIMS", {cid: (record, fn, note)})
+        [declared] = run_audit().claims
+        assert declared.verdict == "PASS"
+        tight = replace(record, tolerance=declared.observed)
+        monkeypatch.setattr(claim_audit, "_CLAIMS", {cid: (tight, fn, note)})
+        [got] = run_audit().claims
+        assert (got.verdict, got.observed, got.tolerance) == ("FAIL", declared.observed,
+                                                              declared.observed)
+
+
+def _body(fn) -> ast.Module:
+    """The statements of fn, without its decorators."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return ast.Module(body=tree.body[0].body, type_ignores=[])
+
+
+def _is_number(node, value) -> bool:
+    return (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            and node.value == value)
 
 
 class TestRunAudit:

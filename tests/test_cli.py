@@ -234,6 +234,17 @@ class TestJensen:
         _, other, _ = run(capsys, "jensen", "--samples", "128")
         assert default == from_flag != other
 
+    def test_sample_limit_checked_before_any_sample(self, capsys, monkeypatch):
+        # --samples 1000000000 would run one quadrature a sample for days
+        from zetalab import strip_map as smap
+
+        def no_sample(*args):
+            raise AssertionError("a circle sample was computed")
+
+        monkeypatch.setattr(smap, "f_on_disk", no_sample)
+        code, out, err = run(capsys, "jensen", "--samples", str(cli.JENSEN_MAX_SAMPLES + 1))
+        assert (code, out) == (3, "") and "--samples" in err and "<= 1000000" in err
+
 
 class TestRouche:
     def test_completes_below_first_zero(self, capsys):
@@ -249,6 +260,19 @@ class TestRouche:
         code, out, _ = run(capsys, "--config", str(path), "rouche", "--tau", "10", "--lam", "10")
         assert code == 0
         assert "epsilon = 0.2" in out
+
+    @pytest.mark.parametrize("flag", [("--epsilon", "1e-308"), ("--lam", "1e308")])
+    def test_overflowing_comparison_function_exit_two(self, capsys, flag):
+        # g = lam*(epsilon + omega) overflowed to inf, the margin read nan and
+        # the scan printed min_margin = nan with three RuntimeWarnings, exit 0
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "rouche", "--tau", "10", *flag)
+        assert (code, out) == (2, "")
+        assert "numerical error" in err and "is not finite at omega" in err
+        assert "lam = " in err and "epsilon = " in err
 
 
 class TestAudit:

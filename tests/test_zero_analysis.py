@@ -835,6 +835,9 @@ class TestRoucheScan:
         assert scan.min_margin >= -1e-12
         assert scan.min_f_abs > 0.0
         assert scan.zeros == ()
+        # with no zero to neutralize f(0) and g(0) are positive reals, so the
+        # margin is exactly 0 at omega = 0
+        assert (scan.min_margin, scan.argmin_omega) == (0.0, 0j)
 
     def test_k16_with_first_zero(self):
         lam = lambda_choice(1.0, 0.1, 0.01)
@@ -883,6 +886,7 @@ class TestRoucheScan:
         monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 32)
         scan = rouche_scan(10.0, 5.0, 0.25)
         assert scan.min_margin >= -1e-12
+        assert (scan.min_margin, scan.argmin_omega) == (0.0, 0j)  # f(0), g(0) > 0
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -890,7 +894,8 @@ class TestRoucheScan:
         with pytest.raises(DomainError):
             rouche_scan(10.0, -1.0, 0.1)
         for args in [(math.nan, 1.0, 0.1), (10.0, math.nan, 0.1), (10.0, 1.0, math.nan),
-                     (math.inf, 1.0, 0.1), (10.0, math.inf, 0.1), (10.0, 1.0, math.inf)]:
+                     (math.inf, 1.0, 0.1), (10.0, math.inf, 0.1), (10.0, 1.0, math.inf),
+                     (10.0, 1e308, 0.1)]:
             with pytest.raises(DomainError):
                 rouche_scan(*args)
 
