@@ -110,8 +110,17 @@ class _Context:
         return za.critical_line_zeros(30.0)
 
     @cached_property
+    def _scan16(self) -> za.RoucheScanResult | ZetaLabError:
+        try:
+            return za.rouche_scan(**self.cfg.rouche_options())
+        except ZetaLabError as exc:  # a cached_property caches no exception: keep it as the value
+            return exc
+
+    @property
     def scan16(self) -> za.RoucheScanResult:
-        return za.rouche_scan(**self.cfg.rouche_options())
+        if isinstance(self._scan16, ZetaLabError):
+            raise self._scan16
+        return self._scan16
 
     @cached_property
     def upper_sweep(self):

@@ -20,19 +20,23 @@ are moments of the complex measure (log 1/x)**(s-1)/Gamma(s) dx on [0,1]), so
 the term count is chosen per call from that bound.  The bound degrades like
 exp(pi*|t|/2), which keeps n modest for |Im(s)| <= 100; accuracy is guaranteed
 to 1e-12 for Re(s) >= 0.4 and is best-effort (with the same adaptive n) below.
+The count makes no gamma call: log Gamma(sigma) - log|Gamma(s)| is formed as
+one difference, shifted by eight and closed by Stirling's series (DLMF
+5.11.1), in plain float arithmetic for a scalar.  It is finite at every s with
+Re(s) > 0, so eta is refused only where the count passes 402 terms and the
+series weights overflow, not where gamma overflows or its reflection does.
 
 eta also takes an ndarray and evaluates it in one batch.  The term counts
-come from the same bound and the same rule, with log|Gamma(s)| the real part
-of _loggamma, Stirling's series over an array, instead of a gamma call per
-point (the imaginary part is zero_analysis' theta), and the points are
-grouped by term count, each group one exp(-s log k) @ w, the scalar route's
-kernel.  For Im(s) <= 220 the batch errs by at most about
-2e-13 * max(|eta|, 1) against mpmath.altzeta.  The input type selects the
-route: a one-point batch equals the scalar value bit for bit but costs
-48-53 us against 8-12 us per scalar call (Re 1/2, Im 14-200, 2-CPU Xeon),
-and a multi-point batch differs in the last bits (up to 2.5e-15 relative),
-so only counts and signs use it: winding counts and the zero search's phase
-track and signs of Hardy's Z.
+come from the same formula over the array, and the points are grouped by
+term count, each group one exp(-s log k) @ w, the scalar route's kernel.
+For Im(s) <= 220 the batch errs by at most about 2e-13 * max(|eta|, 1)
+against mpmath.altzeta.  The input type selects the route: a one-point batch
+equals the scalar value bit for bit but costs 46-52 us against 6-11 us per
+scalar call (Re 1/2, Im 14-200, 2-CPU Xeon), and a multi-point batch differs
+in the last bits (up to 2.5e-15 relative), so only counts and signs use it:
+winding counts and the zero search's phase track and signs of Hardy's Z.
+_loggamma, Stirling's series for log Gamma over an array, gives
+zero_analysis' theta.
 """
 
 from __future__ import annotations
@@ -173,10 +177,7 @@ def _cvz_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients c_k/d of the alternating-series acceleration and the
     logarithms of the term indices 1..n they weight, cached per n.
     """
-    try:
-        d = (3.0 + math.sqrt(8.0)) ** n
-    except OverflowError:
-        raise DomainError(f"eta needs {n} terms; the weights overflow past 402") from None
+    d = (3.0 + math.sqrt(8.0)) ** n
     d = 0.5 * (d + 1.0 / d)
     b = -1.0
     c = -d
@@ -188,31 +189,46 @@ def _cvz_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     return out / d, np.log(np.arange(1, n + 1, dtype=float))
 
 
-def _term_count(log_ratio):
-    """Series terms for log_ratio = log(Gamma(sigma)/|Gamma(s)|), a float or an array.
+# Past this ratio t/a, log|a + it| - log(a) is log(t) - log(a) to rounding.
+_HUGE_RATIO = 1e150
+# (3 + sqrt 8)^n, the weights' scale, overflows past n = 402.
+_MAX_TERMS = 402
 
-    The error after n terms is at most (3+sqrt 8)^(-n) * Gamma(sigma)/|Gamma(s)|;
-    n is max(12, ceil(need) + 4) for the need that brings the bound to 1e-13.
-    """
-    need = (log_ratio + _LOG_INV_TOL) / _LOG_CVZ
-    return np.maximum(12.0, np.ceil(need) + 4.0)
+
+def _no_term_count(s) -> DomainError:
+    return DomainError(f"no term count can be chosen at s = {complex(s)!r}: eta needs more "
+                       f"than {_MAX_TERMS} terms, past which the series weights overflow")
 
 
 def _eta_terms(s: complex) -> int:
-    """Term count of scalar eta at s, log|Gamma(s)| from one gamma call.
+    """Term count of scalar eta at s, Re(s) > 0, in plain float arithmetic.
 
-    Within gamma's pole radius of 0 that call is Gamma(1+s), with
-    log|Gamma(s)| = log|Gamma(1+s)| - log|s| (1/|s| itself overflows near
-    s = 1e-320).
+    The error after n terms is at most (3+sqrt 8)^(-n) * exp(R), with
+    R = log Gamma(sigma) - log|Gamma(s)|; n is max(12, ceil(need) + 4) for
+    the need that brings the bound to 1e-13.  R is formed as one difference,
+    not as two logarithms subtracted (at sigma = 1e15 that loses every
+    digit).  Shifted by eight, R is the sum over j < 8 of log|sigma + j + it|
+    - log(sigma + j) plus Stirling's difference at x = sigma + 8,
+    -(x - 1/2) log|z/x| + t arg z - (Re S(z) - S(x)) for z = x + it, with S
+    the three-term series of _loggamma (DLMF 5.11.1).  R is exactly 0 at
+    t = 0 and finite at every finite s with Re(s) > 0.
     """
-    if math.hypot(s.real, s.imag) < _POLE_TOL:  # abs(s) overflows near |s| = 1.8e308
-        log_gamma_abs = math.log(abs(gamma(1.0 + s))) - math.log(abs(s))
-    else:
-        gamma_abs = abs(gamma(s))
-        if gamma_abs == 0.0:
-            raise DomainError(f"|Gamma(s)| underflows at s = {s!r}; no term count can be chosen")
-        log_gamma_abs = math.log(gamma_abs)
-    return int(_term_count(math.lgamma(s.real) - log_gamma_abs))
+    sigma, t = s.real, abs(s.imag)
+    log_ratio = 0.0
+    for j in range(9):  # j < 8 for the shift; j = 8 leaves a = x and log|z/x|
+        a = sigma + j
+        r = t / a
+        log_za = 0.5 * math.log1p(r * r) if r < _HUGE_RATIO else math.log(t) - math.log(a)
+        log_ratio += log_za
+    # log|z/x| entered the sum once; Stirling's difference takes it -(x - 1/2) times
+    w, v = 1.0 / complex(a, t), 1.0 / a
+    w2, v2 = w * w, v * v
+    series = (w * (1.0 / 12.0 - w2 * (1.0 / 360.0 - w2 / 1260.0))).real
+    series -= v * (1.0 / 12.0 - v2 * (1.0 / 360.0 - v2 / 1260.0))
+    need = (log_ratio - (a + 0.5) * log_za + t * math.atan(r) - series + _LOG_INV_TOL) / _LOG_CVZ
+    if not need <= _MAX_TERMS - 4:  # also NaN and inf
+        raise _no_term_count(s)
+    return max(12, math.ceil(need) + 4)
 
 
 def _loggamma(s: np.ndarray) -> np.ndarray:
@@ -225,7 +241,7 @@ def _loggamma(s: np.ndarray) -> np.ndarray:
     """
     shifted = s.real < 8.0
     prod, arg = s.copy(), np.angle(s)
-    with np.errstate(over="ignore", invalid="ignore"):  # |Im s| > 1e38: no term count
+    with np.errstate(over="ignore", invalid="ignore"):  # the product overflows past |Im s| ~ 1e38
         for j in range(1, 8):
             prod *= s + j
             arg += np.angle(s + j)
@@ -242,16 +258,26 @@ def _loggamma(s: np.ndarray) -> np.ndarray:
 
 
 def _eta_array_terms(s: np.ndarray) -> np.ndarray:
-    """Term count of every point of a flat array, by the scalar route's rule."""
-    try:
-        log_gamma_sigma = np.array([math.lgamma(x) for x in s.real.tolist()])
-    except OverflowError:
-        raise DomainError(f"Gamma(Re s) overflows at some Re(s) up to {s.real.max()}") from None
-    n = _term_count(log_gamma_sigma - _loggamma(s).real)
-    if not np.isfinite(n).all():
-        bad = s[~np.isfinite(n)][0]
-        raise DomainError(f"no term count can be chosen at s = {complex(bad)!r}")
-    return n
+    """Term count of every point of a flat array, by _eta_terms' formula in NumPy."""
+    sigma, t = s.real, np.abs(s.imag)
+    a = sigma + np.arange(9.0)[:, None]  # row j is sigma + j; row 8 is x
+    with np.errstate(all="ignore"):  # (t/a)^2 overflows where r is huge, and log(0) there
+        r = t / a
+        log_za = 0.5 * np.log1p(r * r)
+        huge = r >= _HUGE_RATIO
+        if huge.any():
+            log_za = np.where(huge, np.log(t) - np.log(a), log_za)
+        x, r, log_zx = a[8], r[8], log_za[8]
+        w, v = 1.0 / (x + 1j * t), 1.0 / x
+        w2, v2 = w * w, v * v
+        series = (w * (1.0 / 12.0 - w2 * (1.0 / 360.0 - w2 / 1260.0))).real
+        series -= v * (1.0 / 12.0 - v2 * (1.0 / 360.0 - v2 / 1260.0))
+        need = (log_za.sum(axis=0) - (x + 0.5) * log_zx + t * np.arctan(r) - series
+                + _LOG_INV_TOL) / _LOG_CVZ
+    bad = ~(need <= _MAX_TERMS - 4)
+    if bad.any():
+        raise _no_term_count(s[bad][0])
+    return np.maximum(12.0, np.ceil(need) + 4.0)
 
 
 def _eta_array(s: np.ndarray) -> np.ndarray:
@@ -273,15 +299,14 @@ def eta(s):
 
     A scalar gives a complex; an ndarray gives a complex array of its shape,
     with every entry required finite with Re > 0 (DomainError otherwise).
-    The scalar route raises DomainError past |Im(s)| ~ 428 at Re(s) = 1/2,
-    where the series weights overflow or |Gamma(s)| underflows, past gamma's
-    limit (Re(s) ~ 171.6 on the real axis), and for Re(s) < 1/2 past
-    |Im(s)| ~ 226, where the reflection's sin(pi s) overflows; the array
-    route raises only where the weights overflow, and answers there (within
-    0.67 of its 1e-12 bound against mpmath.altzeta over 160 seeded points
-    with Re(s) in (0, 1/2), Im(s) in (226, 428)).  Near s = 0, inside
-    gamma's pole radius, the scalar term count reads Gamma(1+s)/s, so
-    eta(1e-320) = 1/2 as the array route gives it.
+    Both routes take the same term counts, from no gamma call, and raise
+    DomainError only where a count passes 402 terms and the series weights
+    overflow: past |Im(s)| ~ 428 at Re(s) = 1/2 and ~ 423 at Re(s) = 0.01.
+    So eta(1e300) answers although gamma overflows from Re(s) ~ 171.6, and for
+    Re(s) < 1/2 eta answers above Im(s) ~ 226, where gamma's reflection
+    overflows (within 0.80 of its 1e-12 bound against mpmath.altzeta over
+    200 seeded points with Re(s) in (0, 1/2), Im(s) in (226, 420)).  Near
+    s = 0 the count needs no special case: eta(1e-320) is 1/2 to rounding.
     """
     if isinstance(s, np.ndarray):
         return _eta_array(s)

@@ -153,6 +153,29 @@ class TestRunAudit:
         assert default_report.config_digest == AuditConfig().digest()
 
 
+    def test_failing_scan_runs_once(self, monkeypatch):
+        # a cached_property caches no exception, so each of the four claims
+        # reading the scan ran a failing one again: 4 scans at rouche_tau=22
+        from zetalab import zero_analysis
+
+        calls = []
+
+        def spy(**options):
+            calls.append(options)
+            return rouche_scan(**options)
+
+        rouche_scan = zero_analysis.rouche_scan
+        readers = ("EQ43", "EQ45", "EQ46A", "EQ50C")
+        monkeypatch.setattr(claim_audit, "_CLAIMS", {cid: claim_audit._CLAIMS[cid]
+                                                     for cid in readers})
+        monkeypatch.setattr(zero_analysis, "rouche_scan", spy)
+        report = run_audit(AuditConfig(rouche_tau=22.0))
+        assert len(calls) == 1
+        notes = {c.note for c in report.claims}
+        assert [c.verdict for c in report.claims] == ["FAIL"] * 4 and len(notes) == 1
+        assert notes.pop().startswith("error: ")
+
+
 class TestDeterminism:
     def test_two_runs_byte_identical(self, default_audit):
         (first, again), _ = default_audit

@@ -81,12 +81,28 @@ class TestEval:
         assert code == 2
         assert "error" in err.lower()
 
-    @pytest.mark.parametrize("argv", [("eval", "eta", "1e300", "0"),
+    @pytest.mark.parametrize("argv", [("eval", "eta", "0.5", "500"),
                                       ("eval", "gamma", "171.7", "0")])
     def test_overflow_exit_two(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "error" in err.lower()
+
+    # eta's term count once came from gamma, so these exited 2 where gamma
+    # overflows: the reflection's sin(pi s) at 0.3 + 300i, Gamma(1e300)
+    @pytest.mark.parametrize("re, im", [("0.3", "300"), ("1e300", "0")])
+    def test_eta_past_gammas_limits(self, capsys, re, im):
+        mpmath = pytest.importorskip("mpmath")
+        from zetalab import special_functions as sf
+
+        code, out, _ = run(capsys, "eval", "eta", re, im)
+        assert code == 0
+        bound = float(out.split("abs_error <= ")[1].split()[0])
+        s = complex(float(re), float(im))
+        with mpmath.workdps(30):
+            ref = complex(mpmath.altzeta(mpmath.mpc(s.real, s.imag)))
+        assert bound == pytest.approx(1e-12 * max(abs(ref), 1.0), rel=1e-3)
+        assert abs(sf.eta(s) - ref) <= bound
 
     # eta is entire: within gamma's pole radius of 0 these exited 2 with
     # "gamma pole at 0"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab import special_functions
+from zetalab import special_functions, zero_analysis
 from zetalab.errors import DomainError, PoleError, ZetaLabError
 from zetalab.special_functions import (
     ensure_finite,
@@ -143,17 +143,45 @@ class TestEta:
             eta(-0.5)
 
     # Past the double-precision limits: gamma's reflection overflows, the
-    # series weights overflow (n > 402 terms), |Gamma(s)| underflows, and
-    # from Re(s) ~ 171.6 Gamma itself overflows (scalar eta takes its term
-    # count from gamma); at 171.64 + 0.15i both parts are finite but the
+    # series weights overflow (n > 402 terms), and from Re(s) ~ 171.6 Gamma
+    # itself overflows; at 171.64 + 0.15i both parts are finite but the
     # modulus is not (a bare OverflowError from abs)
-    @pytest.mark.parametrize("fn, s", [(gamma, 0.3 + 300j), (eta, 0.3 + 300j),
-                                       (eta, 0.5 + 440j), (eta, 0.5 + 500j),
-                                       (gamma, 171.7), (eta, 1e300),
-                                       (gamma, 171.64 + 0.15j), (eta, 171.64 + 0.15j)])
+    @pytest.mark.parametrize("fn, s", [(gamma, 0.3 + 300j), (eta, 0.5 + 440j),
+                                       (eta, 0.5 + 500j), (gamma, 171.7),
+                                       (gamma, 171.64 + 0.15j)])
     def test_height_limit_is_domain_error(self, fn, s):
         with pytest.raises(DomainError):
             fn(s)
+
+    # eta's term count once came from gamma and raised where gamma does:
+    # the reflection's sin(pi s) past Im ~ 226 for Re(s) < 1/2, Gamma(s)
+    # itself from Re(s) ~ 171.6, and (array route) lgamma(Re s) past 2.5e305
+    @pytest.mark.parametrize("s", [0.3 + 300j, 171.64 + 0.15j, 1e300, 1e306])
+    def test_answers_past_gammas_limits(self, s):
+        mpmath = pytest.importorskip("mpmath")
+        s = complex(s)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.altzeta(mpmath.mpc(s.real, s.imag)))
+        got = eta(s)
+        assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0)
+        assert got == eta(np.array([s]))[0]
+
+    def test_answers_below_half_above_im_226(self):
+        # the scalar route refused all of these; the weights overflow from
+        # Im ~ 423 at Re(s) = 0.01 and ~ 428 at Re(s) = 1/2
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2424)
+        points = rng.uniform(0.05, 0.5, 64) + 1j * rng.uniform(226.0, 420.0, 64)
+        with mpmath.workdps(30):
+            for s in points.tolist():
+                ref = complex(mpmath.altzeta(mpmath.mpc(s.real, s.imag)))
+                assert abs(eta(s) - ref) <= 1e-12 * max(abs(ref), 1.0), s
+
+    # from |Im(s)| ~ 1.1e308 the term count's t * arg z overflows
+    @pytest.mark.parametrize("s", [0.5 + 1.7e308j, 0.5 - 1.7e308j, 1e308 + 1.7e308j])
+    def test_height_past_the_term_count_is_domain_error(self, s):
+        with pytest.raises(DomainError, match="no term count"):
+            eta(s)
 
     # where the Lanczos power t**(z + 1/2) alone overflows, Re(s) 142.6-171.6
     # and, through the reflection, below -141.6
@@ -167,8 +195,8 @@ class TestEta:
             ref = complex((mpmath.gamma if fn is gamma else mpmath.altzeta)(s))
         assert abs(fn(s) - ref) <= 1e-12 * abs(ref)
 
-    # eta is entire; the scalar term count once divided by Gamma(s) and
-    # raised "gamma pole at 0" within 1e-12 of s = 0
+    # eta is entire; the scalar term count once read Gamma(s) and raised
+    # "gamma pole at 0" within 1e-12 of s = 0
     @pytest.mark.parametrize("s", [1e-13, 1e-320, 5e-324, 1e-13 + 5e-13j, 1e-13 - 5e-13j,
                                    1e-300 + 5e-13j])
     def test_inside_gammas_pole_radius_of_zero(self, s):
@@ -178,6 +206,14 @@ class TestEta:
         got = eta(s)
         assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0)
         assert got == eta(np.array([complex(s)]))[0]
+
+    def test_no_gamma_call(self, monkeypatch):
+        def refuse(s):
+            raise AssertionError(f"gamma({s!r}) called")
+
+        monkeypatch.setattr(special_functions, "gamma", refuse)
+        eta(0.5 + 77.3j)
+        eta(np.array([0.5 + 77.3j, 0.3 + 300j]))
 
     def test_scalar_route_equals_one_point_batch(self):
         rng = np.random.default_rng(5000)
@@ -202,8 +238,8 @@ class TestEtaArray:
 
     def test_stirling_log_gamma_modulus(self):
         # the bound the module states for log Gamma, 1/(1680 * 8^7) < 3e-10, on
-        # both parts: the real part sets the term counts, the imaginary part
-        # theta, continuous in Im(s) as mpmath's branch is
+        # both parts; the imaginary part gives theta, continuous in Im(s) as
+        # mpmath's branch is
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(20002)
         s = rng.uniform(1e-3, 20.0, 200) + 1j * rng.uniform(-430.0, 430.0, 200)
@@ -224,9 +260,9 @@ class TestEtaArray:
         assert isinstance(out, np.ndarray) and out.shape == shape
         assert out.dtype == complex
 
-    # non-finite, Re <= 0, and heights or real parts where no term count exists
+    # non-finite, Re <= 0, and heights where no term count exists
     @pytest.mark.parametrize("bad", [math.nan, complex(0.5, math.inf), math.inf, 0.0, -0.3 + 2.0j,
-                                     0.5 + 500.0j, 0.5 + 1e300j, 1e306])
+                                     0.5 + 500.0j, 0.5 + 1e300j])
     def test_invalid_entry_is_domain_error(self, bad):
         s = np.array([0.5 + 3.0j, bad, 0.7 + 1.0j], dtype=complex)
         with pytest.raises(DomainError):
@@ -247,6 +283,52 @@ class TestEtaArray:
     def test_scalar_route_unchanged_for_scalars(self):
         assert isinstance(eta(np.complex128(0.5 + 14.0j)), complex)
         assert isinstance(eta(0.5 + 14.0j), complex)
+
+
+class TestTermCounts:
+    """The term counts keep the bits of the rule they replaced, which read
+    |Gamma(s)| from a Lanczos gamma call, Gamma(1+s)/s within 1e-12 of
+    s = 0, and Gamma(sigma) from math.lgamma."""
+
+    @staticmethod
+    def _lanczos_rule(s: complex) -> int:
+        if math.hypot(s.real, s.imag) < 1e-12:
+            log_gamma_abs = math.log(abs(gamma(1.0 + s))) - math.log(abs(s))
+        else:
+            log_gamma_abs = math.log(abs(gamma(s)))
+        need = ((math.lgamma(s.real) - log_gamma_abs + math.log(1.0 / 1e-13))
+                / math.log(3.0 + math.sqrt(8.0)))
+        return max(12, math.ceil(need) + 4)
+
+    def _assert_rule_kept(self, points):
+        points = np.asarray(points, dtype=complex)
+        want = np.array([self._lanczos_rule(s) for s in points.tolist()])
+        served = want <= 402  # the weights overflow past 402 terms
+        want_served = want[served].tolist()
+        assert [special_functions._eta_terms(s) for s in points[served].tolist()] == want_served
+        assert special_functions._eta_array_terms(points[served]).tolist() == want_served
+        for s in points[~served].tolist():
+            with pytest.raises(DomainError, match="no term count"):
+                special_functions._eta_terms(s)
+
+    def test_seeded_points(self):
+        rng = np.random.default_rng(2400)
+        strip = 1.0 - rng.uniform(0.0, 0.95, 100_000) + 1j * rng.uniform(-226.0, 226.0, 100_000)
+        line = 0.5 + 1j * rng.uniform(0.0, 428.0, 20_000)
+        self._assert_rule_kept(np.concatenate([strip, line]))
+
+    def test_every_scalar_call_of_the_zero_search(self, monkeypatch):
+        seen = []
+
+        def recorded_eta(s):
+            if not isinstance(s, np.ndarray):
+                seen.append(complex(s))
+            return eta(s)
+
+        monkeypatch.setattr(zero_analysis, "eta", recorded_eta)
+        assert len(zero_analysis.critical_line_zeros(100.0, 1e-4)) == 29
+        assert len(seen) > 1_000
+        self._assert_rule_kept(seen)
 
 
 class TestZeta:
@@ -323,13 +405,18 @@ _SWEEP_PARTS = sorted({sign * m for m in (0.0, 1e-320, 1e-300, 1e-200, 1e-100, 1
                                           1e300, 1e307, 1e308, 1.7e308) for sign in (1, -1)})
 
 
+# and two for eta's term count: cmath.phase(8.5 - 5e-324j) raises
+# OverflowError on its underflow, and t / Re(s) overflows at 5e-324 + 1e-13i
+_SWEEP_POINTS = [complex(re, im) for re in _SWEEP_PARTS for im in _SWEEP_PARTS] + [
+    0.5 - 5e-324j, 5e-324 + 1e-13j]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("fn", [gamma, eta, lambda s: eta(np.array([s])), zeta],
                          ids=["gamma", "eta", "eta_array", "zeta"])
 def test_no_bare_exception_at_any_finite_point(fn):
-    for re in _SWEEP_PARTS:
-        for im in _SWEEP_PARTS:
-            try:
-                fn(complex(re, im))
-            except ZetaLabError:
-                pass
+    for s in _SWEEP_POINTS:
+        try:
+            fn(s)
+        except ZetaLabError:
+            pass

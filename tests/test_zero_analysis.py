@@ -480,10 +480,10 @@ class TestHardyZSplits:
         # took 52,130 points in 89 counts, and one per split 110,589 in 506
         assert points <= 1_985 and counts == 0 and scalar_calls <= 1_652
         # Z at 698 heights in one call for the grid, one per split level and
-        # one for the bracket ends, where one call per height took 698; the
-        # gamma calls left are the scalar eta calls' term counts, where the
-        # phase of Gamma(1/4 + i y/2) in Z took 3,048 with the reflection
-        assert z_calls <= 23 and gamma_calls <= 1_652
+        # one for the bracket ends, where one call per height took 698; no
+        # gamma call is left: the phase of Gamma(1/4 + i y/2) in Z took 3,048
+        # with the reflection, and the scalar eta calls' term counts 1,651
+        assert z_calls <= 23 and gamma_calls == 0
 
     def test_sign_matches_mpmath_siegelz(self):
         mpmath = pytest.importorskip("mpmath")
