@@ -26,15 +26,15 @@ one difference, shifted by eight and closed by Stirling's series (DLMF
 Re(s) > 0, so eta is refused only where the count passes 402 terms and the
 series weights overflow, not where gamma overflows or its reflection does.
 
-eta also takes an ndarray and evaluates it in one batch.  The term counts
-come from the same formula over the array, and the points are grouped by
-term count, each group one exp(-s log k) @ w, the scalar route's kernel.
-For Im(s) <= 220 the batch errs by at most about 2e-13 * max(|eta|, 1)
-against mpmath.altzeta.  The input type selects the route: a one-point batch
-equals the scalar value bit for bit but costs 46-52 us against 6-11 us per
-scalar call (Re 1/2, Im 14-200, 2-CPU Xeon), and a multi-point batch differs
-in the last bits (up to 2.5e-15 relative), so only counts and signs use it:
-winding counts and the zero search's phase track and signs of Hardy's Z.
+eta also takes an ndarray and evaluates it in one batch, each entry equal to
+the scalar call bit for bit.  The term counts come from the same formula over
+the array; each point gets its own row of exponents -s log k, all rows go
+through one np.exp, and each row is dotted with its own weights, the scalar
+route's exp(-s log k) @ w.  For Im(s) <= 220 both routes err by at most about
+2e-13 * max(|eta|, 1) against mpmath.altzeta.  The input type selects the
+route, and the scalar one stays for its cost: a batch takes about 6-10 us a
+point from 29 to 3,944 points against 10-18 us per scalar call in the same
+runs, but a one-point batch 54-83 us (Re 1/2, Im 14-200, 2-CPU Xeon).
 _loggamma, Stirling's series for log Gamma over an array, gives
 zero_analysis' theta.
 """
@@ -174,8 +174,9 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 @functools.cache
 def _cvz_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients c_k/d of the alternating-series acceleration and the
-    logarithms of the term indices 1..n they weight, cached per n.
+    """Coefficients c_k/d of the alternating-series acceleration, stored as
+    complex so no product casts them, and the logarithms of the term indices
+    1..n they weight, cached per n.
     """
     d = (3.0 + math.sqrt(8.0)) ** n
     d = 0.5 * (d + 1.0 / d)
@@ -186,7 +187,7 @@ def _cvz_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
         c = b - c
         out[k] = c
         b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-    return out / d, np.log(np.arange(1, n + 1, dtype=float))
+    return (out / d).astype(complex), np.log(np.arange(1, n + 1, dtype=float))
 
 
 # Past this ratio t/a, log|a + it| - log(a) is log(t) - log(a) to rounding.
@@ -280,26 +281,46 @@ def _eta_array_terms(s: np.ndarray) -> np.ndarray:
     return np.maximum(12.0, np.ceil(need) + 4.0)
 
 
+# Points per exponent block, so a block holds at most 2048 x 402 complex terms (13 MB).
+_BLOCK_POINTS = 2048
+
+
+def _eta_rows(s: np.ndarray, n: np.ndarray) -> list[complex]:
+    """eta at the points s, Re(s) > 0, with term counts n, by the scalar route's kernel.
+
+    Point i gets its own exponent row -s_i log k, k <= n_i, all rows go
+    through one np.exp, and each row is dotted with its own weights by the
+    BLAS dot that the scalar route's exp(-s log k) @ w calls, so every entry
+    keeps the scalar value's bits (one matrix product per term count rounds
+    differently).  The log k of the longest row serve every row, as np.log
+    gives prefix-equal arrays for every count up to 402.
+    """
+    ends = np.cumsum(n)
+    starts = ends - n
+    log_k = _cvz_weights(int(n.max()))[1]
+    terms = np.exp(np.repeat(-s, n) * log_k[np.arange(ends[-1]) - np.repeat(starts, n)])
+    return [terms[a:b].dot(_cvz_weights(m)[0])
+            for a, b, m in zip(starts.tolist(), ends.tolist(), n.tolist())]
+
+
 def _eta_array(s: np.ndarray) -> np.ndarray:
     flat = np.asarray(s, dtype=complex).ravel()
     bad = ~(np.isfinite(flat) & (flat.real > 0.0))
     if bad.any():
         raise DomainError(f"eta requires finite s with Re(s) > 0, got {complex(flat[bad][0])!r}")
-    n = _eta_array_terms(flat)
-    out = np.empty_like(flat)
-    for m in np.unique(n):
-        sel = n == m
-        w, log_k = _cvz_weights(int(m))
-        out[sel] = np.exp(np.outer(-flat[sel], log_k)) @ w
-    return out.reshape(np.shape(s))
+    n = _eta_array_terms(flat).astype(int)
+    out = [v for i in range(0, flat.size, _BLOCK_POINTS)
+           for v in _eta_rows(flat[i:i + _BLOCK_POINTS], n[i:i + _BLOCK_POINTS])]
+    return np.array(out, dtype=complex).reshape(np.shape(s))
 
 
 def eta(s):
     """Dirichlet eta via accelerated alternating series, Re(s) > 0.
 
     A scalar gives a complex; an ndarray gives a complex array of its shape,
-    with every entry required finite with Re > 0 (DomainError otherwise).
-    Both routes take the same term counts, from no gamma call, and raise
+    with every entry required finite with Re > 0 (DomainError otherwise) and
+    equal to the scalar call at that entry bit for bit.  Both routes take the
+    same term counts and the same kernel, from no gamma call, and raise
     DomainError only where a count passes 402 terms and the series weights
     overflow: past |Im(s)| ~ 428 at Re(s) = 1/2 and ~ 423 at Re(s) = 0.01.
     So eta(1e300) answers although gamma overflows from Re(s) ~ 171.6, and for

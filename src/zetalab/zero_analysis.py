@@ -15,11 +15,13 @@ along the segment from 2 + i tau to 1/2 + i tau, and theta the imaginary
 part of special_functions' one Stirling log Gamma, which Hardy's Z uses too.
 N sign changes of Z on a grid a quarter of the mean zero gap apart put every
 zero on the line, simple and alone between two samples.  The line is then
-split level by level, Z at a level's split heights in one array call, and
-each interval is counted by the sign changes of Z.  Each zero is polished by
+split level by level, eta and Z at a level's split heights in one array call
+(one more per nudge round where a height lies too near a zero), and each
+interval is counted by the sign changes of Z.  Each zero is polished by
 golden-section on |eta| in its interval, once that is no taller than
-zero_tol or the grid step, and certified by a sign change of Z across a
-bracket of half-width zero_tol about it.
+zero_tol or the grid step, every zero in lockstep with one array eta call per
+round, and certified by a sign change of Z across a bracket of half-width
+zero_tol about it.  So the search makes no scalar eta call.
 
 The boundary scan machinery for the Rouche-style check assembles
 ``f = F_omega * L`` (the shifted Fermi integral times a product of
@@ -299,25 +301,39 @@ def _zero_count(tau: float) -> int:
                             f"N({tau})")
 
 
-def _eta_line_abs(y: float) -> float:
-    return abs(eta(complex(0.5, y)))
+def _modulus(v: np.ndarray) -> np.ndarray:
+    """|v| elementwise, rounded as Python's abs (np.abs differs in the last bit)."""
+    return np.hypot(v.real, v.imag)
 
 
-def _safe_level(lo: float, hi: float) -> tuple[float, complex]:
-    """A split height y strictly inside (lo, hi) with |eta| clear of zero, and eta(1/2 + i y).
+def _split_heights(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A split height y strictly inside each (lo, hi) with |eta| clear of zero, and eta(1/2 + i y).
 
-    The acceptance threshold scales with the cell height so that subdivision
-    keeps working arbitrarily close to a zero; the nudge sequence is
-    deterministic.
+    Each interval tries mid + j * 0.093 (hi - lo), j = 0..11, below hi, and
+    takes the first height where |eta| exceeds min(1e-3, 0.02 (hi - lo)): the
+    threshold scales with the cell height so that subdivision keeps working
+    arbitrarily close to a zero.  Round j is one array eta call on the
+    intervals still without a height; NonConvergence names the first
+    interval left without one.
     """
-    mid = 0.5 * (lo + hi)
-    step = 0.093 * (hi - lo)
-    thr = min(1e-3, 0.02 * (hi - lo))
+    mid, width = 0.5 * (lo + hi), hi - lo
+    step, threshold = 0.093 * width, np.minimum(1e-3, 0.02 * width)
+    heights, values = np.empty_like(lo), np.empty(lo.shape, dtype=complex)
+    pending = np.ones(lo.shape, dtype=bool)
     for j in range(12):
         y = mid + j * step
-        if y < hi and abs(value := eta(complex(0.5, y))) > thr:
-            return y, value
-    raise NonConvergence("could not find a zero-free split level")
+        trial = np.flatnonzero(pending & (y < hi))
+        if not trial.size:
+            break
+        v = eta(0.5 + 1j * y[trial])
+        clear = _modulus(v) > threshold[trial]
+        found = trial[clear]
+        heights[found], values[found] = y[found], v[clear]
+        pending[found] = False
+        if not pending.any():
+            return heights, values
+    k = int(np.argmax(pending))
+    raise NonConvergence(f"could not find a zero-free split level in [{lo[k]}, {hi[k]}]")
 
 
 def _hardy_z(heights: np.ndarray, eta_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -358,24 +374,35 @@ def _sign_changes(negative: list[bool]) -> int:
     return sum(a != b for a, b in zip(negative, negative[1:]))
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Golden-section minimiser for a unimodal |analytic| profile."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_minima(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Golden-section minimisers of |eta(1/2 + i y)| over the cells [lo, hi], in lockstep.
+
+    Each cell is searched as by a serial golden-section minimiser of a
+    unimodal profile: at most 80 steps, ending once its bracket is narrower
+    than 1e-12.  The first round evaluates both interior points of every
+    cell, and each later round the one new point of every cell still
+    running, in one array eta call.
+    """
+    a, b = lo.copy(), hi.copy()
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = np.split(_modulus(eta(0.5 + 1j * np.concatenate((c, d)))), 2)
+    running = np.arange(a.size)
     for _ in range(80):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-        if b - a < 1e-12:
+        if not running.size:
             break
+        lower = fc[running] < fd[running]
+        left, right = running[lower], running[~lower]
+        b[left], d[left], fd[left] = d[left], c[left], fc[left]
+        c[left] = b[left] - _INV_PHI * (b[left] - a[left])
+        a[right], c[right], fc[right] = c[right], d[right], fd[right]
+        d[right] = a[right] + _INV_PHI * (b[right] - a[right])
+        f = _modulus(eta(0.5 + 1j * np.concatenate((c[left], d[right]))))
+        fc[left], fd[right] = f[:left.size], f[left.size:]
+        running = running[b[running] - a[running] >= 1e-12]
     return 0.5 * (a + b)
 
 
@@ -391,14 +418,16 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
     sign-change interval; if C < N the grid is doubled, at most
     Z_GRID_DOUBLINGS = 4 times, and a C that still differs from N raises
     NonConvergence.  The line [0, tau] is then bisected level by level, at
-    heights from _safe_level, Z at a level's heights in one call, by one
-    rule: the lower interval holds the sign changes of Z over its bottom, the
-    grid samples inside it and the split height, and the upper interval the
-    rest of its parent's count.  Each interval of count 1 no taller than
-    zero_tol and the grid step is polished by golden-section on |eta| along
-    the line, giving beta (a taller one can hold other minima of |eta|).  A
-    grid sample whose Z is in doubt is dropped; a doubt at Z(0), a split
-    height or a bracket end raises NonConvergence.
+    heights from _split_heights, eta and Z at a level's heights in one array
+    call per nudge round (in practice one), by one rule: the lower interval
+    holds the sign changes of Z over its bottom, the grid samples inside it
+    and the split height, and the upper interval the rest of its parent's
+    count.  Each interval of count 1 no taller than zero_tol and the grid
+    step is polished by golden-section on |eta| along the line, giving beta
+    (a taller one can hold other minima of |eta|); the polish runs every
+    such interval in lockstep, one array eta call per round.  A grid sample
+    whose Z is in doubt is dropped; a doubt at Z(0), a split height or a
+    bracket end raises NonConvergence.
 
     The certificate: the brackets [beta - zero_tol, beta + zero_tol], cut to
     [0, tau], must be pairwise disjoint (MultiplicityAmbiguity naming both
@@ -426,31 +455,32 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
             f"Hardy's Z changes sign {changes} times on [0, {tau}], where {n_zeros} zeros are counted"
         )
 
-    betas: list[float] = []
+    cells: list[tuple[float, float]] = []  # the count-1 cells to polish
     cell = min(zero_tol, tau / n_grid)
     min_height = max(cell / 8.0, MIN_ZERO_TOL)
     level = [(0.0, tau, n_zeros, negative[0])]  # (lo, hi, zero count, Z(lo) < 0)
     while True:
-        splits = []  # (lo, hi, count, Z(lo) < 0, split height, eta there)
+        splits = []  # (lo, hi, zero count, Z(lo) < 0) of each interval to split
         for lo, hi, count, negative_lo in level:
             if count == 1 and hi - lo <= cell:
-                betas.append(_golden_min(_eta_line_abs, lo, hi))
+                cells.append((lo, hi))
             elif count > 0 and hi - lo <= min_height:
                 raise MultiplicityAmbiguity(
                     f"interval [{lo}, {hi}] reports {count} zeros at minimum height")
             elif count > 0:
-                splits.append((lo, hi, count, negative_lo, *_safe_level(lo, hi)))
+                splits.append((lo, hi, count, negative_lo))
         if not splits:
             break
-        *_, mids, eta_mids = map(np.array, zip(*splits))
+        los, his, *_ = map(np.array, zip(*splits))
+        mids, eta_mids = _split_heights(los, his)
         level = []
-        for (lo, hi, count, negative_lo, mid, _), negative_mid in zip(
-                splits, _z_negative(mids, eta_mids)):
+        for (lo, hi, count, negative_lo), mid, negative_mid in zip(
+                splits, mids.tolist(), _z_negative(mids, eta_mids)):
             inner = negative[bisect.bisect_right(grid, lo):bisect.bisect_left(grid, mid)]
             count_lo = _sign_changes([negative_lo, *inner, negative_mid])
             level += [(lo, mid, count_lo, negative_lo), (mid, hi, count - count_lo, negative_mid)]
 
-    betas.sort()
+    betas = sorted(_golden_minima(*np.array(cells).reshape(-1, 2).T).tolist())
     for b1, b2 in zip(betas, betas[1:]):
         if b2 - b1 <= 2.0 * zero_tol:
             raise MultiplicityAmbiguity(
@@ -578,11 +608,6 @@ def triangle_equality_condition(w, v) -> bool:
     w = ensure_finite(w)
     v = ensure_finite(v)
     return abs(w) + abs(v) - abs(w + v) < 1e-9
-
-
-def _modulus(v: np.ndarray) -> np.ndarray:
-    """|v| elementwise, rounded as Python's abs (np.abs differs in the last bit)."""
-    return np.hypot(v.real, v.imag)
 
 
 def _f_omega_estimate(omega: complex):

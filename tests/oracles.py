@@ -3,8 +3,9 @@
 These deliberately avoid the implementation paths they check: the eta oracle
 is a plain Euler transform (not the production acceleration scheme), the
 derivative oracle is a central finite difference, the functional-equation
-residual checks zeta at s against eta at 1 - s, and the polynomial helpers
-evaluate root products directly.
+residual checks zeta at s against eta at 1 - s, the polynomial helpers
+evaluate root products directly, and the zero-search helpers split and polish
+one interval at a time with scalar eta calls.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 
+from zetalab.errors import NonConvergence
 from zetalab.special_functions import ensure_strip, eta, gamma, zeta
 
 
@@ -43,6 +45,51 @@ def functional_equation_residual(s) -> float:
     zeta_reflected = eta(1.0 - s) / (1.0 - 2.0 ** s)
     rhs = gamma(s) * (2.0 / (2.0 * math.pi) ** s) * cmath.cos(math.pi * s / 2.0) * zeta(s)
     return abs(zeta_reflected - rhs)
+
+
+def eta_line_abs(y: float) -> float:
+    """|eta(1/2 + i y)| from one scalar eta call."""
+    return abs(eta(complex(0.5, y)))
+
+
+def safe_level(lo: float, hi: float) -> tuple[float, complex]:
+    """A split height y strictly inside (lo, hi) with |eta| clear of zero, and eta(1/2 + i y).
+
+    The serial split search, one scalar eta call per nudge: the reference
+    for the zero search's batched one.  The acceptance threshold scales with
+    the cell height so that subdivision keeps working arbitrarily close to a
+    zero; the nudge sequence is deterministic.
+    """
+    mid = 0.5 * (lo + hi)
+    step = 0.093 * (hi - lo)
+    thr = min(1e-3, 0.02 * (hi - lo))
+    for j in range(12):
+        y = mid + j * step
+        if y < hi and abs(value := eta(complex(0.5, y))) > thr:
+            return y, value
+    raise NonConvergence("could not find a zero-free split level")
+
+
+def golden_min(f, lo: float, hi: float) -> float:
+    """Serial golden-section minimiser for a unimodal |analytic| profile: the
+    reference for the zero search's lockstep polish."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(80):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+        if b - a < 1e-12:
+            break
+    return 0.5 * (a + b)
 
 
 def central_difference(fn, x: float, h: float = 1e-5) -> float:

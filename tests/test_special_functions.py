@@ -248,6 +248,21 @@ class TestEtaArray:
         assert np.all(np.abs(got.real - ref.real) < 3e-10 + 1e-14 * np.abs(ref.real))
         assert np.all(np.abs(got.imag - ref.imag) < 3e-10)
 
+    @pytest.mark.parametrize("shape", [(1,), (2,), (29,), (700,), (3, 4)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_every_point_equals_the_scalar_route(self, shape):
+        # Re in (0.05, 1] with |Im| <= 420, and the critical line up to Im
+        # 427.5 (the count passes 402 terms from Im 427.8 there), half each
+        rng = np.random.default_rng(2500 + math.prod(shape))
+        size = math.prod(shape)
+        strip = 1.0 - rng.uniform(0.0, 0.95, size) + 1j * rng.uniform(-420.0, 420.0, size)
+        line = 0.5 + 1j * rng.uniform(0.0, 427.5, size)
+        s = np.where(np.arange(size) % 2 == 0, strip, line).reshape(shape)
+        got = eta(s)
+        assert got.shape == shape
+        for z, value in zip(s.ravel().tolist(), got.ravel()):
+            assert value.tobytes() == np.complex128(eta(z)).tobytes()
+
     def test_term_counts_match_scalar_route(self):
         s = self._points()
         scalar = [special_functions._eta_terms(complex(z)) for z in s]
@@ -317,17 +332,16 @@ class TestTermCounts:
         line = 0.5 + 1j * rng.uniform(0.0, 428.0, 20_000)
         self._assert_rule_kept(np.concatenate([strip, line]))
 
-    def test_every_scalar_call_of_the_zero_search(self, monkeypatch):
+    def test_every_point_of_the_zero_search(self, monkeypatch):
         seen = []
 
         def recorded_eta(s):
-            if not isinstance(s, np.ndarray):
-                seen.append(complex(s))
+            seen.extend(np.ravel(s).tolist())
             return eta(s)
 
         monkeypatch.setattr(zero_analysis, "eta", recorded_eta)
         assert len(zero_analysis.critical_line_zeros(100.0, 1e-4)) == 29
-        assert len(seen) > 1_000
+        assert len(seen) > 1_900
         self._assert_rule_kept(seen)
 
 

@@ -37,9 +37,12 @@ from zetalab.zero_analysis import (
 
 from oracles import (
     ZERO_ORDINATES,
+    eta_line_abs,
+    golden_min,
     poly_circle_max,
     poly_from_roots,
     random_poly_corpus,
+    safe_level,
 )
 
 UNIT_RECT = RectangleRegion(-1.0, 1.0, -1.0, 1.0)
@@ -368,8 +371,9 @@ def _patch_hardy_z(monkeypatch, flip=lambda y: False, doubt=lambda y: False):
 
 def _counted_bisection(tau, zero_tol):
     """critical_line_zeros with every split decided by a winding count of the
-    lower child, the reference for the Hardy-Z sign splits; returns the sorted
-    betas before certification."""
+    lower child, and each interval split and polished on its own by scalar eta
+    calls: the reference for the Hardy-Z sign splits, the batched split search
+    and the lockstep polish; returns the sorted betas before certification."""
     count = lambda lo, hi: winding_count(eta, RectangleRegion(0.5 - 0.4, 0.5 + 0.4, lo, hi))
     betas = []
     stack = [(0.0, float(tau), count(0.0, float(tau)), True)]
@@ -379,9 +383,9 @@ def _counted_bisection(tau, zero_tol):
             continue
         if n == 1 and hi - lo <= zero_tol:
             assert measured or count(lo, hi) == 1
-            betas.append(zero_analysis._golden_min(zero_analysis._eta_line_abs, lo, hi))
+            betas.append(golden_min(eta_line_abs, lo, hi))
             continue
-        mid = zero_analysis._safe_level(lo, hi)[0]
+        mid = safe_level(lo, hi)[0]
         n_lo = count(lo, mid)
         assert 0 <= n_lo <= n
         stack += [(lo, mid, n_lo, True), (mid, hi, n - n_lo, False)]
@@ -445,12 +449,13 @@ class TestHardyZSplits:
         assert seen == grids
 
     def test_work_at_tau_100(self, monkeypatch):
-        points, scalar_calls, counts, z_calls, gamma_calls = 0, 0, 0, 0, 0
+        points, scalar_calls, array_calls, counts, z_calls, gamma_calls = 0, 0, 0, 0, 0, 0
 
         def counted_eta(s):
-            nonlocal points, scalar_calls
+            nonlocal points, scalar_calls, array_calls
             points += np.size(s)
             scalar_calls += not isinstance(s, np.ndarray)
+            array_calls += isinstance(s, np.ndarray)
             return eta(s)
 
         def counted_winding(fn, rect):
@@ -478,12 +483,38 @@ class TestHardyZSplits:
         # 29 isolating cells and 29 certificates 19,187 points in 59 counts; a
         # winding count of the lower child of each cell of two or more zeros
         # took 52,130 points in 89 counts, and one per split 110,589 in 506
-        assert points <= 1_985 and counts == 0 and scalar_calls <= 1_652
+        assert points <= 1_985 and counts == 0
+        # every split level and every polish round is one array call: 69
+        # calls, where one scalar call per split height and per golden-section
+        # point made 1,651 scalar calls beside 3 array calls
+        assert scalar_calls == 0 and array_calls <= 69
         # Z at 698 heights in one call for the grid, one per split level and
         # one for the bracket ends, where one call per height took 698; no
         # gamma call is left: the phase of Gamma(1/4 + i y/2) in Z took 3,048
         # with the reflection, and the scalar eta calls' term counts 1,651
         assert z_calls <= 23 and gamma_calls == 0
+
+    def test_split_heights_equal_the_serial_search(self):
+        # the second interval is centred on the zero at 14.1347, so its
+        # midpoint is refused and the next round takes a nudged height
+        zero = ZERO_ORDINATES[0]
+        lo, hi = np.array([14.0, zero - 0.1, 20.0]), np.array([14.2, zero + 0.1, 23.0])
+        heights, values = zero_analysis._split_heights(lo, hi)
+        serial = [safe_level(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+        assert heights.tolist() == [y for y, _ in serial]
+        assert values.tolist() == [v for _, v in serial]
+        assert (heights == 0.5 * (lo + hi)).tolist() == [True, False, True]
+
+    def test_no_split_level_names_the_interval(self, monkeypatch):
+        # eta vanishing above 20 leaves no nudge of the second interval clear
+        # of zero; the first still takes its midpoint
+        def vanishing_eta(s):
+            return np.where(s.imag > 20.0, 0.0, eta(s))
+
+        monkeypatch.setattr(zero_analysis, "eta", vanishing_eta)
+        with pytest.raises(NonConvergence, match=re.escape(
+                "could not find a zero-free split level in [20.0, 23.0]")):
+            zero_analysis._split_heights(np.array([14.0, 20.0]), np.array([14.2, 23.0]))
 
     def test_sign_matches_mpmath_siegelz(self):
         mpmath = pytest.importorskip("mpmath")
