@@ -35,8 +35,8 @@ route's exp(-s log k) @ w.  For Im(s) <= 220 both routes err by at most about
 route, and the scalar one stays for its cost: a batch takes about 6-10 us a
 point from 29 to 3,944 points against 10-18 us per scalar call in the same
 runs, but a one-point batch 54-83 us (Re 1/2, Im 14-200, 2-CPU Xeon).
-_loggamma, Stirling's series for log Gamma over an array, gives
-zero_analysis' theta.
+_theta, the Riemann-Siegel theta from the same shifted Stirling series, gives
+zero_analysis its zero count and the phase of Hardy's Z.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ import cmath
 import functools
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -116,8 +117,10 @@ def gamma(s) -> complex:
     exp((z + 1/2) log t - t), which reaches Re(s) ~ 171.6 and, through the
     reflection, Re(s) ~ -170.6.  Raises PoleError within 1e-12 of a
     non-positive integer, and DomainError for Re(s) < 1/2 above
-    |Im(s)| ~ 226, where sin(pi s) overflows, and wherever the result or
-    its modulus is not finite, however large the finite s.
+    |Im(s)| ~ 226, where sin(pi s) overflows, wherever the result or its
+    modulus is not finite, however large the finite s, and where |Gamma(s)|
+    is below the smallest normal double (from |Im(s)| ~ 451.6 at Re(s) =
+    1/2): Gamma has no zeros, so such a value has underflowed.
     """
     s = ensure_finite(s)
     n = round(s.real)
@@ -145,8 +148,11 @@ def gamma(s) -> complex:
                 value = _SQRT_TWO_PI * cmath.exp((z + 0.5) * cmath.log(t) - t) * acc
             except (OverflowError, ValueError):  # ValueError: an exponent past the float range
                 value = complex(math.inf)
-    if not math.isfinite(math.hypot(value.real, value.imag)):  # abs(value) would overflow
+    modulus = math.hypot(value.real, value.imag)
+    if not math.isfinite(modulus):  # abs(value) would overflow
         raise DomainError(f"Gamma(s) is not finite in double precision at s = {s!r}")
+    if modulus < sys.float_info.min:
+        raise DomainError(f"|Gamma(s)| underflows the smallest normal double at s = {s!r}")
     return value
 
 
@@ -169,7 +175,7 @@ def gamma_abs_product(alpha: float, beta: float, n_terms: int) -> float:
 
 _LOG_CVZ = math.log(3.0 + math.sqrt(8.0))
 _LOG_INV_TOL = math.log(1.0 / 1e-13)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
 
 
 @functools.cache
@@ -201,6 +207,30 @@ def _no_term_count(s) -> DomainError:
                        f"than {_MAX_TERMS} terms, past which the series weights overflow")
 
 
+def _stirling_tail(w):
+    """The three correction terms of Stirling's series for log Gamma(z) (DLMF 5.11.1),
+    at w = 1/z a float, a complex or an array."""
+    w2 = w * w
+    return w * (1.0 / 12.0 - w2 * (1.0 / 360.0 - w2 / 1260.0))
+
+
+def _theta(t):
+    """Riemann-Siegel theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi, t a float or an array.
+
+    Shifted by eight, Im log Gamma(s) = Im log Gamma(s + 8) - (arg s + ...
+    + arg(s + 7)), each principal arg continuous in t since Re(s + j) > 0,
+    and Stirling's series with three correction terms at z = s + 8 errs by
+    under 1/(1680 |z|^7) < 3e-10 (DLMF 5.11.1).
+    """
+    t = np.asarray(t, dtype=float)
+    s = 0.25 + 0.5j * t
+    arg = sum(np.angle(s + j) for j in range(8))
+    z = s + 8.0
+    x, y = z.real, z.imag
+    im = (x - 0.5) * np.angle(z) + y * np.log(np.abs(z)) - y + _stirling_tail(1.0 / z).imag - arg
+    return im - 0.5 * t * _LOG_PI
+
+
 def _eta_terms(s: complex) -> int:
     """Term count of scalar eta at s, Re(s) > 0, in plain float arithmetic.
 
@@ -211,7 +241,7 @@ def _eta_terms(s: complex) -> int:
     digit).  Shifted by eight, R is the sum over j < 8 of log|sigma + j + it|
     - log(sigma + j) plus Stirling's difference at x = sigma + 8,
     -(x - 1/2) log|z/x| + t arg z - (Re S(z) - S(x)) for z = x + it, with S
-    the three-term series of _loggamma (DLMF 5.11.1).  R is exactly 0 at
+    the three-term series _stirling_tail (DLMF 5.11.1).  R is exactly 0 at
     t = 0 and finite at every finite s with Re(s) > 0.
     """
     sigma, t = s.real, abs(s.imag)
@@ -222,40 +252,11 @@ def _eta_terms(s: complex) -> int:
         log_za = 0.5 * math.log1p(r * r) if r < _HUGE_RATIO else math.log(t) - math.log(a)
         log_ratio += log_za
     # log|z/x| entered the sum once; Stirling's difference takes it -(x - 1/2) times
-    w, v = 1.0 / complex(a, t), 1.0 / a
-    w2, v2 = w * w, v * v
-    series = (w * (1.0 / 12.0 - w2 * (1.0 / 360.0 - w2 / 1260.0))).real
-    series -= v * (1.0 / 12.0 - v2 * (1.0 / 360.0 - v2 / 1260.0))
+    series = _stirling_tail(1.0 / complex(a, t)).real - _stirling_tail(1.0 / a)
     need = (log_ratio - (a + 0.5) * log_za + t * math.atan(r) - series + _LOG_INV_TOL) / _LOG_CVZ
     if not need <= _MAX_TERMS - 4:  # also NaN and inf
         raise _no_term_count(s)
     return max(12, math.ceil(need) + 4)
-
-
-def _loggamma(s: np.ndarray) -> np.ndarray:
-    """log Gamma(s) for an array with Re(s) > 0, continuous in Im(s), without calling gamma.
-
-    Points with Re(s) < 8 are shifted by eight, log Gamma(s) = log Gamma(s+8)
-    - log|s (s+1) ... (s+7)| - i (arg s + ... + arg(s+7)), each principal arg
-    continuous in Im(s) since Re(s+j) > 0; Stirling's series with three
-    correction terms then errs by under 1/(1680 |s|^7) < 3e-10 (DLMF 5.11.1).
-    """
-    shifted = s.real < 8.0
-    prod, arg = s.copy(), np.angle(s)
-    with np.errstate(over="ignore", invalid="ignore"):  # the product overflows past |Im s| ~ 1e38
-        for j in range(1, 8):
-            prod *= s + j
-            arg += np.angle(s + j)
-        z = np.where(shifted, s + 8.0, s)
-        x, y = z.real, z.imag
-        log_abs, angle = np.log(np.abs(z)), np.angle(z)
-        w = 1.0 / z
-        w2 = w * w
-        series = w * (1.0 / 12.0 - w2 * (1.0 / 360.0 - w2 / 1260.0))
-        re = ((x - 0.5) * log_abs - y * angle - x + _HALF_LOG_TWO_PI
-              + series.real - np.where(shifted, np.log(np.abs(prod)), 0.0))
-        im = (x - 0.5) * angle + y * log_abs - y + series.imag - np.where(shifted, arg, 0.0)
-        return re + 1j * im
 
 
 def _eta_array_terms(s: np.ndarray) -> np.ndarray:
@@ -269,10 +270,7 @@ def _eta_array_terms(s: np.ndarray) -> np.ndarray:
         if huge.any():
             log_za = np.where(huge, np.log(t) - np.log(a), log_za)
         x, r, log_zx = a[8], r[8], log_za[8]
-        w, v = 1.0 / (x + 1j * t), 1.0 / x
-        w2, v2 = w * w, v * v
-        series = (w * (1.0 / 12.0 - w2 * (1.0 / 360.0 - w2 / 1260.0))).real
-        series -= v * (1.0 / 12.0 - v2 * (1.0 / 360.0 - v2 / 1260.0))
+        series = _stirling_tail(1.0 / (x + 1j * t)).real - _stirling_tail(1.0 / x)
         need = (log_za.sum(axis=0) - (x + 0.5) * log_zx + t * np.arctan(r) - series
                 + _LOG_INV_TOL) / _LOG_CVZ
     bad = ~(need <= _MAX_TERMS - 4)
@@ -341,8 +339,11 @@ def eta(s):
 def zeta(s) -> complex:
     """zeta(s) = eta(s) / (1 - 2**(1-s)) on the open critical strip.
 
-    The factor 1 - 2**(1-s) never vanishes for 0 < Re(s) < 1, so no pole
-    handling is needed beyond eta's own domain check.
+    The factor 1 - 2**(1-s) never vanishes for 0 < Re(s) < 1, but next to
+    the pole at 1 it rounds to 0 (at s = 1 - 2**-53), where PoleError is raised.
     """
     s = ensure_strip(s)
-    return eta(s) / (1.0 - 2.0 ** (1.0 - s))
+    factor = 1.0 - 2.0 ** (1.0 - s)
+    if factor == 0.0:
+        raise PoleError(f"zeta pole at 1: 1 - 2**(1-s) rounds to 0 at s = {s!r}")
+    return eta(s) / factor

@@ -11,8 +11,8 @@ change is 2 pi times the number of enclosed zeros (winding_count).
 Critical-line zeros are located by bisection of the line itself
 (critical_line_zeros).  N(tau) = theta(tau)/pi + 1 + S(tau) counts the zeros
 of zeta in the whole strip below tau once, pi S(tau) the change of arg zeta
-along the segment from 2 + i tau to 1/2 + i tau, and theta the imaginary
-part of special_functions' one Stirling log Gamma, which Hardy's Z uses too.
+along the segment from 2 + i tau to 1/2 + i tau, and theta is
+special_functions' Stirling series for it, which Hardy's Z uses too.
 N sign changes of Z on a grid a quarter of the mean zero gap apart put every
 zero on the line, simple and alone between two samples.  The line is then
 split level by level, eta and Z at a level's split heights in one array call
@@ -55,7 +55,7 @@ from .errors import (
     ZeroAtCenter,
 )
 from .quadrature import f_shifted, m_star_half
-from .special_functions import _loggamma, ensure_finite, ensure_real, eta
+from .special_functions import _theta, ensure_finite, ensure_real, eta
 
 __all__ = [
     "RectangleRegion",
@@ -76,7 +76,6 @@ __all__ = [
 _HALF_PI = 0.5 * math.pi
 _TWO_PI = 2.0 * math.pi
 _TWO_PI_E = 2.0 * math.pi * math.e
-_LOG_PI = math.log(math.pi)
 
 # The clearance the boundary scan keeps between tau and every zero height,
 # and the radius around a neutralized zero i*b_j inside which it waives its
@@ -274,12 +273,6 @@ def winding_count(fn: Callable[[np.ndarray], np.ndarray], rect: RectangleRegion)
         raise NonConvergence(f"the initial boundary of {rect!r} exceeds the evaluation budget")
     return _nearest_integer(_track_phase(fn, _boundary_points(rect), closed=True)[1] / _TWO_PI,
                             "turns")
-
-
-def _theta(t):
-    """Riemann-Siegel theta(t) = Im log Gamma(1/4 + i t/2) - (t/2) log pi, t a float or an array."""
-    t = np.asarray(t, dtype=float)
-    return _loggamma(0.25 + 0.5j * t).imag - 0.5 * t * _LOG_PI
 
 
 def _zero_count(tau: float) -> int:

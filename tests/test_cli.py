@@ -63,6 +63,15 @@ class TestEval:
         points += [complex(0.0731, 96.515), complex(0.0548, 219.34)]
         points += [complex(r, i) for r, i in zip(rng.uniform(0.01, 0.999, 20),
                                                  rng.uniform(0.0, 220.0, 20))]
+        # above Im 220, up to where eval eta answers (it refuses past 402
+        # terms, from Im ~ 424.5 at Re 0.05)
+        points += [complex(r, i) for r, i in zip(rng.uniform(0.05, 1.0, 20),
+                                                 rng.uniform(226.0, 427.0, 20))]
+        # next to the pole at 1, where 1 - 2^(1-s) rounds: at 0.99999999 the
+        # error was 0.34 against a printed bound of 1.4e-4
+        points += [complex(1.0 - 10.0**-k, i) for k in range(1, 16)
+                   for i in (0.0, 1e-3, 1.0, 2.0 * math.pi / math.log(2.0),
+                             6.0 * math.pi / math.log(2.0))]
         with mpmath.workdps(30):
             for s in points:
                 for function, ref in (("eta", mpmath.altzeta), ("zeta", mpmath.zeta)):
@@ -87,6 +96,13 @@ class TestEval:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "error" in err.lower()
+
+    def test_zeta_within_its_bound_of_zero_is_unresolved(self, capsys):
+        # at 1 - 2^-52 the factor's rounding error exceeds |zeta|
+        code, out, _ = run(capsys, "eval", "zeta", repr(1.0 - 2.0**-52), "0")
+        assert code == 0
+        err = out.split("abs_error <= ")[1].split()[0]
+        assert f"modulus < {err} (unresolved)" in out
 
     # eta's term count once came from gamma, so these exited 2 where gamma
     # overflows: the reflection's sin(pi s) at 0.3 + 300i, Gamma(1e300)
@@ -414,12 +430,14 @@ class TestUsageErrors:
 class TestNoTraceback:
     # ROADMAP: no input ends in a traceback, and no exit code but the audit's
     # FAIL verdicts is 1.  The first three ended in a bare ValueError from the
-    # quadrature's mesh (exit 1)
+    # quadrature's mesh (exit 1); zeta at 1 - 2^-53 in a ZeroDivisionError,
+    # and gamma at 0.5 + 455i printed modulus = 0 (exit 0)
     @pytest.mark.parametrize("argv", ["eval F 1e-320 0", "eval F 0.001 0",
                                       "bounds --lo 0.001 --hi 0.001", "eval F 0.5 1e300", "eval zeta 0.5 1e300",
                                       "eval zeta 1e-320 5", "eval gamma 1e-320 0",
                                       "zeros --tau 1e300", "rouche --tau 1e300",
-                                      "eval gamma 1e308 1e308", "eval eta 1e308 1e308"])
+                                      "eval gamma 1e308 1e308", "eval eta 1e308 1e308",
+                                      "eval zeta 0.9999999999999999 0", "eval gamma 0.5 455"])
     def test_edge_input_exits_two_or_three(self, capsys, argv):
         code, _, err = run(capsys, *argv.split())
         assert code in (2, 3)

@@ -75,6 +75,20 @@ class TestGamma:
     def test_near_pole_but_outside_tolerance_is_fine(self):
         assert math.isfinite(abs(gamma(-1.0 + 1e-6)))
 
+    def test_underflow_is_domain_error(self):
+        # |Gamma| is subnormal from Im ~ 451.6 at Re 1/2 and rounds to 0j
+        # from Im ~ 454.9, where gamma returned 0j for a modulus of 1.0e-310
+        with pytest.raises(DomainError, match="underflows"):
+            gamma(0.5 + 455j)
+        with pytest.raises(DomainError, match="underflows"):
+            gamma(0.5 - 452j)
+
+    def test_answers_short_of_the_underflow(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = complex(mpmath.gamma(mpmath.mpc(0.5, 440)))
+        assert abs(gamma(0.5 + 440j) - ref) <= 1e-12 * abs(ref)
+
 
 class TestGammaAbsProduct:
     def test_beta_zero_every_factor_one(self):
@@ -236,18 +250,6 @@ class TestEtaArray:
             ref = np.array([complex(mpmath.altzeta(mpmath.mpc(z.real, z.imag))) for z in s])
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
 
-    def test_stirling_log_gamma_modulus(self):
-        # the bound the module states for log Gamma, 1/(1680 * 8^7) < 3e-10, on
-        # both parts; the imaginary part gives theta, continuous in Im(s) as
-        # mpmath's branch is
-        mpmath = pytest.importorskip("mpmath")
-        rng = np.random.default_rng(20002)
-        s = rng.uniform(1e-3, 20.0, 200) + 1j * rng.uniform(-430.0, 430.0, 200)
-        ref = np.array([complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag))) for z in s])
-        got = special_functions._loggamma(s)
-        assert np.all(np.abs(got.real - ref.real) < 3e-10 + 1e-14 * np.abs(ref.real))
-        assert np.all(np.abs(got.imag - ref.imag) < 3e-10)
-
     @pytest.mark.parametrize("shape", [(1,), (2,), (29,), (700,), (3, 4)],
                              ids=lambda shape: "x".join(map(str, shape)))
     def test_every_point_equals_the_scalar_route(self, shape):
@@ -364,6 +366,12 @@ class TestZeta:
         with pytest.raises(DomainError):
             zeta(complex(1.0, 2.0))
 
+    def test_pole_error_where_the_factor_rounds_to_zero(self):
+        # 1 - 2^(1-s) is 0 in floats at 1 - 2^-53: a bare ZeroDivisionError
+        with pytest.raises(PoleError, match="pole at 1"):
+            zeta(1.0 - 2.0**-53)
+        assert math.isfinite(abs(zeta(1.0 - 2.0**-52)))
+
 
 class TestFunctionalEquation:
     def test_symmetric_point(self):
@@ -415,8 +423,9 @@ def test_eta_conjugation_property(re, im):
 # reflection's sin(pi s) once ended in a bare ZeroDivisionError or ValueError
 # far from the strip
 _SWEEP_PARTS = sorted({sign * m for m in (0.0, 1e-320, 1e-300, 1e-200, 1e-100, 1e-13, 1e-12,
-                                          0.1, 1.0, 10.0, 100.0, 1e3, 1e10, 1e100, 1e200,
-                                          1e300, 1e307, 1e308, 1.7e308) for sign in (1, -1)})
+                                          0.1, 1.0 - 2.0**-53, 1.0, 10.0, 100.0, 455.0, 1e3,
+                                          1e10, 1e100, 1e200, 1e300, 1e307, 1e308, 1.7e308)
+                        for sign in (1, -1)})
 
 
 # and two for eta's term count: cmath.phase(8.5 - 5e-324j) raises
