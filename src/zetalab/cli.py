@@ -150,11 +150,10 @@ def _fmt(x: float) -> str:
 
 def _cmd_eval(args, cfg: AuditConfig) -> int:
     s = complex(args.re, args.im)
-    resolved = True
     if args.function in ("F", "F_shifted"):
         integral = quad.fermi_mellin if args.function == "F" else quad.f_shifted
         est = integral(s, args.tol)
-        value, err, resolved = est.value, est.abs_error, est.resolved
+        value, err = est.value, est.abs_error
     elif args.function == "gamma":
         value = sf.gamma(s)
         err = abs(value) * 1e-12
@@ -170,7 +169,7 @@ def _cmd_eval(args, cfg: AuditConfig) -> int:
         factor = abs(1.0 - power)
         err = (ETA_REL_TOL * max(abs(value) * factor, 1.0) / factor
                + abs(value) * 4.0 * 2.0**-53 * abs(power) / factor)
-        resolved = abs(value) > err
+    resolved = abs(value) > err  # QuadratureEstimate.resolved's rule, for every function
     print(f"value = {_fmt(value.real)} {'+' if value.imag >= 0 else '-'} {_fmt(abs(value.imag))}i")
     print(f"modulus = {_fmt(abs(value))}" if resolved else f"modulus < {err:.3e} (unresolved)")
     print(f"abs_error <= {err:.3e}")

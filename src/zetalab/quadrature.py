@@ -25,8 +25,10 @@ e**(-x).  The integral is split three ways:
 * tail [X, inf): discarded, with X = max(40, -log(tol/10)) so that the
   e**(-x) majorant keeps it below tol/10 (log-weighted variants enlarge X).
 
-All evaluations are vectorised over panels; EVAL_BUDGET = 10**6 integrand
-evaluations are allowed per call, and exceeding them raises ToleranceNotMet.
+All evaluations are vectorised over panels, in passes of at most 256 panels
+(_CHUNK_PANELS), so a call's working set stays near 2 MiB whatever its
+evaluation count; EVAL_BUDGET = 10**6 integrand evaluations are allowed per
+call, and exceeding them raises ToleranceNotMet.
 """
 
 from __future__ import annotations
@@ -123,15 +125,47 @@ _G_W = np.array(
 )
 
 
-def _gk_batch(f, a: np.ndarray, b: np.ndarray):
-    """GK15 on a batch of panels; returns (values, error estimates, n_evals)."""
+# Panels per array pass of _gk_batch.  256 x 15 complex values are 60 KiB,
+# under the 64 KiB at which glibc's free() checks whether to trim the heap
+# top, so a pass's temporaries are reused from the heap without returning
+# pages that the next pass faults in again.  Over the 900 fermi_mellin calls
+# of a points-mixed pass in a fresh process (2-CPU Xeon, glibc 2.36), 256
+# panels took 0.9-2.3k minor page faults and 512 panels (120 KiB
+# temporaries) 61-134k, against 33k for one array per round, whenever no
+# block above 128 KiB had been freed before; 128 panels made no fewer
+# faults (1.0-1.4k) in twice the passes.
+_CHUNK_PANELS = 256
+# Rounding floor of the adaptive loop, relative to the summed |panel values|.
+_FLOOR_EPS = 64.0 * np.finfo(float).eps
+
+
+def _gk_chunk(f, a: np.ndarray, b: np.ndarray):
+    """GK15 on one pass of panels: (values, error estimates).
+
+    The nodes are a temporary of the call to f, so they are not held
+    during the sums.
+    """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    x = mid[:, None] + half[:, None] * _GK_X[None, :]
-    y = f(x.ravel()).reshape(x.shape)
+    y = f((mid[:, None] + half[:, None] * _GK_X[None, :]).ravel()).reshape(len(a), len(_GK_X))
     k15 = (y * _GK_WK).sum(axis=1) * half
     g7 = (y[:, 1::2] * _G_W).sum(axis=1) * half
-    return k15, np.abs(k15 - g7), x.size
+    return k15, np.abs(k15 - g7)
+
+
+def _gk_batch(f, a: np.ndarray, b: np.ndarray):
+    """GK15 on a batch of panels, _CHUNK_PANELS at a time; returns (values, error estimates, n_evals).
+
+    Each panel's values are the same 15-element sums in a chunk as in one
+    array of the whole batch, so the chunking changes no bit.
+    """
+    n_evals = len(_GK_X) * len(a)
+    if len(a) <= _CHUNK_PANELS:
+        return (*_gk_chunk(f, a, b), n_evals)
+    chunks = [_gk_chunk(f, a[i : i + _CHUNK_PANELS], b[i : i + _CHUNK_PANELS])
+              for i in range(0, len(a), _CHUNK_PANELS)]
+    vals, errs = (np.concatenate(part) for part in zip(*chunks))
+    return vals, errs, n_evals
 
 
 def _integrate(f, mesh: np.ndarray, tol: float):
@@ -141,27 +175,25 @@ def _integrate(f, mesh: np.ndarray, tol: float):
     when the summed estimate is below tol or the rounding floor, whichever is
     larger.  Raises ToleranceNotMet when EVAL_BUDGET runs out first.
     """
-    a = mesh[:-1].astype(float)
-    b = mesh[1:].astype(float)
+    a = mesh[:-1]
+    b = mesh[1:]
     vals, errs, n_evals = _gk_batch(f, a, b)
     while True:
         total_err = errs.sum()
-        floor = 64.0 * np.finfo(float).eps * max(1.0, np.abs(vals).sum())
-        if total_err <= max(tol, floor):
+        if total_err <= tol or total_err <= _FLOOR_EPS * max(1.0, np.abs(vals).sum()):
             return vals.sum(), float(total_err), n_evals
         if n_evals >= EVAL_BUDGET:
             raise ToleranceNotMet(
                 f"quadrature budget {EVAL_BUDGET} exhausted (error {total_err:.3e} > tol {tol:.3e})"
             )
-        thresh = tol / (2.0 * len(a))
-        idx = np.flatnonzero(errs > thresh)
-        if idx.size == 0:
-            idx = np.array([int(np.argmax(errs))])
-        mid = 0.5 * (a[idx] + b[idx])
-        new_a = np.concatenate([a[idx], mid])
-        new_b = np.concatenate([mid, b[idx]])
-        keep = np.ones(len(a), dtype=bool)
-        keep[idx] = False
+        split = errs > tol / (2.0 * len(a))
+        if not split.any():
+            split[np.argmax(errs)] = True
+        keep = ~split
+        left, right = a[split], b[split]
+        mid = 0.5 * (left + right)
+        new_a = np.concatenate([left, mid])
+        new_b = np.concatenate([mid, right])
         new_vals, new_errs, n = _gk_batch(f, new_a, new_b)
         a = np.concatenate([a[keep], new_a])
         b = np.concatenate([b[keep], new_b])

@@ -162,14 +162,20 @@ def gamma_abs_product(alpha: float, beta: float, n_terms: int) -> float:
     Every factor 1/(1 + beta^2/(n+alpha)^2) is <= 1, so truncations decrease
     monotonically in n_terms toward the true modulus.  Accumulated in log
     space (log1p) to avoid underflow for large beta, which must be finite.
+    The n_terms factors are formed in place in one float buffer, 8 bytes per
+    term (8 MB at n_terms = 10**6).
     """
     alpha, beta = ensure_real(alpha), ensure_real(beta)
     if not (0.0 < alpha < 1.0 and math.isfinite(beta)):
         raise DomainError(f"need alpha in (0,1) and a finite beta, got {alpha}, {beta}")
     if not (isinstance(n_terms, (int, np.integer)) and n_terms >= 1):
         raise DomainError(f"n_terms must be an integer >= 1, got {n_terms!r}")
-    n = np.arange(n_terms, dtype=float)
-    log_prod = -np.log1p(beta * beta / (n + alpha) ** 2).sum()
+    v = np.arange(n_terms, dtype=float)
+    v += alpha
+    np.square(v, out=v)
+    np.divide(beta * beta, v, out=v)
+    np.log1p(v, out=v)
+    log_prod = -v.sum()
     return math.gamma(alpha) * math.exp(0.5 * log_prod)
 
 

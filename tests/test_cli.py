@@ -104,6 +104,15 @@ class TestEval:
         err = out.split("abs_error <= ")[1].split()[0]
         assert f"modulus < {err} (unresolved)" in out
 
+    def test_eta_within_its_bound_of_zero_is_unresolved(self, capsys):
+        # |eta| is ~1.9e-15 at the first zero, under the printed 1e-12
+        code, out, _ = run(capsys, "eval", "eta", "0.5", "14.134725141734693")
+        assert code == 0
+        assert "modulus < 1.000e-12 (unresolved)" in out
+        assert "abs_error <= 1.000e-12" in out
+        _, out, _ = run(capsys, "eval", "eta", "0.5", "14.0")
+        assert "modulus = " in out and "unresolved" not in out
+
     # eta's term count once came from gamma, so these exited 2 where gamma
     # overflows: the reflection's sin(pi s) at 0.3 + 300i, Gamma(1e300)
     @pytest.mark.parametrize("re, im", [("0.3", "300"), ("1e300", "0")])

@@ -154,6 +154,53 @@ class TestFermiMellin:
             fermi_mellin(0.5, 1e-8 + 0j)
 
 
+def _integrand_of(s, k, monkeypatch):
+    """The integrand _log_moment builds for s and k, taken from its _integrate call."""
+    seen = []
+
+    def record(f, mesh, tol):
+        seen.append(f)
+        return 0.0, 0.0, 0
+
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_integrate", record)
+        quadrature._log_moment(s, k, 1e-8)
+    return seen[0]
+
+
+class TestChunkedBatch:
+    # complex k = 0 (fermi_mellin), real k = 0 (m_star, g_of_b), k = 1 and 2
+    # (m_star_derivative); f_on_disk reaches the complex one through f_shifted
+    KINDS = [(0.3 + 20.0j, 0), (0.05 + 95.0j, 0), (0.7, 0), (0.6, 1), (0.6, 2)]
+
+    @pytest.mark.parametrize("s, k", KINDS)
+    @pytest.mark.parametrize("panels", [1, 255, 256, 257, 513, 5000])
+    def test_chunks_equal_one_pass(self, s, k, panels, monkeypatch):
+        f = _integrand_of(s, k, monkeypatch)
+        rng = np.random.default_rng(panels)
+        a = np.sort(rng.uniform(1e-6, 40.0, panels))
+        b = a + rng.uniform(1e-9, 0.5, panels)
+        chunked = quadrature._gk_batch(f, a, b)
+        monkeypatch.setattr(quadrature, "_CHUNK_PANELS", 10 * panels)
+        whole = quadrature._gk_batch(f, a, b)
+        assert chunked[2] == whole[2] == 15 * panels
+        for got, want in zip(chunked[:2], whole[:2]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_working_set_bounded(self):
+        # the costliest call of the benchmark's streams, 456,555 evaluations;
+        # evaluated in one array its temporaries peaked at 14.3 MiB
+        fermi_mellin(0.05 + 100j, 1e-12)
+        tracemalloc.start()
+        try:
+            est = fermi_mellin(0.05 + 100j, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.n_evals > 400_000
+        assert peak < 4 * 2**20
+
+
 class TestFShifted:
     def test_matches_unshifted_by_construction(self):
         for omega in [0.0 + 0j, 0.25 + 10j, 0.5 + 3j]:
