@@ -117,8 +117,7 @@ def _build_parser() -> _Parser:
     p_jensen.add_argument("--samples", type=_samples, default=384, help="circle samples")
 
     p_rouche = sub.add_parser("rouche", help="triangle-margin scan over the K(tau) boundary")
-    p_rouche.add_argument("--tau", dest="rouche_tau", type=float, required=True)
-    p_rouche.add_argument("--lam", type=_positive, default=None)
+    p_rouche.add_argument("--tau", dest="rouche_tau", type=float)
     p_rouche.add_argument("--epsilon", dest="rouche_epsilon", type=float)
     p_rouche.add_argument("--nu", dest="rouche_nu", type=float)
 
@@ -228,7 +227,7 @@ def _cmd_jensen(args, cfg: AuditConfig) -> int:
 
 
 def _cmd_rouche(args, cfg: AuditConfig) -> int:
-    result = za.rouche_scan(**cfg.rouche_options(args.lam))
+    result = za.rouche_scan(**cfg.rouche_options())
     print(f"tau (after genericity shift) = {_fmt(result.tau)}")
     print(f"lambda = {_fmt(result.lam)}, epsilon = {_fmt(result.epsilon)}")
     print(f"neutralized zeros = {[round(b, 6) for b in result.zeros]}")

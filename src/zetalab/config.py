@@ -54,14 +54,13 @@ class AuditConfig:
     def digest(self) -> str:
         return hashlib.sha256(dump_config(self).encode()).hexdigest()
 
-    def rouche_options(self, lam: float | None = None) -> dict:
+    def rouche_options(self) -> dict:
         """Every argument of zero_analysis.rouche_scan, from this config.
 
-        lam defaults to lambda_choice(1, epsilon, nu) = (M*(1/2) + nu)/epsilon,
-        the lam of EQ50C's bound.
+        lam is lambda_choice(1, epsilon, nu) = (M*(1/2) + nu)/epsilon, the lam
+        of EQ50C's bound, for the audit and the rouche command alike.
         """
-        if lam is None:
-            lam = lambda_choice(1.0, self.rouche_epsilon, self.rouche_nu)
+        lam = lambda_choice(1.0, self.rouche_epsilon, self.rouche_nu)
         return dict(tau=self.rouche_tau, lam=lam, epsilon=self.rouche_epsilon)
 
 

@@ -54,6 +54,7 @@ from .errors import DomainError, PoleError
 __all__ = [
     "ensure_finite",
     "ensure_real",
+    "finite_abs",
     "ensure_strip",
     "gamma",
     "gamma_abs_product",
@@ -70,6 +71,21 @@ def ensure_finite(s) -> complex:
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise DomainError(f"non-finite complex value {s!r}")
     return s
+
+
+def finite_abs(z: complex) -> float:
+    """abs(z) bit for bit; DomainError where z or |z| is not finite.
+
+    Python's abs of a finite complex raises a bare OverflowError once |z|
+    passes the float range, as at 1.7e308 + 1.7e308i.
+    """
+    try:
+        r = abs(z)
+    except OverflowError:
+        r = math.inf
+    if not r < math.inf:  # NaN fails too
+        raise DomainError(f"|{z!r}| is not finite")
+    return r
 
 
 def ensure_real(x) -> float:
@@ -163,7 +179,9 @@ def gamma_abs_product(alpha: float, beta: float, n_terms: int) -> float:
     monotonically in n_terms toward the true modulus.  Accumulated in log
     space (log1p) to avoid underflow for large beta, which must be finite.
     The n_terms factors are formed in place in one float buffer, 8 bytes per
-    term (8 MB at n_terms = 10**6).
+    term (8 MB at n_terms = 10**6).  Where the product is not a normal float
+    (beta^2/alpha^2 or Gamma(alpha) past the float range, or a modulus below
+    sys.float_info.min, as at alpha = 1e-320 or beta = 1e300), DomainError.
     """
     alpha, beta = ensure_real(alpha), ensure_real(beta)
     if not (0.0 < alpha < 1.0 and math.isfinite(beta)):
@@ -173,10 +191,18 @@ def gamma_abs_product(alpha: float, beta: float, n_terms: int) -> float:
     v = np.arange(n_terms, dtype=float)
     v += alpha
     np.square(v, out=v)
-    np.divide(beta * beta, v, out=v)
+    with np.errstate(all="ignore"):  # an overflow or 0/0 leaves a product the check refuses
+        np.divide(beta * beta, v, out=v)
     np.log1p(v, out=v)
     log_prod = -v.sum()
-    return math.gamma(alpha) * math.exp(0.5 * log_prod)
+    try:
+        value = math.gamma(alpha) * math.exp(0.5 * log_prod)
+    except OverflowError:  # Gamma(alpha) for alpha below about 5.6e-309
+        value = math.nan
+    if not sys.float_info.min <= value < math.inf:  # NaN fails too
+        raise DomainError(f"|Gamma({alpha} + {beta}i)| over {n_terms} terms"
+                          f" is not a normal float: {value}")
+    return value
 
 
 _LOG_CVZ = math.log(3.0 + math.sqrt(8.0))

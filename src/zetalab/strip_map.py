@@ -21,7 +21,7 @@ import math
 
 from .errors import DomainError
 from .quadrature import f_shifted
-from .special_functions import ensure_finite, ensure_real
+from .special_functions import ensure_finite, ensure_real, finite_abs
 
 __all__ = [
     "ensure_disk",
@@ -40,8 +40,8 @@ _TWO_PI = 2.0 * math.pi
 def ensure_disk(z) -> complex:
     """Validate |z| < 1 (open unit disk)."""
     z = ensure_finite(z)
-    if abs(z) >= 1.0:
-        raise DomainError(f"|z| = {abs(z)} not inside the open unit disk")
+    if (r := finite_abs(z)) >= 1.0:
+        raise DomainError(f"|z| = {r} not inside the open unit disk")
     return z
 
 
@@ -78,15 +78,23 @@ def phi_inverse(omega, b: float) -> complex:
     """Inverse map for Re(omega) in (0, 1/2) strict; boundary points rejected.
 
     psi = exp(2 pi i (omega - 1/4)) keeps Re(psi) > 0 on the open strip, so
-    theta = (psi - 1)/(psi + 1) is well-defined with |theta| < 1.
+    theta = (psi - 1)/(psi + 1) is well-defined with |theta| < 1.  In floats
+    |theta| rounds to 1 from |Im(omega)| of about 5.5, and psi overflows below
+    Im(omega) of about -113: both raise DomainError naming omega.
     """
     omega = ensure_finite(omega)
     if not 0.0 < omega.real < 0.5:
         raise DomainError(
             f"Re(omega) = {omega.real} outside the open interval (0, 1/2)"
         )
-    psi = cmath.exp(_TWO_PI * 1j * (omega - 0.25))
-    t = (psi - 1.0) / (psi + 1.0)
+    try:
+        psi = cmath.exp(_TWO_PI * 1j * (omega - 0.25))
+        t = (psi - 1.0) / (psi + 1.0)
+    except OverflowError:  # psi past the float range, where theta tends to 1
+        t = 1.0
+    if abs(t) >= 1.0:
+        raise DomainError(f"omega = {omega} is too far from the real axis:"
+                          " theta rounds onto the unit circle")
     return theta_inverse(t, b)
 
 

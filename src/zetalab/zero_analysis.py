@@ -55,7 +55,7 @@ from .errors import (
     ZeroAtCenter,
 )
 from .quadrature import f_shifted, m_star_half
-from .special_functions import _theta, ensure_finite, ensure_real, eta
+from .special_functions import _theta, ensure_finite, ensure_real, eta, finite_abs
 
 __all__ = [
     "RectangleRegion",
@@ -512,31 +512,33 @@ def jensen_check(
     converges geometrically for analytic fn with no zeros on the circle).
     |fn(0)| < 1e-12 raises ZeroAtCenter, and a zero within 1e-9 of the
     circle raises BoundaryZeroError, as does a circle sample with |fn| below
-    1e-300, naming the sample.  A non-finite fn(0) or sample raises
+    1e-300, naming the sample.  A non-finite fn(0), sample or modulus, and a
+    listed zero at the centre (where log(R/|z|) is infinite), raise
     DomainError.  R must be positive and finite, and samples an integer >= 8.
     """
     _check_positive_finite("R", (R,))
     if not (isinstance(samples, (int, np.integer)) and samples >= 8):
         raise DomainError(f"samples must be an integer >= 8, got {samples!r}")
-    f0 = ensure_finite(fn(0.0 + 0.0j))
-    if abs(f0) < 1e-12:
-        raise ZeroAtCenter(f"|fn(0)| = {abs(f0):.3e} below 1.0e-12")
-    lhs = math.log(abs(f0))
+    f0_abs = finite_abs(complex(fn(0.0 + 0.0j)))
+    if f0_abs < 1e-12:
+        raise ZeroAtCenter(f"|fn(0)| = {f0_abs:.3e} below 1.0e-12")
+    lhs = math.log(f0_abs)
     for z in zeros:
-        z = ensure_finite(z)
-        if abs(abs(z) - R) < 1e-9:
+        r = finite_abs(complex(z))
+        if abs(r - R) < 1e-9:
             raise BoundaryZeroError(f"zero {z} lies on the circle |z| = {R}")
-        if abs(z) > R:
+        if r > R:
             raise DomainError(f"zero {z} outside the disk of radius {R}")
-        lhs += math.log(R / abs(z))
+        if r == 0.0 or R / r == math.inf:
+            raise DomainError(f"zero {z} at the centre, where log(R/|z|) is infinite")
+        lhs += math.log(R / r)
     acc = 0.0
     for k in range(samples):
         zk = R * cmath.exp(2j * math.pi * k / samples)
-        fk = complex(fn(zk))
-        if not 1e-300 <= abs(fk) < math.inf:  # NaN fails too
-            ensure_finite(fk)  # DomainError for NaN or inf
-            raise BoundaryZeroError(f"|fn({zk})| = {abs(fk):.3e} below 1e-300 on the circle")
-        acc += math.log(abs(fk))
+        fk_abs = finite_abs(complex(fn(zk)))
+        if fk_abs < 1e-300:
+            raise BoundaryZeroError(f"|fn({zk})| = {fk_abs:.3e} below 1e-300 on the circle")
+        acc += math.log(fk_abs)
     return lhs, acc / samples
 
 
@@ -568,18 +570,22 @@ def blaschke_L(omega, zeros):
     A scalar omega gives a complex; an ndarray gives a complex array of its
     shape, each entry the value the scalar call gives, bit for bit.  An
     empty zero list gives ones.  An omega at a pole itself, where a factor
-    is 0/0, raises PoleProximity, and a non-finite omega or zero height
-    DomainError.
+    is 0/0, raises PoleProximity; a non-finite omega, a zero height that is
+    not a finite real, and a product that is not finite (an overflow in a
+    factor, as at -1.7e308 - 1.7e308i) raise DomainError.
     """
     w = np.asarray(omega, dtype=complex)
-    betas = np.asarray(list(zeros), dtype=float)
+    betas = np.asarray([ensure_real(b) for b in zeros], dtype=float)
     if not (np.isfinite(w).all() and np.isfinite(betas).all()):
         raise DomainError(f"blaschke_L requires finite omega and zero heights, got {omega!r}")
     den = w[..., None] - 1j * betas
     at_pole = np.nonzero(den == 0)[-1]
     if at_pole.size:
         raise PoleProximity(f"omega at the pole i*{betas[at_pole[0]]}, where a factor is 0/0")
-    value = ((w.conj()[..., None] + 1j * betas) / den).prod(axis=-1)
+    with np.errstate(all="ignore"):
+        value = ((w.conj()[..., None] + 1j * betas) / den).prod(axis=-1)
+    if not np.isfinite(value).all():
+        raise DomainError(f"blaschke_L is not finite at omega = {omega!r}")
     return value if isinstance(omega, np.ndarray) else complex(value)
 
 
@@ -590,17 +596,27 @@ def lambda_choice(theta_abs: float, epsilon: float, nu: float) -> float:
     r = |eps + omega| >= eps, since nu > 0.  M*(1/2) is m_star_half(),
     computed once per process.  The scan's g = lam*(eps + omega) has no
     theta_abs in it, so theta_abs only rescales lam; the audit and the
-    rouche command take theta_abs = 1, the lam whose bound EQ50C checks.
+    rouche command take theta_abs = 1, the lam whose bound EQ50C checks.  A
+    lam that is not positive and finite in floats (nu = 1e308, or epsilon =
+    1e-320) raises DomainError.
     """
     _check_positive_finite("theta_abs, epsilon and nu", (theta_abs, epsilon, nu))
-    return (m_star_half() + nu) / (theta_abs * epsilon)
+    den = theta_abs * epsilon  # 0.0 where the product underflows
+    lam = (m_star_half() + nu) / den if den else math.inf
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"lam = (M*(1/2) + nu)/(theta_abs*epsilon) is not positive and finite"
+                          f" at theta_abs = {theta_abs}, epsilon = {epsilon}, nu = {nu}")
+    return lam
 
 
 def triangle_equality_condition(w, v) -> bool:
-    """True iff |w| + |v| - |w + v| < 1e-9 (near-equality in the triangle bound)."""
+    """True iff |w| + |v| - |w + v| < 1e-9 (near-equality in the triangle bound).
+
+    A modulus past the float range, of w, v or w + v, raises DomainError.
+    """
     w = ensure_finite(w)
     v = ensure_finite(v)
-    return abs(w) + abs(v) - abs(w + v) < 1e-9
+    return finite_abs(w) + finite_abs(v) - finite_abs(w + v) < 1e-9
 
 
 def _f_omega_estimate(omega: complex):

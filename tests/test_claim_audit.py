@@ -294,7 +294,8 @@ class TestConfig:
         assert set(options) == set(inspect.signature(za.rouche_scan).parameters)
         assert options["lam"] == za.lambda_choice(1.0, 0.1, 0.01)
         assert (options["tau"], options["epsilon"]) == (16.0, 0.1)
-        assert cfg.rouche_options(2.5)["lam"] == 2.5
+        # lam comes from epsilon and nu alone: no argument overrides it
+        assert list(inspect.signature(cfg.rouche_options).parameters) == []
         # the options are the rouche_* fields alone
         assert AuditConfig(seed=1).rouche_options() == options
         assert AuditConfig(rouche_nu=0.02).rouche_options()["lam"] == za.lambda_choice(1.0, 0.1, 0.02)

@@ -14,6 +14,7 @@ import zetalab
 from zetalab import cli
 from zetalab.cli import _build_parser, main
 from zetalab.config import AuditConfig, dump_config
+from zetalab.errors import ZetaLabError
 
 GOLDEN_DEFAULT = Path(__file__).parent / "data" / "audit_default.json"
 
@@ -289,7 +290,7 @@ class TestJensen:
 
 class TestRouche:
     def test_completes_below_first_zero(self, capsys):
-        code, out, _ = run(capsys, "rouche", "--tau", "10", "--lam", "10")
+        code, out, _ = run(capsys, "rouche", "--tau", "10")
         assert code == 0
         assert "min_margin" in out
         margin = float(out.split("min_margin = ")[1].split(" ")[0])
@@ -298,11 +299,31 @@ class TestRouche:
     def test_epsilon_from_config(self, capsys, tmp_path):
         path = tmp_path / "rouche.cfg"
         path.write_text("rouche_epsilon=0.2\n")
-        code, out, _ = run(capsys, "--config", str(path), "rouche", "--tau", "10", "--lam", "10")
+        code, out, _ = run(capsys, "--config", str(path), "rouche", "--tau", "10")
         assert code == 0
         assert "epsilon = 0.2" in out
 
-    @pytest.mark.parametrize("flag", [("--epsilon", "1e-308"), ("--lam", "1e308")])
+    def test_flags_default_to_the_config(self, capsys, tmp_path, monkeypatch):
+        # --tau was required, so a config file's rouche_tau never reached the scan
+        from zetalab import zero_analysis as za
+
+        calls = []
+
+        def scan(**options):
+            calls.append(options)
+            raise ZetaLabError("scan not run")
+
+        monkeypatch.setattr(za, "rouche_scan", scan)
+        path = tmp_path / "tau.cfg"
+        path.write_text("rouche_tau=18\nrouche_nu=0.02\n")
+        for argv in (["rouche"], ["--config", str(path), "rouche"],
+                     ["--config", str(path), "rouche", "--tau", "16", "--epsilon", "0.2"]):
+            assert run(capsys, *argv)[0] == 2
+        assert calls == [AuditConfig().rouche_options(),
+                         AuditConfig(rouche_tau=18.0, rouche_nu=0.02).rouche_options(),
+                         AuditConfig(rouche_epsilon=0.2, rouche_nu=0.02).rouche_options()]
+
+    @pytest.mark.parametrize("flag", [("--epsilon", "1e-308")])
     def test_overflowing_comparison_function_exit_two(self, capsys, flag):
         # g = lam*(epsilon + omega) overflowed to inf, the margin read nan and
         # the scan printed min_margin = nan with three RuntimeWarnings, exit 0
@@ -314,6 +335,14 @@ class TestRouche:
         assert (code, out) == (2, "")
         assert "numerical error" in err and "is not finite at omega" in err
         assert "lam = " in err and "epsilon = " in err
+
+    def test_overflowing_lam_exit_two(self, capsys):
+        # lam = (M*(1/2) + nu)/epsilon read inf, and the scan blamed lam, which
+        # no flag sets: "tau, lam and epsilon must be positive and finite"
+        code, out, err = run(capsys, "rouche", "--tau", "10", "--nu", "1e308")
+        assert (code, out) == (2, "")
+        assert "numerical error: lam = (M*(1/2) + nu)/(theta_abs*epsilon) is not positive" in err
+        assert "epsilon = 0.1, nu = 1e+308" in err
 
 
 class TestAudit:
@@ -364,7 +393,7 @@ class TestUsageErrors:
     # and a zero_tol below 1e-9 made the zero search fail on a single zero;
     # n_samples and boundary_density are constants now (claim_audit.SWEEP_SAMPLES
     # and zero_analysis.SAMPLES_PER_UNIT), so each is an unknown key, as is
-    # rouche_theta_abs: lam is (M*(1/2) + nu)/epsilon unless rouche --lam sets it;
+    # rouche_theta_abs: lam is (M*(1/2) + nu)/epsilon;
     # the file holds the audit's inputs only, so quad_tol, zero_tol, tau_max,
     # jensen_samples and output_format, which only flags set, are unknown keys
     @pytest.mark.parametrize("line", ["quad_tol=abc", "seed=1.5", "quad_tol=-1",
@@ -385,6 +414,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [
         (("jensen", "--samples", "100.5"), "invalid int value"),
         (("--format", "xml", "audit"), "invalid choice"),
+        (("rouche", "--lam", "10"), "unrecognized arguments: --lam 10"),  # lam has no flag
     ])
     def test_malformed_setting_flag_exit_three(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -406,8 +436,7 @@ class TestUsageErrors:
         assert code == 3
         assert "must be positive" in err
 
-    @pytest.mark.parametrize("argv", [("rouche", "--tau", "10", "--lam", "-1"),
-                                      ("jensen", "--radius", "0"),
+    @pytest.mark.parametrize("argv", [("jensen", "--radius", "0"),
                                       ("jensen", "--b", "2"),
                                       ("map", "0.3", "0.4", "2"),
                                       ("bounds", "--step", "nan"),
@@ -421,7 +450,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [("zeros", "--tau", "inf"),
                                       ("rouche", "--tau", "inf"),
                                       ("bounds", "--step", "inf"),
-                                      ("rouche", "--tau", "10", "--lam", "inf"),
+                                      ("rouche", "--tau", "10", "--nu", "inf"),
                                       ("--tol", "inf", "eval", "F", "0.5", "1")])
     def test_infinite_flag_exit_three(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -440,13 +469,15 @@ class TestNoTraceback:
     # ROADMAP: no input ends in a traceback, and no exit code but the audit's
     # FAIL verdicts is 1.  The first three ended in a bare ValueError from the
     # quadrature's mesh (exit 1); zeta at 1 - 2^-53 in a ZeroDivisionError,
-    # and gamma at 0.5 + 455i printed modulus = 0 (exit 0)
+    # gamma at 0.5 + 455i printed modulus = 0 (exit 0), and map past the
+    # float range in a bare OverflowError from abs (exit 1)
     @pytest.mark.parametrize("argv", ["eval F 1e-320 0", "eval F 0.001 0",
                                       "bounds --lo 0.001 --hi 0.001", "eval F 0.5 1e300", "eval zeta 0.5 1e300",
                                       "eval zeta 1e-320 5", "eval gamma 1e-320 0",
                                       "zeros --tau 1e300", "rouche --tau 1e300",
                                       "eval gamma 1e308 1e308", "eval eta 1e308 1e308",
-                                      "eval zeta 0.9999999999999999 0", "eval gamma 0.5 455"])
+                                      "eval zeta 0.9999999999999999 0", "eval gamma 0.5 455",
+                                      "map 1.7e308 1.7e308 0.5", "map -1.7e308 1e308 0.5"])
     def test_edge_input_exits_two_or_three(self, capsys, argv):
         code, _, err = run(capsys, *argv.split())
         assert code in (2, 3)
@@ -473,7 +504,7 @@ def test_every_config_field_has_a_flag():
     assert {f.name for f in fields(AuditConfig)} - dests == set()
     # a new flag must show up here
     assert dests - {f.name for f in fields(AuditConfig)} == {
-        "help", "config", "lo", "hi", "step", "b", "radius", "lam", "out",
+        "help", "config", "lo", "hi", "step", "b", "radius", "out",
         "tol", "format", "tau", "zero_tol", "samples",
     }
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab import special_functions, zero_analysis
+from zetalab import special_functions, strip_map, zero_analysis
 from zetalab.errors import DomainError, PoleError, ZetaLabError
 from zetalab.special_functions import (
     ensure_finite,
@@ -145,6 +146,13 @@ class TestGammaAbsProduct:
         for beta in (math.nan, math.inf):
             with pytest.raises(DomainError, match="beta"):
                 gamma_abs_product(0.5, beta, 10)
+
+    # a divide-by-zero warning, then a bare OverflowError from math.gamma; the
+    # other two returned 0.0, an underflowed modulus shown as a value
+    @pytest.mark.parametrize("alpha, beta", [(1e-320, 5.0), (1e-170, 5.0), (0.5, 1e300)])
+    def test_product_outside_the_float_range(self, alpha, beta):
+        with pytest.raises(DomainError, match=re.escape(f"|Gamma({alpha} + {beta}i)|")):
+            gamma_abs_product(alpha, beta, 10)
 
     def test_complex_alpha_rejected(self):
         with pytest.raises(DomainError, match="real argument"):  # raised TypeError
@@ -466,3 +474,36 @@ def test_no_bare_exception_at_any_finite_point(fn):
             fn(s)
         except ZetaLabError:
             pass
+
+
+# every other public point function, at the same points and with a
+# RuntimeWarning an error: the maps and jensen_check took Python's abs, which
+# raises OverflowError past the float range; phi_inverse's exp overflowed;
+# gamma_abs_product and blaschke_L returned 0.0 or NaN with warnings
+_POINT_FUNCTIONS = {
+    "theta": lambda s: strip_map.theta(s, 0.5),
+    "theta_inverse": lambda s: strip_map.theta_inverse(s, 0.5),
+    "phi": lambda s: strip_map.phi(s, 0.5),
+    "phi_inverse": lambda s: strip_map.phi_inverse(s, 0.5),
+    "disk_modulus_H": lambda s: strip_map.disk_modulus_H(s, 0.5),
+    "blaschke_L": lambda s: zero_analysis.blaschke_L(s, [14.13, 21.02]),
+    "blaschke_L_array": lambda s: zero_analysis.blaschke_L(np.array([s]), [14.13, 21.02])[0],
+    "triangle_equality_condition": lambda s: zero_analysis.triangle_equality_condition(s, s),
+    "gamma_abs_product": lambda s: gamma_abs_product(s.real, s.imag, 10),
+    "lambda_choice": lambda s: zero_analysis.lambda_choice(1.0, s.real, s.imag),
+    "jensen_check": lambda s: zero_analysis.jensen_check(lambda z: z - 0.5, [s], 1.0, 8),
+}
+# these return a number that must then be finite
+_FINITE_RESULT = {"blaschke_L", "blaschke_L_array", "gamma_abs_product", "lambda_choice"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", list(_POINT_FUNCTIONS))
+def test_every_point_function_answers_or_refuses(name):
+    for s in _SWEEP_POINTS:
+        try:
+            value = _POINT_FUNCTIONS[name](s)
+        except ZetaLabError:
+            continue
+        if name in _FINITE_RESULT:
+            assert cmath.isfinite(value), (s, value)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,13 @@ class TestPhiInverse:
             phi_inverse(0.0 + 1j, 0.5)
         with pytest.raises(DomainError):
             phi_inverse(0.5 + 1j, 0.5)
+
+    # exp overflowed to a bare OverflowError below Im -113; above Im 6 the
+    # error named |theta| = 1.0, which the caller never passed
+    @pytest.mark.parametrize("omega", [0.25 - 120j, 0.25 - 7j, 0.25 + 7j, 0.25 + 400j])
+    def test_far_from_the_real_axis_names_omega(self, omega):
+        with pytest.raises(DomainError, match=re.escape(f"omega = {omega}")):
+            phi_inverse(omega, 0.5)
 
 
 class TestDiskModulus:

@@ -655,11 +655,21 @@ class TestJensen:
         with pytest.raises(BoundaryZeroError, match=re.escape("|fn((1+0j))| = 0.000e+00")):
             jensen_check(lambda z: z - 1.0, [], 1.0, 8)
 
+    # the last two have finite values whose modulus passes the float range,
+    # where abs raised a bare OverflowError
     @pytest.mark.parametrize("fn", [lambda z: math.nan, lambda z: complex(1.0, math.inf),
-                                    lambda z: 1.0 if z == 0 else math.nan])
+                                    lambda z: 1.0 if z == 0 else math.nan,
+                                    lambda z: 1.7e308 + 1.7e308j,
+                                    lambda z: 1.0 if z == 0 else 1.7e308 + 1.7e308j])
     def test_non_finite_value_rejected(self, fn):
         with pytest.raises(DomainError):
             jensen_check(fn, [], 1.0, 8)
+
+    @pytest.mark.parametrize("zero", [0.0, 1e-320j])
+    def test_listed_zero_at_the_centre_rejected(self, zero):
+        # log(R/|z|) divided by zero (ZeroDivisionError) or read inf
+        with pytest.raises(DomainError, match="at the centre"):
+            jensen_check(lambda z: z - 0.5, [zero], 1.0, 8)
 
     def test_zero_outside_disk_rejected(self):
         with pytest.raises(DomainError):
@@ -765,6 +775,15 @@ class TestBlaschke:
         with pytest.raises(DomainError):
             blaschke_L(0.1 + 1j, zeros)
 
+    def test_complex_zero_height(self):  # raised TypeError
+        with pytest.raises(DomainError, match="real argument"):
+            blaschke_L(0.1 + 1j, [1 + 1j])
+
+    @pytest.mark.parametrize("omega", [-1.7e308 - 1.7e308j, np.array([-1.7e308 - 1.7e308j])])
+    def test_overflowing_product(self, omega):  # returned nan+nanj with two warnings
+        with pytest.raises(DomainError, match="not finite"):
+            blaschke_L(omega, [14.13, 21.02])
+
     def test_single_factor_unimodular(self):
         assert abs(abs(blaschke_L(0.3 + 0.2j, [14.1347])) - 1.0) < 1e-12
 
@@ -837,6 +856,13 @@ class TestLambdaChoice:
             with pytest.raises(DomainError):
                 lambda_choice(*args)
 
+    # lam = inf, lam = 0.0 and a ZeroDivisionError from theta_abs*epsilon underflowing
+    @pytest.mark.parametrize("args", [(1.0, 1e-320, 1.0), (1.0, 0.1, 1e308),
+                                      (1e300, 1e300, 0.01), (1e-200, 1e-200, 0.01)])
+    def test_lam_past_the_float_range(self, args):
+        with pytest.raises(DomainError, match="lam .* is not positive and finite"):
+            lambda_choice(*args)
+
 
 class TestTriangleEquality:
     def test_collinear_positive(self):
@@ -844,6 +870,12 @@ class TestTriangleEquality:
 
     def test_orthogonal(self):
         assert not triangle_equality_condition(1j, 1.0 + 0j)
+
+    # |w| raised a bare OverflowError; |w + v| read inf and the answer was True
+    @pytest.mark.parametrize("w, v", [(1.7e308 + 1.7e308j, 1.0), (1e308, 1e308)])
+    def test_modulus_past_the_float_range(self, w, v):
+        with pytest.raises(DomainError, match="is not finite"):
+            triangle_equality_condition(w, v)
 
     def test_antiparallel_fails(self):
         # w = -v is collinear with a real ratio yet equality does not hold:
