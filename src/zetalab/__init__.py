@@ -30,12 +30,9 @@ from .quadrature import (
     QuadratureEstimate,
     f_shifted,
     fermi_mellin,
-    g_of_b,
     m_bound,
     m_star,
     m_star_derivative,
-    omega0,
-    omega0_prime,
 )
 from .special_functions import (
     eta,
@@ -46,6 +43,9 @@ from .special_functions import (
 from .strip_map import (
     disk_modulus_H,
     f_on_disk,
+    g_of_b,
+    omega0,
+    omega0_prime,
     phi,
     phi_inverse,
     theta,

@@ -499,7 +499,7 @@ def _check_eq25a(ctx, tol, rng):
     worst = 0.0
     for b in np.linspace(0.05, 0.95, 21):
         w = smap.phi(0.0 + 0.0j, float(b))
-        worst = max(worst, abs(w.real - quad.omega0(float(b))), abs(w.imag))
+        worst = max(worst, abs(w.real - smap.omega0(float(b))), abs(w.imag))
     return worst < tol, worst, "phi(0,b) vs arctan closed form, Im exactly 0"
 
 
@@ -560,7 +560,7 @@ def _check_eq30c(ctx, tol, rng):
     cap = quad.m_star_half()
     worst = -math.inf
     for b in np.linspace(0.05, 0.999, 21):
-        worst = max(worst, quad.g_of_b(float(b), 1e-9) - cap)
+        worst = max(worst, smap.g_of_b(float(b), 1e-9) - cap)
     return worst < tol, worst, "max G(b) - M*(1/2)"
 
 
@@ -568,7 +568,7 @@ def _check_eq30c(ctx, tol, rng):
         "G strictly increasing on (0, 1) via the arctangent route", "monotonicity", 0.0)
 def _check_eq31(ctx, tol, rng):
     grid = np.linspace(0.01, 0.99, 50)
-    vals = [quad.g_of_b(float(b), 1e-9) for b in grid]
+    vals = [smap.g_of_b(float(b), 1e-9) for b in grid]
     diffs = np.diff(vals)
     return bool(np.all(diffs > 0.0)), float(np.min(diffs)), "min consecutive increase of G on 50-grid"
 
@@ -589,7 +589,7 @@ def _check_eq33a(ctx, tol, rng):
         b = None
         for k in range(1, 40):
             cand = 1.0 - 2.0 ** (-k)
-            if quad.g_of_b(cand, 1e-9) > delta * cap:
+            if smap.g_of_b(cand, 1e-9) > delta * cap:
                 b = cand
                 break
         if b is None:
@@ -600,7 +600,7 @@ def _check_eq33a(ctx, tol, rng):
 
 @_claim("EQ33B", "G limit", "G(b)/M*(1/2) -> 1 as b -> 1", "limit", 1e-4)
 def _check_eq33b(ctx, tol, rng):
-    ratio = quad.g_of_b(1.0 - 1e-6, 1e-10) / quad.m_star_half()
+    ratio = smap.g_of_b(1.0 - 1e-6, 1e-10) / quad.m_star_half()
     return abs(ratio - 1.0) < tol, ratio, "G(b)/M*(1/2) at b = 1 - 1e-6"
 
 
@@ -612,7 +612,7 @@ def _observe_eq34g_delta(ctx):
     """Central-difference slope of G just below b = 1."""
     h = 1e-4
     b = 0.999
-    return (quad.g_of_b(b + h, 1e-10) - quad.g_of_b(b - h, 1e-10)) / (2.0 * h)
+    return (smap.g_of_b(b + h, 1e-10) - smap.g_of_b(b - h, 1e-10)) / (2.0 * h)
 
 
 @_claim("EQ34H", "disk modulus closed form",

@@ -54,7 +54,6 @@ from .errors import DomainError, PoleError
 __all__ = [
     "ensure_finite",
     "ensure_real",
-    "finite_abs",
     "ensure_strip",
     "gamma",
     "gamma_abs_product",

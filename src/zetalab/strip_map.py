@@ -12,6 +12,8 @@ positive real part whenever |theta| < 1, so the principal Arg stays inside
 phi_inverse solves the log map for theta via psi = exp(2 pi i (omega - 1/4)),
 theta = (psi - 1)/(psi + 1), then undoes the Moebius factor.  disk_modulus_H
 is the closed form for |theta_inverse(t, b)| used by the boundary analysis.
+The disk centre lands on omega0(b) = phi(0, b) = 1/4 - arctan(b)/pi, where
+the composed integral is G(b) = M*(omega0(b) + 1/2).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import cmath
 import math
 
 from .errors import DomainError
-from .quadrature import f_shifted
+from .quadrature import f_shifted, m_star
 from .special_functions import ensure_finite, ensure_real, finite_abs
 
 __all__ = [
@@ -32,6 +34,9 @@ __all__ = [
     "phi_inverse",
     "disk_modulus_H",
     "f_on_disk",
+    "omega0",
+    "omega0_prime",
+    "g_of_b",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -116,3 +121,24 @@ def disk_modulus_H(t, b: float) -> float:
 def f_on_disk(z, b: float, tol: float = 1e-8) -> complex:
     """The shifted integral composed with the map: F_omega(phi(z, b))."""
     return complex(f_shifted(phi(z, b), tol).value)
+
+
+def omega0(b: float) -> float:
+    """Real strip coordinate of the disk centre, phi(0, b): 1/4 - arctan(b)/pi.
+
+    Equals 1/4 + Arg[(1-bi)/(1+bi)]/(2 pi); the arctangent closed form is
+    used because Arg[(1-bi)/(1+bi)] = -2 arctan(b) for b in (0, 1).
+    """
+    return 0.25 - math.atan(ensure_map_param(b)) / math.pi
+
+
+def omega0_prime(b: float) -> float:
+    """Elementary derivative of omega0: -1/(pi (1 + b^2))."""
+    b = ensure_map_param(b)
+    return -1.0 / (math.pi * (1.0 + b * b))
+
+
+def g_of_b(b: float, tol: float = 1e-8) -> float:
+    """G(b) = M*(omega0(b) + 1/2), strictly increasing on (0, 1) toward M*(1/2) as
+    b -> 1, because omega0 decreases to 0 and M* is strictly decreasing."""
+    return m_star(omega0(b) + 0.5, tol)

@@ -229,8 +229,16 @@ def _track_phase(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
         p1, v1, p2, v2 = p1[:-1], v1[:-1], p1[1:], v1[1:]
     total = 0.0
     for depth in range(49):
-        d = np.angle(v2 / v1)
-        settled = np.abs(d) <= _HALF_PI  # NaN never settles
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = v2 / v1
+        d = np.angle(q)
+        # next to the float limit NumPy's division overflows to inf, NaN or 0,
+        # and no true quotient of two values with 1e-12 <= |v| < inf is 0:
+        # there the step is the wrapped difference of the two args
+        far = ~np.isfinite(q) | (q == 0)
+        if far.any():
+            d[far] = np.remainder(np.angle(v2[far]) - np.angle(v1[far]) + np.pi, _TWO_PI) - np.pi
+        settled = np.abs(d) <= _HALF_PI
         total += float(d[settled].sum())
         if settled.all():
             break
@@ -302,8 +310,8 @@ def _modulus(v: np.ndarray) -> np.ndarray:
 def _split_heights(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A split height y strictly inside each (lo, hi) with |eta| clear of zero, and eta(1/2 + i y).
 
-    Each interval tries mid + j * 0.093 (hi - lo), j = 0..11, below hi, and
-    takes the first height where |eta| exceeds min(1e-3, 0.02 (hi - lo)): the
+    Each interval tries mid + j * 0.093 (hi - lo), j = 0..5, the heights below
+    hi, and takes the first where |eta| exceeds min(1e-3, 0.02 (hi - lo)): the
     threshold scales with the cell height so that subdivision keeps working
     arbitrarily close to a zero.  Round j is one array eta call on the
     intervals still without a height; NonConvergence names the first
@@ -313,11 +321,9 @@ def _split_heights(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     step, threshold = 0.093 * width, np.minimum(1e-3, 0.02 * width)
     heights, values = np.empty_like(lo), np.empty(lo.shape, dtype=complex)
     pending = np.ones(lo.shape, dtype=bool)
-    for j in range(12):
+    for j in range(6):
         y = mid + j * step
-        trial = np.flatnonzero(pending & (y < hi))
-        if not trial.size:
-            break
+        trial = np.flatnonzero(pending)
         v = eta(0.5 + 1j * y[trial])
         clear = _modulus(v) > threshold[trial]
         found = trial[clear]
@@ -495,11 +501,15 @@ def riemann_von_mangoldt(T: float) -> float:
     """Zero-count estimate (T/2pi) log(T/(2 pi e)) + 7/8 for T >= 2 pi e.
 
     The oscillating argument term and the O(1/T) remainder are dropped; the
-    estimate is accurate to well under 1.5 at the heights used here.
+    estimate is accurate to well under 1.5 at the heights used here.  From T
+    of about 1.6e306 the estimate passes the float range and DomainError is
+    raised.
     """
     if not _TWO_PI_E <= ensure_real(T) < math.inf:  # also rejects NaN
         raise DomainError(f"T = {T} outside [2*pi*e, inf), 2*pi*e = {_TWO_PI_E:.6f}")
-    return (T / _TWO_PI) * math.log(T / _TWO_PI_E) + 7.0 / 8.0
+    if (estimate := (T / _TWO_PI) * math.log(T / _TWO_PI_E) + 7.0 / 8.0) == math.inf:
+        raise DomainError(f"the zero-count estimate at T = {T} is past the float range")
+    return estimate
 
 
 def jensen_check(
@@ -550,9 +560,14 @@ def _check_titchmarsh_args(M: float, f0_abs: float, delta: float) -> None:
 
 
 def titchmarsh_zero_bound(M: float, f0_abs: float, delta: float) -> float:
-    """Upper bound log(M/|f(0)|) / log(1/delta) on zeros in the delta-subdisk."""
+    """Upper bound log(M/|f(0)|) / log(1/delta) on zeros in the delta-subdisk.
+
+    Where M/|f(0)| passes the float range, log M - log|f(0)| stands for its log.
+    """
     _check_titchmarsh_args(M, f0_abs, delta)
-    return math.log(M / f0_abs) / math.log(1.0 / delta)
+    ratio = M / f0_abs
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(M) - math.log(f0_abs)
+    return log_ratio / math.log(1.0 / delta)
 
 
 def titchmarsh_zero_free(M: float, f0_abs: float, delta: float) -> bool:

@@ -176,6 +176,30 @@ class TestRunAudit:
         assert notes.pop().startswith("error: ")
 
 
+    def test_infrastructure_failure_is_skipped(self, monkeypatch):
+        # the quadrature budget and a winding count's sample budget give
+        # SKIPPED with the reason, and the audit goes on to the next claim
+        from zetalab import quadrature, zero_analysis
+
+        big = zero_analysis.RectangleRegion(-1e4, 1e4, -1e4, 1e4)
+        checks = {
+            "BUDGET": lambda ctx, tol, rng: (quadrature.fermi_mellin(0.05 + 100j, 1e-13), 0, ""),
+            "WINDING": lambda ctx, tol, rng: (zero_analysis.winding_count(lambda q: q, big), 0, ""),
+            "EQ25A": claim_audit._CLAIMS["EQ25A"][1],
+        }
+        record = claim_audit._CLAIMS["EQ25A"][0]
+        monkeypatch.setattr(claim_audit, "_CLAIMS", {
+            cid: (replace(record, id=cid), fn, "") for cid, fn in checks.items()})
+        report = run_audit()
+        assert [(c.id, c.verdict) for c in report.claims] == [
+            ("BUDGET", "SKIPPED"), ("EQ25A", "PASS"), ("WINDING", "SKIPPED")]
+        assert report.totals == {"SKIPPED": 2, "PASS": 1}
+        budget, _, winding = report.claims
+        assert budget.note.startswith("infrastructure: quadrature budget 1000000 exhausted")
+        assert winding.note.startswith("infrastructure: the initial boundary of")
+        assert budget.observed is winding.observed is None
+
+
 class TestDeterminism:
     def test_two_runs_byte_identical(self, default_audit):
         (first, again), _ = default_audit
@@ -318,7 +342,7 @@ class TestConfig:
         assert params(quad.f_shifted) == ["omega", "tol"]
         assert params(quad.m_star) == ["alpha", "tol"]
         assert params(quad.m_star_derivative) == ["alpha", "order", "tol"]
-        assert params(quad.g_of_b) == ["b", "tol"]
+        assert params(smap.g_of_b) == ["b", "tol"]
         assert params(smap.f_on_disk) == ["z", "b", "tol"]
         assert params(za.triangle_equality_condition) == ["w", "v"]
         assert params(za.lambda_choice) == ["theta_abs", "epsilon", "nu"]

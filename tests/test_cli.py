@@ -184,6 +184,10 @@ class TestBounds:
         code, _, _ = run(capsys, "bounds", "--lo", "0.0", "--hi", "1.0", "--step", "0.1")
         assert code == 3
 
+    def test_reversed_grid_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bounds", "--lo", "0.9", "--hi", "0.5")
+        assert (code, out) == (3, "") and "--lo <= --hi" in err
+
     def test_step_below_the_spacing_at_hi_is_usage_error(self, capsys, monkeypatch):
         # lo + k * step never passed lo: 1e-300 printed the row 0.5 practically
         # forever, 1e-320 ended in a bare OverflowError from floor(inf)
@@ -370,6 +374,21 @@ class TestAudit:
         assert doc["config_digest"] == AuditConfig().digest()
         assert "PASS" in err
 
+    def test_failing_claim_exit_one(self, capsys, tmp_path, monkeypatch):
+        # EQ25A compares strictly, so a zero tolerance fails it; the report
+        # is still written, and each FAIL is listed on stderr
+        from dataclasses import replace
+
+        record, fn, note = cli.claim_audit._CLAIMS["EQ25A"]
+        tight = replace(record, tolerance=0.0)
+        monkeypatch.setattr(cli.claim_audit, "_CLAIMS", {"EQ25A": (tight, fn, note)})
+        out_path = tmp_path / "report.json"
+        code, out, err = run(capsys, "audit", "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert json.loads(out_path.read_text())["totals"] == {"FAIL": 1}
+        assert "  FAIL         1\n" in err
+        assert "  FAIL EQ25A: phi(0,b) vs arctan closed form, Im exactly 0\n" in err
+
     def test_csv_format_lines(self, capsys, tmp_path):
         path = tmp_path / "default.cfg"
         path.write_text(dump_config(AuditConfig()))
@@ -410,6 +429,13 @@ class TestUsageErrors:
         code, _, err = run(capsys, "--config", str(path), "zeros", "--tau", "10")
         assert code == 3
         assert f"{path}:2" in err
+
+    def test_config_line_without_equals_exit_three(self, capsys, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("seed=7\nrouche_tau 16\n")
+        code, out, err = run(capsys, "--config", str(path), "zeros", "--tau", "10")
+        assert (code, out) == (3, "")
+        assert f"{path}:2: expected key=value, got 'rouche_tau 16'" in err
 
     @pytest.mark.parametrize("argv, message", [
         (("jensen", "--samples", "100.5"), "invalid int value"),

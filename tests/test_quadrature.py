@@ -10,14 +10,12 @@ from zetalab.errors import DomainError, ToleranceNotMet
 from zetalab.quadrature import (
     f_shifted,
     fermi_mellin,
-    g_of_b,
     m_bound,
     m_star,
     m_star_derivative,
-    omega0,
-    omega0_prime,
 )
 from zetalab.special_functions import eta, gamma
+from zetalab.strip_map import g_of_b, omega0, omega0_prime
 
 from oracles import central_difference
 
@@ -115,6 +113,13 @@ class TestFermiMellin:
         # high enough that the initial mesh alone exceeds EVAL_BUDGET
         with pytest.raises(ToleranceNotMet):
             fermi_mellin(0.5 + 5000j)
+
+    def test_budget_exhausted_while_refining(self):
+        # the mesh fits the budget and the refinement outgrows it; the message
+        # names the tol passed, not the 0.8 tol the adaptive rule aims at
+        with pytest.raises(ToleranceNotMet,
+                           match=r"^quadrature budget 1000000 exhausted .* tol = 1\.000e-13\)$"):
+            fermi_mellin(0.05 + 100j, 1e-13)
 
     @pytest.mark.parametrize("s", [0.5 + 1e5j, 0.5 + 1e17j])
     def test_budget_checked_before_mesh(self, s):
@@ -236,6 +241,13 @@ class TestMBound:
     def test_diverges_at_zero(self):
         assert m_bound(1e-9) > 1e8
 
+    def test_past_the_float_range_refused(self):
+        # 1/(2 alpha) overflowed to inf, neither an answer nor a refusal
+        assert m_bound(2.8e-309) == pytest.approx(1.0 / 5.6e-309)
+        for alpha in (2.7e-309, 1e-320, 5e-324):
+            with pytest.raises(DomainError, match="float range"):
+                m_bound(alpha)
+
     def test_at_one(self):
         assert m_bound(1.0) == pytest.approx(0.8678794411714423, abs=1e-12)
 
@@ -304,6 +316,16 @@ class TestMStarDerivative:
             m_star(0.75 + h, 1e-12) - 2.0 * m_star(0.75, 1e-12) + m_star(0.75 - h, 1e-12)
         ) / (h * h)
         assert m_star_derivative(0.75, 2, 1e-10) == pytest.approx(fd, abs=1e-4)
+
+    def test_tail_cut_past_forty(self):
+        # at k = 2 and tol 1e-15 the e**(-x) majorant at x = 40 is above
+        # tol/10, so the tail cut moves out; the value meets tol against the
+        # second derivative of Gamma(a) eta(a) at the same float alpha
+        mpmath = pytest.importorskip("mpmath")
+        assert quadrature._tail_cut(2, 1e-15)[0] > 40.0
+        with mpmath.workdps(30):
+            ref = mpmath.diff(lambda a: mpmath.gamma(a) * mpmath.altzeta(a), mpmath.mpf(0.7), 2)
+        assert abs(m_star_derivative(0.7, 2, 1e-15) - float(ref)) <= 1e-15
 
     def test_order_validation(self):
         with pytest.raises(DomainError):

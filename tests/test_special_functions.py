@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab import special_functions, strip_map, zero_analysis
+from zetalab import quadrature, special_functions, strip_map, zero_analysis
 from zetalab.errors import DomainError, PoleError, ZetaLabError
 from zetalab.special_functions import (
     ensure_finite,
@@ -479,7 +479,9 @@ def test_no_bare_exception_at_any_finite_point(fn):
 # every other public point function, at the same points and with a
 # RuntimeWarning an error: the maps and jensen_check took Python's abs, which
 # raises OverflowError past the float range; phi_inverse's exp overflowed;
-# gamma_abs_product and blaschke_L returned 0.0 or NaN with warnings
+# gamma_abs_product and blaschke_L returned 0.0 or NaN with warnings; m_bound,
+# riemann_von_mangoldt and titchmarsh_zero_bound returned inf, and the winding
+# count's phase step overflowed next to the float limit
 _POINT_FUNCTIONS = {
     "theta": lambda s: strip_map.theta(s, 0.5),
     "theta_inverse": lambda s: strip_map.theta_inverse(s, 0.5),
@@ -492,9 +494,21 @@ _POINT_FUNCTIONS = {
     "gamma_abs_product": lambda s: gamma_abs_product(s.real, s.imag, 10),
     "lambda_choice": lambda s: zero_analysis.lambda_choice(1.0, s.real, s.imag),
     "jensen_check": lambda s: zero_analysis.jensen_check(lambda z: z - 0.5, [s], 1.0, 8),
+    "omega0": lambda s: strip_map.omega0(s.real),
+    "omega0_prime": lambda s: strip_map.omega0_prime(s.real),
+    "m_bound": lambda s: quadrature.m_bound(s.real),
+    "riemann_von_mangoldt": lambda s: zero_analysis.riemann_von_mangoldt(s.real),
+    "titchmarsh_zero_bound": lambda s: zero_analysis.titchmarsh_zero_bound(
+        abs(s.real) + abs(s.imag), abs(s.imag), 0.5),
+    "titchmarsh_zero_free": lambda s: zero_analysis.titchmarsh_zero_free(
+        abs(s.real) + abs(s.imag), abs(s.imag), 0.5),
+    "winding_count": lambda s: zero_analysis.winding_count(
+        lambda q: q - s, zero_analysis.RectangleRegion(-1.0, 1.0, -1.0, 1.0)),
 }
 # these return a number that must then be finite
-_FINITE_RESULT = {"blaschke_L", "blaschke_L_array", "gamma_abs_product", "lambda_choice"}
+_FINITE_RESULT = {"blaschke_L", "blaschke_L_array", "gamma_abs_product", "lambda_choice",
+                  "omega0", "omega0_prime", "m_bound", "riemann_von_mangoldt",
+                  "titchmarsh_zero_bound"}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab.errors import DomainError
-from zetalab.quadrature import g_of_b, m_star, omega0
+from zetalab.quadrature import m_star
 from zetalab.strip_map import (
     disk_modulus_H,
     f_on_disk,
+    g_of_b,
+    omega0,
     phi,
     phi_inverse,
     theta,

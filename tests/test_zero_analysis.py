@@ -17,9 +17,9 @@ from zetalab.errors import (
     PoleProximity,
     ZeroAtCenter,
 )
-from zetalab.quadrature import f_shifted, g_of_b, m_star
+from zetalab.quadrature import f_shifted, m_star
 from zetalab.special_functions import eta
-from zetalab.strip_map import f_on_disk
+from zetalab.strip_map import f_on_disk, g_of_b
 from zetalab.zero_analysis import (
     CriticalZeroList,
     RectangleRegion,
@@ -57,6 +57,23 @@ class TestWindingCount:
 
     def test_double(self):
         assert winding_count(lambda z: (z - 0.2) * (z + 0.5j), UNIT_RECT) == 2
+
+    @pytest.mark.parametrize("fn, count", [
+        (lambda z: z - complex(-1.7e308, -1.7e308), 0),
+        (lambda z: z - complex(1.7e308, 1.7e308), 0),
+        (lambda z: z - complex(-1.7e308, 1e308), 0),
+        (lambda z: (z - 0.3) * 1.2e308, 1),
+        (lambda z: (z + 0.5 + 0.5j) * 1e308, 1),
+        (lambda z: 1.5e308 * np.exp(20.0 * (z - 1.0)), 0),
+        (lambda z: 1.5e308 * np.exp(150.0 * (z - 1.0)), 0),
+        (lambda z: 1.7e308 * np.exp(150.0 * (z - 1.0)), 0),
+    ], ids=["shift-lower-left", "shift-upper-right", "shift-left", "linear-1.2e308",
+            "linear-1e308", "exp20-1.5e308", "exp150-1.5e308", "exp150-1.7e308"])
+    def test_values_near_the_float_limit(self, fn, count):
+        # the phase step v2/v1 overflowed in NumPy's complex division: a NaN
+        # step refined to the sample budget and raised NonConvergence, and a
+        # quotient that came out 0 settled as no turn (-9 for the second exp)
+        assert winding_count(fn, UNIT_RECT) == count
 
     def test_multiplicity(self):
         assert winding_count(lambda z: (z - 0.1) ** 3, UNIT_RECT) == 3
@@ -516,6 +533,21 @@ class TestHardyZSplits:
                 "could not find a zero-free split level in [20.0, 23.0]")):
             zero_analysis._split_heights(np.array([14.0, 20.0]), np.array([14.2, 23.0]))
 
+    def test_six_heights_below_hi(self, monkeypatch):
+        # mid + j * 0.093 (hi - lo) is below hi for j = 0..5 only: an interval
+        # where eta vanishes everywhere is tried at those six heights, once each
+        heights = []
+
+        def vanishing_eta(s):
+            heights.extend(s.imag.tolist())
+            return np.zeros_like(s)
+
+        monkeypatch.setattr(zero_analysis, "eta", vanishing_eta)
+        with pytest.raises(NonConvergence):
+            zero_analysis._split_heights(np.array([20.0]), np.array([23.0]))
+        assert heights == [21.5 + j * (0.093 * 3.0) for j in range(6)]
+        assert max(heights) < 23.0 < 21.5 + 6 * (0.093 * 3.0)
+
     def test_sign_matches_mpmath_siegelz(self):
         mpmath = pytest.importorskip("mpmath")
         heights = np.array([0.0, *np.random.default_rng(1101).uniform(0.0, 420.0, 80)])
@@ -613,6 +645,13 @@ class TestRiemannVonMangoldt:
     def test_domain(self):
         for T in (10.0, math.nan, math.inf):
             with pytest.raises(DomainError):
+                riemann_von_mangoldt(T)
+
+    def test_past_the_float_range_refused(self):
+        # the estimate overflowed to inf from T of about 1.6e306
+        assert riemann_von_mangoldt(1.6e306) < math.inf
+        for T in (1.7e306, 1e307, 1.7e308):
+            with pytest.raises(DomainError, match="float range"):
                 riemann_von_mangoldt(T)
 
     def test_complex_height_rejected(self):
@@ -735,6 +774,13 @@ class TestTitchmarsh:
     def test_complex_bound_rejected(self):
         with pytest.raises(DomainError, match="real argument"):  # raised TypeError
             titchmarsh_zero_bound(2.0 + 0j, 1.0, 0.5)
+
+    @pytest.mark.parametrize("big_m, f0", [(1.0 + 1e-320, 1e-320), (1e308, 1e-300)])
+    def test_ratio_past_the_float_range(self, big_m, f0):
+        # M/|f(0)| overflowed, and the bound was inf
+        expected = (math.log(big_m) - math.log(f0)) / math.log(2.0)
+        assert titchmarsh_zero_bound(big_m, f0, 0.5) == pytest.approx(expected, rel=1e-15)
+        assert 1000.0 < expected < math.inf
 
 
 class TestBlaschke:
