@@ -227,7 +227,7 @@ def _cmd_jensen(args, cfg: AuditConfig) -> int:
 
 
 def _cmd_rouche(args, cfg: AuditConfig) -> int:
-    result = za.rouche_scan(**cfg.rouche_options())
+    result = za.rouche_scan(cfg.rouche_tau, cfg.rouche_epsilon, cfg.rouche_nu)
     print(f"tau (after genericity shift) = {_fmt(result.tau)}")
     print(f"lambda = {_fmt(result.lam)}, epsilon = {_fmt(result.epsilon)}")
     print(f"neutralized zeros = {[round(b, 6) for b in result.zeros]}")

@@ -2,12 +2,14 @@
 
 The config is a flat record of exactly what the audit's report body reads:
 the seed of its sweeps and the paper's tau, epsilon and nu of the boundary
-scan.  On disk it is stored as ``key=value`` lines (blank lines and ``#``
-comments ignored).  A SHA-256 digest of the canonical serialization
-identifies a run, so two audits with equal digests produce identical report
-bodies, and two audits with different digests differ in an input the body
-reads.  The settings of the other commands (tolerances, heights, sample
-counts, the output format) are CLI flags, not config keys.
+scan, which works its lam out of epsilon and nu itself, so this module
+holds values only and imports no numerics.  On disk it is stored as
+``key=value`` lines (blank lines and ``#`` comments ignored).  A SHA-256
+digest of the canonical serialization identifies a run, so two audits with
+equal digests produce identical report bodies, and two audits with
+different digests differ in an input the body reads.  The settings of the
+other commands (tolerances, heights, sample counts, the output format) are
+CLI flags, not config keys.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import DomainError
-from .zero_analysis import lambda_choice
 
 __all__ = ["AuditConfig", "load_config", "dump_config"]
 
@@ -41,6 +42,10 @@ class AuditConfig:
             raise DomainError("seed must be >= 0")
         # stored as the declared type, so equal configs dump and digest alike
         object.__setattr__(self, "seed", int(self.seed))
+        try:  # dump_config writes it in decimal, which Python refuses past 4,300 digits
+            repr(self.seed)
+        except ValueError:
+            raise DomainError("seed has too many digits to write out") from None
         for name in ("rouche_tau", "rouche_epsilon", "rouche_nu"):
             if not _is_number(value := getattr(self, name), numbers.Real):
                 raise DomainError(f"{name} must be a real number, got {value!r}")
@@ -53,15 +58,6 @@ class AuditConfig:
 
     def digest(self) -> str:
         return hashlib.sha256(dump_config(self).encode()).hexdigest()
-
-    def rouche_options(self) -> dict:
-        """Every argument of zero_analysis.rouche_scan, from this config.
-
-        lam is lambda_choice(1, epsilon, nu) = (M*(1/2) + nu)/epsilon, the lam
-        of EQ50C's bound, for the audit and the rouche command alike.
-        """
-        lam = lambda_choice(1.0, self.rouche_epsilon, self.rouche_nu)
-        return dict(tau=self.rouche_tau, lam=lam, epsilon=self.rouche_epsilon)
 
 
 def _is_number(value, kind: type) -> bool:

@@ -65,8 +65,9 @@ _POLE_TOL = 1e-12
 
 
 def ensure_finite(s) -> complex:
-    """Coerce to complex and reject NaN/Inf in either part."""
-    s = complex(s)
+    """Coerce to complex and reject NaN/Inf in either part, or a number past
+    the float range (an int beyond about 1.8e308)."""
+    s = _coerce(complex, s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise DomainError(f"non-finite complex value {s!r}")
     return s
@@ -88,10 +89,21 @@ def finite_abs(z: complex) -> float:
 
 
 def ensure_real(x) -> float:
-    """x as a float; a complex or other non-real argument raises DomainError."""
+    """x as a float; a complex or other non-real argument, or one past the
+    float range, raises DomainError."""
     if not isinstance(x, numbers.Real):
         raise DomainError(f"expected a real argument, got {x!r}")
-    return float(x)
+    return _coerce(float, x)
+
+
+def _coerce(kind: type, x):
+    """kind(x), where an int or fraction past the float range raises
+    DomainError naming its type only: str() of an int over 4,300 digits
+    raises ValueError."""
+    try:
+        return kind(x)
+    except OverflowError:
+        raise DomainError(f"{type(x).__name__} argument past the float range") from None
 
 
 def ensure_strip(s) -> complex:
@@ -185,7 +197,8 @@ def gamma_abs_product(alpha: float, beta: float, n_terms: int) -> float:
     alpha, beta = ensure_real(alpha), ensure_real(beta)
     if not (0.0 < alpha < 1.0 and math.isfinite(beta)):
         raise DomainError(f"need alpha in (0,1) and a finite beta, got {alpha}, {beta}")
-    if not (isinstance(n_terms, (int, np.integer)) and n_terms >= 1):
+    if not (isinstance(n_terms, (int, np.integer)) and not isinstance(n_terms, bool)
+            and n_terms >= 1):
         raise DomainError(f"n_terms must be an integer >= 1, got {n_terms!r}")
     v = np.arange(n_terms, dtype=float)
     v += alpha

@@ -26,13 +26,13 @@ zero_tol about it.  So the search makes no scalar eta call.
 The boundary scan machinery for the Rouche-style check assembles
 ``f = F_omega * L`` (the shifted Fermi integral times a product of
 conjugate-ratio factors of unit modulus, one per located zero) against
-``g = lam * (eps + omega)``, with lam = (M*(1/2) + nu)/eps in the audit,
-samples the boundary of the truncated half-strip rectangle K(tau), and
-reports the minimum triangle-inequality margin |f| + |g| - |f + g|
-together with where it occurs.  f is computed one way at every sample: an
-F_omega quadrature times L, where L is blaschke_L, the same function the
-audit certifies as unimodular, called once on the whole boundary array.
-All of the scan is computed over that array at once, except the F_omega
+``g = lam * (eps + omega)``, with lam = (M*(1/2) + nu)/eps worked out from
+eps and nu, samples the boundary of the truncated half-strip rectangle
+K(tau), and reports the minimum triangle-inequality margin |f| + |g| - |f + g|
+and where it occurs.  f is computed one way at every sample: an F_omega
+quadrature times L, where L is blaschke_L, the same function the audit
+certifies as unimodular, called once on the whole boundary array.  All of
+the scan is computed over that array at once, except the F_omega
 quadrature, which runs sample by sample.
 """
 
@@ -610,10 +610,10 @@ def lambda_choice(theta_abs: float, epsilon: float, nu: float) -> float:
     Exceeds M*(1/2) / (theta_abs * r) for every boundary point with
     r = |eps + omega| >= eps, since nu > 0.  M*(1/2) is m_star_half(),
     computed once per process.  The scan's g = lam*(eps + omega) has no
-    theta_abs in it, so theta_abs only rescales lam; the audit and the
-    rouche command take theta_abs = 1, the lam whose bound EQ50C checks.  A
-    lam that is not positive and finite in floats (nu = 1e308, or epsilon =
-    1e-320) raises DomainError.
+    theta_abs in it, so theta_abs only rescales lam; rouche_scan (so the
+    audit and the rouche command) takes theta_abs = 1, the lam whose bound
+    EQ50C checks.  A lam that is not positive and finite in floats
+    (nu = 1e308, or epsilon = 1e-320) raises DomainError.
     """
     _check_positive_finite("theta_abs, epsilon and nu", (theta_abs, epsilon, nu))
     den = theta_abs * epsilon  # 0.0 where the product underflows
@@ -642,25 +642,25 @@ def _f_omega_estimate(omega: complex):
     return est
 
 
-def rouche_scan(tau: float, lam: float, epsilon: float) -> RoucheScanResult:
+def rouche_scan(tau: float, epsilon: float, nu: float) -> RoucheScanResult:
     """Sample |f| + |g| - |f+g| over the boundary of K(tau).
 
     K(tau) is the rectangle Re(omega) in [0, 1/2], Im(omega) in [0, tau],
     sampled as winding_count samples its rectangles (SAMPLES_PER_UNIT);
-    f = F_omega * L and g = lam * (epsilon + omega).  L is built over the
-    zeros the scan locates itself, critical_line_zeros(tau + 6*EXCLUSION_TOL)
-    at its default zero_tol, that lie below the final tau: no caller can
-    neutralize a height that is not a zero.  If a zero height falls within
-    EXCLUSION_TOL = 1e-2 of tau, tau is shifted up by 5*EXCLUSION_TOL
-    (repeatedly if needed) so the top edge stays clear.  Every sample's f is
-    its F_omega estimate times L: a quadrature at tol 1e-10, repeated at
-    1e-13 where |value| < 50 * abs_error (_f_omega_estimate).
-    Outside EXCLUSION_TOL of every neutralized zero that estimate must be
-    resolved (|value| > abs_error): one that is not raises BoundaryZeroError,
-    since a zero on the contour cannot be excluded there.  Within it, where
-    F_omega decays linearly toward the zero, the check is waived and the
-    sample is left out of min_f_abs.  |L| = 1, so f is resolved wherever
-    F_omega is.
+    f = F_omega * L and g = lam * (epsilon + omega), where the result's lam is
+    lambda_choice(1, epsilon, nu).  L is built over the zeros the scan locates
+    itself, critical_line_zeros(tau + 6*EXCLUSION_TOL) at its default
+    zero_tol, that lie below the final tau: no caller can neutralize a height
+    that is not a zero.  If a zero height falls within EXCLUSION_TOL = 1e-2 of
+    tau, tau is shifted up by 5*EXCLUSION_TOL (repeatedly if needed) so the
+    top edge stays clear.  Every sample's f is its F_omega estimate times L: a
+    quadrature at tol 1e-10, repeated at 1e-13 where |value| < 50 * abs_error
+    (_f_omega_estimate).  Outside EXCLUSION_TOL of every neutralized zero that
+    estimate must be resolved (|value| > abs_error): one that is not raises
+    BoundaryZeroError, since a zero on the contour cannot be excluded
+    there.  Within it, where F_omega decays linearly toward the zero, the
+    check is waived and the sample is left out of min_f_abs.  |L| = 1, so f is
+    resolved wherever F_omega is.
 
     Two facts limit where this holds.  |F_omega| on the left edge decays like
     e^(-pi Im/2) (the gamma-modulus factor) and sinks under the quadrature's
@@ -676,10 +676,11 @@ def rouche_scan(tau: float, lam: float, epsilon: float) -> RoucheScanResult:
     so the first unresolved sample in boundary order is named; the minima
     report first occurrences.  A K(tau) that needs more than
     MAX_BOUNDARY_SAMPLES samples raises DomainError before the zeros are
-    located, and a g or |g| that overflows at a sample raises DomainError
-    before any quadrature.
+    located, as does a lam that is not positive and finite, and a g or |g|
+    that overflows at a sample raises DomainError before any quadrature.
     """
-    _check_positive_finite("tau, lam and epsilon", (tau, lam, epsilon))
+    _check_positive_finite("tau, epsilon and nu", (tau, epsilon, nu))
+    lam = lambda_choice(1.0, epsilon, nu)
     n = _boundary_size(RectangleRegion(0.0, 0.5, 0.0, tau))
     if n > MAX_BOUNDARY_SAMPLES:
         raise DomainError(f"K({tau}) needs {n:.4g} samples, above {MAX_BOUNDARY_SAMPLES}")

@@ -210,8 +210,7 @@ def test_criterion_12_blaschke_unimodularity():
 
 def test_criterion_13_rouche_scan_k16():
     t0 = time.time()
-    lam = za.lambda_choice(1.0, 0.1, 0.01)
-    scan = za.rouche_scan(16.0, lam, 0.1)
+    scan = za.rouche_scan(16.0, epsilon=0.1, nu=0.01)
     ok = scan.min_margin >= -1e-12 and scan.min_f_abs > 0.0
     _criterion(13, "K(16) scan completes, margin >= -1e-12, boundary nonvanishing",
                ok, time.time() - t0, 300.0,

@@ -160,9 +160,9 @@ class TestRunAudit:
 
         calls = []
 
-        def spy(**options):
-            calls.append(options)
-            return rouche_scan(**options)
+        def spy(*args):
+            calls.append(args)
+            return rouche_scan(*args)
 
         rouche_scan = zero_analysis.rouche_scan
         readers = ("EQ43", "EQ45", "EQ46A", "EQ50C")
@@ -170,7 +170,7 @@ class TestRunAudit:
                                                      for cid in readers})
         monkeypatch.setattr(zero_analysis, "rouche_scan", spy)
         report = run_audit(AuditConfig(rouche_tau=22.0))
-        assert len(calls) == 1
+        assert calls == [(22.0, 0.1, 0.01)]
         notes = {c.note for c in report.claims}
         assert [c.verdict for c in report.claims] == ["FAIL"] * 4 and len(notes) == 1
         assert notes.pop().startswith("error: ")
@@ -308,21 +308,41 @@ class TestConfig:
         with pytest.raises(Exception, match="rouche_tau must be positive and finite"):
             AuditConfig(rouche_tau=10**400)  # past the float range
 
-    def test_rouche_options_are_the_scan_arguments(self):
+    def test_seed_too_long_to_write_out_refused(self):
+        # the digest's dump_config raised a bare ValueError: Python writes no
+        # int of more than 4,300 digits in decimal
+        from zetalab.errors import DomainError
+
+        with pytest.raises(DomainError, match="seed has too many digits"):
+            AuditConfig(seed=10**5000)
+        assert AuditConfig(seed=10**4000).digest() != AuditConfig().digest()
+
+    def test_config_imports_no_numerics(self):
+        # the config holds values only: of the package it imports errors
+        # alone, so no value it holds can be derived from a numerical module
+        import zetalab.config
+
+        imported = set()
+        for node in ast.walk(ast.parse(Path(zetalab.config.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[1] if "." in a.name else a.name
+                             for a in node.names if a.name.split(".")[0] == "zetalab"}
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "zetalab"):
+                path = node.module.split(".")[0 if node.level else 1:] if node.module else []
+                imported |= {path[0]} if path else {a.name for a in node.names}
+        assert imported == {"errors"}
+
+    def test_scan_arguments_are_the_rouche_fields(self):
         import inspect
 
         from zetalab import zero_analysis as za
 
-        cfg = AuditConfig()
-        options = cfg.rouche_options()
-        assert set(options) == set(inspect.signature(za.rouche_scan).parameters)
-        assert options["lam"] == za.lambda_choice(1.0, 0.1, 0.01)
-        assert (options["tau"], options["epsilon"]) == (16.0, 0.1)
-        # lam comes from epsilon and nu alone: no argument overrides it
-        assert list(inspect.signature(cfg.rouche_options).parameters) == []
-        # the options are the rouche_* fields alone
-        assert AuditConfig(seed=1).rouche_options() == options
-        assert AuditConfig(rouche_nu=0.02).rouche_options()["lam"] == za.lambda_choice(1.0, 0.1, 0.02)
+        # the scan takes the rouche_* fields, named as they are, and works
+        # lam out of epsilon and nu itself: no argument overrides it
+        rouche = [f.name for f in fields(AuditConfig) if f.name.startswith("rouche_")]
+        assert ["rouche_" + p for p in inspect.signature(za.rouche_scan).parameters] == rouche
+        assert not hasattr(AuditConfig, "rouche_options")
 
     def test_option_inventory(self):
         # a new setting must show up here; one value in use belongs in a constant
@@ -336,7 +356,7 @@ class TestConfig:
         assert [f.name for f in fields(AuditConfig)] == [
             "seed", "rouche_tau", "rouche_epsilon", "rouche_nu",
         ]
-        assert params(za.rouche_scan) == ["tau", "lam", "epsilon"]
+        assert params(za.rouche_scan) == ["tau", "epsilon", "nu"]
         assert params(za.winding_count) == ["fn", "rect"]
         assert params(quad.fermi_mellin) == ["s", "tol"]
         assert params(quad.f_shifted) == ["omega", "tol"]

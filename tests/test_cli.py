@@ -313,8 +313,8 @@ class TestRouche:
 
         calls = []
 
-        def scan(**options):
-            calls.append(options)
+        def scan(*args):
+            calls.append(args)
             raise ZetaLabError("scan not run")
 
         monkeypatch.setattr(za, "rouche_scan", scan)
@@ -323,9 +323,7 @@ class TestRouche:
         for argv in (["rouche"], ["--config", str(path), "rouche"],
                      ["--config", str(path), "rouche", "--tau", "16", "--epsilon", "0.2"]):
             assert run(capsys, *argv)[0] == 2
-        assert calls == [AuditConfig().rouche_options(),
-                         AuditConfig(rouche_tau=18.0, rouche_nu=0.02).rouche_options(),
-                         AuditConfig(rouche_epsilon=0.2, rouche_nu=0.02).rouche_options()]
+        assert calls == [(16.0, 0.1, 0.01), (18.0, 0.1, 0.02), (16.0, 0.2, 0.02)]
 
     @pytest.mark.parametrize("flag", [("--epsilon", "1e-308")])
     def test_overflowing_comparison_function_exit_two(self, capsys, flag):
@@ -341,8 +339,8 @@ class TestRouche:
         assert "lam = " in err and "epsilon = " in err
 
     def test_overflowing_lam_exit_two(self, capsys):
-        # lam = (M*(1/2) + nu)/epsilon read inf, and the scan blamed lam, which
-        # no flag sets: "tau, lam and epsilon must be positive and finite"
+        # lam = (M*(1/2) + nu)/epsilon reads inf: the refusal names epsilon and
+        # nu, the inputs lam is worked out of, not lam, which nothing sets
         code, out, err = run(capsys, "rouche", "--tau", "10", "--nu", "1e308")
         assert (code, out) == (2, "")
         assert "numerical error: lam = (M*(1/2) + nu)/(theta_abs*epsilon) is not positive" in err
@@ -388,6 +386,17 @@ class TestAudit:
         assert json.loads(out_path.read_text())["totals"] == {"FAIL": 1}
         assert "  FAIL         1\n" in err
         assert "  FAIL EQ25A: phi(0,b) vs arctan closed form, Im exactly 0\n" in err
+
+    def test_report_to_stdout_without_out(self, capsys, monkeypatch):
+        # without --out the report is stdout, and the digest and totals stderr
+        claim = cli.claim_audit.ClaimRecord("EQ1", "ref", "claim", "equality", 0.0,
+                                            "PASS", 1.0, "note")
+        report = cli.claim_audit.AuditReport((claim,), AuditConfig().digest(), {"PASS": 1})
+        monkeypatch.setattr(cli.claim_audit, "run_audit", lambda cfg: report)
+        code, out, err = run(capsys, "audit")
+        assert (code, out) == (0, cli.claim_audit.report_to_json(report) + "\n")
+        assert f"config digest: {report.config_digest[:16]}..." in err
+        assert "  PASS         1\n" in err and "  FAIL         0\n" in err
 
     def test_csv_format_lines(self, capsys, tmp_path):
         path = tmp_path / "default.cfg"

@@ -12,6 +12,7 @@ from zetalab import quadrature, special_functions, strip_map, zero_analysis
 from zetalab.errors import DomainError, PoleError, ZetaLabError
 from zetalab.special_functions import (
     ensure_finite,
+    ensure_real,
     ensure_strip,
     eta,
     gamma,
@@ -140,7 +141,8 @@ class TestGammaAbsProduct:
     def test_domain(self):
         with pytest.raises(DomainError):
             gamma_abs_product(1.0, 1.0, 10)
-        for n_terms in (0, math.nan, 10.5):  # 10.5 summed 11 terms, NaN raised ValueError
+        # 10.5 summed 11 terms, NaN raised ValueError, True summed one term
+        for n_terms in (0, math.nan, 10.5, True):
             with pytest.raises(DomainError, match="n_terms"):
                 gamma_abs_product(0.5, 1.0, n_terms)
         for beta in (math.nan, math.inf):
@@ -521,3 +523,32 @@ def test_every_point_function_answers_or_refuses(name):
             continue
         if name in _FINITE_RESULT:
             assert cmath.isfinite(value), (s, value)
+
+
+# a Python int past the float range: float() and complex() raised a bare
+# OverflowError ("int too large to convert to float") in each of these
+_PAST_FLOAT_RANGE = {
+    "m_bound": quadrature.m_bound,
+    "theta": lambda x: strip_map.theta(0.1, x),
+    "omega0": strip_map.omega0,
+    "eta": eta,
+    "zeta": zeta,
+    "gamma": gamma,
+    "fermi_mellin_tol": lambda x: quadrature.fermi_mellin(0.5, x),
+    "critical_line_zeros": zero_analysis.critical_line_zeros,
+    "RectangleRegion": lambda x: zero_analysis.RectangleRegion(-1.0, 1.0, -1.0, x),
+    "lambda_choice": lambda x: zero_analysis.lambda_choice(1.0, 0.1, x),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, x", [
+    *[pytest.param(_PAST_FLOAT_RANGE[name], sign * 10**400, id=f"{name}[{sign:+}e400]")
+      for name in _PAST_FLOAT_RANGE for sign in (1, -1)],
+    # str() of an int over 4,300 digits raises ValueError, so the refusal
+    # must not print the number
+    pytest.param(ensure_real, 10**5000, id="ensure_real[5000 digits]"),
+])
+def test_int_past_the_float_range_refused(call, x):
+    with pytest.raises(DomainError, match="int argument past the float range"):
+        call(x)

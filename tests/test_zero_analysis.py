@@ -101,6 +101,19 @@ class TestWindingCount:
         with pytest.raises(NonConvergence):
             winding_count(lambda z: z - 0.2, UNIT_RECT)
 
+    def test_phase_step_that_never_settles(self):
+        # a jump of pi at Re z = 0 stays a jump however finely the top and
+        # bottom edges are split: the first call and 48 halving rounds
+        sizes = []
+
+        def step(z):
+            sizes.append(z.size)
+            return np.where(z.real > 0, 1 + 0j, -1 + 0j)
+
+        with pytest.raises(NonConvergence, match="phase step did not settle below pi/2"):
+            winding_count(step, UNIT_RECT)
+        assert (len(sizes), sum(sizes)) == (49, 608)
+
     def test_degenerate_rectangle(self):
         with pytest.raises(DomainError):
             RectangleRegion(0.0, 0.0, 0.0, 1.0)
@@ -942,7 +955,7 @@ class TestTriangleEquality:
 
 class TestRoucheScan:
     def test_no_zeros_below_ten(self):
-        scan = rouche_scan(10.0, 10.0, 0.1)
+        scan = rouche_scan(10.0, epsilon=0.1, nu=0.01)
         assert scan.min_margin >= -1e-12
         assert scan.min_f_abs > 0.0
         assert scan.zeros == ()
@@ -951,8 +964,9 @@ class TestRoucheScan:
         assert (scan.min_margin, scan.argmin_omega) == (0.0, 0j)
 
     def test_k16_with_first_zero(self):
-        lam = lambda_choice(1.0, 0.1, 0.01)
-        scan = rouche_scan(16.0, lam, 0.1)
+        scan = rouche_scan(16.0, epsilon=0.1, nu=0.01)
+        # lam is worked out from epsilon and nu, bit for bit
+        assert scan.lam == lambda_choice(1.0, 0.1, 0.01)
         assert scan.min_margin >= -1e-12
         assert scan.min_f_abs > 0.0
         assert scan.boundary_samples > 2000
@@ -962,7 +976,7 @@ class TestRoucheScan:
     def test_genericity_shift(self, monkeypatch):
         # tau placed exactly on a zero height must be shifted upward.
         monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 16)
-        scan = rouche_scan(ZERO_ORDINATES[0], 10.0, 0.1)
+        scan = rouche_scan(ZERO_ORDINATES[0], epsilon=0.1, nu=0.01)
         assert scan.tau > ZERO_ORDINATES[0] + 1e-2 / 2
         assert scan.min_margin >= -1e-12
 
@@ -979,7 +993,7 @@ class TestRoucheScan:
             _per_sample_scan(22.0, lam, 0.1, zeros=zeros, density=32)
         monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 32)
         with pytest.raises(BoundaryZeroError) as got:
-            rouche_scan(22.0, lam, 0.1)
+            rouche_scan(22.0, epsilon=0.1, nu=0.01)
         assert str(got.value) == str(ref.value)
         assert str(got.value) == ("|F_omega(21.15625j)| = 3.100e-15"
                                   " within its error bound 3.370e-15")
@@ -989,33 +1003,37 @@ class TestRoucheScan:
         # (1 - 2^(1-s) vanishes there): |f| = 9.3e-13, yet every estimate
         # stands above its error bound, so no boundary zero is possible there
         monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 16)
-        scan = rouche_scan(18.0, lambda_choice(1.0, 0.1, 0.01), 0.1)
+        scan = rouche_scan(18.0, epsilon=0.1, nu=0.01)
         assert 0.0 < scan.min_f_abs < 1e-12
         assert scan.min_margin >= -1e-12
 
     def test_margin_nonnegative_everywhere(self, monkeypatch):
         monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 32)
-        scan = rouche_scan(10.0, 5.0, 0.25)
+        scan = rouche_scan(10.0, epsilon=0.25, nu=0.2)
+        assert scan.lam == lambda_choice(1.0, 0.25, 0.2)
         assert scan.min_margin >= -1e-12
         assert (scan.min_margin, scan.argmin_omega) == (0.0, 0j)  # f(0), g(0) > 0
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            rouche_scan(0.0, 1.0, 0.1)
-        with pytest.raises(DomainError):
-            rouche_scan(10.0, -1.0, 0.1)
-        for args in [(math.nan, 1.0, 0.1), (10.0, math.nan, 0.1), (10.0, 1.0, math.nan),
-                     (math.inf, 1.0, 0.1), (10.0, math.inf, 0.1), (10.0, 1.0, math.inf),
-                     (10.0, 1e308, 0.1)]:
-            with pytest.raises(DomainError):
-                rouche_scan(*args)
+        for tau, epsilon, nu in [(0.0, 0.1, 0.01), (10.0, -0.1, 0.01), (10.0, 0.1, -0.01),
+                                 (math.nan, 0.1, 0.01), (10.0, math.nan, 0.01),
+                                 (10.0, 0.1, math.nan), (math.inf, 0.1, 0.01),
+                                 (10.0, math.inf, 0.01), (10.0, 0.1, math.inf)]:
+            with pytest.raises(DomainError, match="tau, epsilon and nu must be positive"):
+                rouche_scan(tau, epsilon=epsilon, nu=nu)
+        # lam = (M*(1/2) + nu)/epsilon past the float range, and g = lam*(epsilon
+        # + omega) past it on K(10) though lam is finite
+        with pytest.raises(DomainError, match=re.escape("lam = (M*(1/2) + nu)")):
+            rouche_scan(10.0, epsilon=0.1, nu=1e308)
+        with pytest.raises(DomainError, match=re.escape("g = lam*(epsilon + omega) is not finite")):
+            rouche_scan(10.0, epsilon=1e-308, nu=0.01)
 
     def test_sample_budget_checked_before_the_zeros(self, monkeypatch):
         # K(tau) takes 2 * (32 + ceil(64 tau)) samples: 500,000 up to tau = 3905.75
         monkeypatch.setattr(zero_analysis, "critical_line_zeros", None)
         for tau in (3906.0, 1e300):
             with pytest.raises(DomainError, match="500000"):
-                rouche_scan(tau, 1.0, 0.1)
+                rouche_scan(tau, epsilon=0.1, nu=0.01)
         assert zero_analysis._boundary_size(RectangleRegion(0.0, 0.5, 0.0, 3905.75)) == 500_000
 
     @pytest.mark.parametrize("tau", [16.0, ZERO_ORDINATES[0]])
@@ -1030,7 +1048,7 @@ class TestRoucheScan:
             return critical_line_zeros(*args, **kwargs)
 
         monkeypatch.setattr(zero_analysis, "critical_line_zeros", spy)
-        scan = rouche_scan(tau, 10.0, 0.1)
+        scan = rouche_scan(tau, epsilon=0.1, nu=0.01)
         assert calls == [((tau + 6.0 * zero_analysis.EXCLUSION_TOL,), {})]
         located = _located_zeros(tau)
         assert scan.zeros == tuple(b for b in located if b <= scan.tau)
@@ -1045,7 +1063,7 @@ class TestRoucheScan:
                             lambda tau: CriticalZeroList((12.0,), tau))
         monkeypatch.setattr(zero_analysis, "f_shifted", None)
         with pytest.raises(PoleProximity, match=re.escape("pole i*12.0")):
-            rouche_scan(16.0, 10.0, 0.1)
+            rouche_scan(16.0, epsilon=0.1, nu=0.01)
 
     def test_f_shifted_once_per_sample_plus_tighter_passes(self, monkeypatch):
         # every sample takes the same route, so no quadrature runs off the
@@ -1058,7 +1076,7 @@ class TestRoucheScan:
             return f_shifted(omega, tol)
 
         monkeypatch.setattr(zero_analysis, "f_shifted", spy)
-        scan = rouche_scan(16.0, lambda_choice(1.0, 0.1, 0.01), 0.1)
+        scan = rouche_scan(16.0, epsilon=0.1, nu=0.01)
         samples = zero_analysis._boundary_points(RectangleRegion(0.0, 0.5, 0.0, scan.tau))
         assert [w for w, tol in calls if tol == 1e-10] == samples.tolist()
         for k, (omega, tol) in enumerate(calls):
@@ -1113,30 +1131,31 @@ def _per_sample_scan(tau, lam, epsilon, *, zeros, density):
 
 class TestRoucheScanMatchesPerSampleLoop:
     LAM = lambda_choice(1.0, 0.1, 0.01)
-    # (args, injected heights or None for the located zeros, samples per
-    # unit); at density 37 one sample lies within 1e-3 of the first zero and
+    # ((tau, epsilon, nu), injected heights or None for the located zeros,
+    # samples per unit); at density 37 one sample lies within 1e-3 of the first zero and
     # one within 1e-3 of 8.0005 (test_density_37_samples_next_to_each_height).
     # That height is not a zero, so only a stand-in for critical_line_zeros
     # can inject it: it is there for the two-height arithmetic of L, which no
     # tau above the second zero can check, since the scan raises there
     # (test_two_neutralized_zeros)
     CASES = [
-        ((10.0, 10.0, 0.1), None, 8),
-        ((16.0, LAM, 0.1), None, 37),
-        ((16.0, LAM, 0.1), (8.0005, ZERO_ORDINATES[0]), 37),
-        ((ZERO_ORDINATES[0], 10.0, 0.1), None, 16),
+        ((10.0, 0.1, 0.01), None, 8),
+        ((16.0, 0.1, 0.01), None, 37),
+        ((16.0, 0.1, 0.01), (8.0005, ZERO_ORDINATES[0]), 37),
+        ((ZERO_ORDINATES[0], 0.1, 0.01), None, 16),
     ]
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_every_field_equal(self, case, monkeypatch):
-        args, injected, density = self.CASES[case]
-        zeros = _located_zeros(args[0]) if injected is None else injected
-        ref = _per_sample_scan(*args, zeros=zeros, density=density)
+        (tau, epsilon, nu), injected, density = self.CASES[case]
+        zeros = _located_zeros(tau) if injected is None else injected
+        ref = _per_sample_scan(tau, lambda_choice(1.0, epsilon, nu), epsilon,
+                               zeros=zeros, density=density)
         monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", density)
         if injected is not None:
             monkeypatch.setattr(zero_analysis, "critical_line_zeros",
                                 lambda tau: CriticalZeroList(injected, tau))
-        assert rouche_scan(*args) == ref
+        assert rouche_scan(tau, epsilon=epsilon, nu=nu) == ref
 
     def test_density_37_samples_next_to_each_height(self):
         samples = _list_boundary_points(RectangleRegion(0.0, 0.5, 0.0, 16.0), 37)
@@ -1159,7 +1178,7 @@ class TestRoucheScanMatchesPerSampleLoop:
             _per_sample_scan(tau, self.LAM, 0.1, zeros=_located_zeros(tau), density=8)
         monkeypatch.setattr(zero_analysis, "SAMPLES_PER_UNIT", 8)
         with pytest.raises(BoundaryZeroError) as got:
-            rouche_scan(tau, self.LAM, 0.1)
+            rouche_scan(tau, epsilon=0.1, nu=0.01)
         assert str(got.value) == str(ref.value)
 
 
