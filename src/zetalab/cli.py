@@ -34,9 +34,6 @@ BROKEN_PIPE_EXIT = 141  # 128 + SIGPIPE, as a shell reports `yes | head`
 # The most rows bounds prints: one per 1e-6 of alpha over (0, 1], about
 # 4 minutes at 0.26 ms a row (tol 1e-8, 2-CPU Xeon)
 BOUNDS_MAX_ROWS = 10**6
-# The most circle samples jensen takes: one f_on_disk quadrature each, about
-# 3 minutes at 0.18 ms a sample (tol 1e-8, 2-CPU Xeon)
-JENSEN_MAX_SAMPLES = 10**6
 # The accuracy of special_functions.eta, relative to max(|eta|, 1): absolute
 # near a zero.  Against mpmath.altzeta the largest error seen is 0.85 of it,
 # near 0.34 + 415i, over 2,000 seeded points with Re(s) in (0, 1) and Im(s)
@@ -79,8 +76,8 @@ _unit_open = _number_where(float, lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
 _alpha = _number_where(float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
 _zero_tol = _number_where(float, lambda v: za.MIN_ZERO_TOL <= v < math.inf,
                           f"must be positive and finite, and >= {za.MIN_ZERO_TOL:g}")
-_samples = _number_where(int, lambda v: 8 <= v <= JENSEN_MAX_SAMPLES,
-                         f"must be >= 8 and <= {JENSEN_MAX_SAMPLES}")
+_samples = _number_where(int, lambda v: 8 <= v <= za.JENSEN_MAX_SAMPLES,
+                         f"must be >= 8 and <= {za.JENSEN_MAX_SAMPLES}")
 
 
 def _build_parser() -> _Parser:

@@ -26,7 +26,9 @@ class BoundaryZeroError(ZetaLabError):
 
 
 class NonConvergence(ZetaLabError):
-    """Phase tracking could not be refined within the evaluation budget."""
+    """A numerical procedure did not settle: phase tracking that outgrew its budget,
+    never settled or leaked; a zero search whose Z sign, split height or sign
+    change count stays in doubt; or a Rouche scan margin below -1e-10."""
 
 
 class MultiplicityAmbiguity(ZetaLabError):

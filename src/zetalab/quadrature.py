@@ -25,8 +25,9 @@ e**(-x).  The integral is split three ways:
 
 All evaluations are vectorised over panels, in passes of at most 256 panels
 (_CHUNK_PANELS), so a call's working set stays near 2 MiB whatever its
-evaluation count; EVAL_BUDGET = 10**6 integrand evaluations are allowed per
-call, and exceeding them raises ToleranceNotMet.
+evaluation count.  EVAL_BUDGET = 10**6 integrand evaluations are allowed per
+call: a mesh or a refinement sweep that would exceed them raises
+ToleranceNotMet before the integrand sees it.
 """
 
 from __future__ import annotations
@@ -169,7 +170,8 @@ def _integrate(f, mesh: np.ndarray, tol: float):
     Splits every panel whose error exceeds its fair share each sweep; stops
     when the summed estimate is below 0.8 tol (the rest of tol is left to
     the head and tail bounds) or the rounding floor, whichever is larger.
-    Raises ToleranceNotMet, naming tol, when EVAL_BUDGET runs out first.
+    Raises ToleranceNotMet, naming tol, before a sweep that would take the
+    evaluations past EVAL_BUDGET, so f never sees more than EVAL_BUDGET points.
     """
     target = 0.8 * tol
     a = mesh[:-1]
@@ -179,14 +181,14 @@ def _integrate(f, mesh: np.ndarray, tol: float):
         total_err = errs.sum()
         if total_err <= target or total_err <= _FLOOR_EPS * max(1.0, np.abs(vals).sum()):
             return vals.sum(), float(total_err), n_evals
-        if n_evals >= EVAL_BUDGET:
-            raise ToleranceNotMet(f"quadrature budget {EVAL_BUDGET} exhausted (error"
-                                  f" {total_err:.3e} > 0.8 tol, tol = {tol:.3e})")
         split = errs > target / (2.0 * len(a))
         if not split.any():
             split[np.argmax(errs)] = True
         keep = ~split
         left, right = a[split], b[split]
+        if n_evals + 2 * len(_GK_X) * len(left) > EVAL_BUDGET:
+            raise ToleranceNotMet(f"quadrature budget {EVAL_BUDGET} exhausted (error"
+                                  f" {total_err:.3e} > 0.8 tol, tol = {tol:.3e})")
         mid = 0.5 * (left + right)
         new_a = np.concatenate([left, mid])
         new_b = np.concatenate([mid, right])

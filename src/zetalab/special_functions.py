@@ -62,6 +62,8 @@ __all__ = [
 ]
 
 _POLE_TOL = 1e-12
+# The most factors gamma_abs_product forms: 8 bytes a term, an 80 MB buffer
+MAX_PRODUCT_TERMS = 10**7
 
 
 def ensure_finite(s) -> complex:
@@ -190,7 +192,9 @@ def gamma_abs_product(alpha: float, beta: float, n_terms: int) -> float:
     monotonically in n_terms toward the true modulus.  Accumulated in log
     space (log1p) to avoid underflow for large beta, which must be finite.
     The n_terms factors are formed in place in one float buffer, 8 bytes per
-    term (8 MB at n_terms = 10**6).  Where the product is not a normal float
+    term (8 MB at n_terms = 10**6), so n_terms is an integer from 1 to
+    MAX_PRODUCT_TERMS = 10**7, checked before the buffer is allocated; any
+    other n_terms raises DomainError.  Where the product is not a normal float
     (beta^2/alpha^2 or Gamma(alpha) past the float range, or a modulus below
     sys.float_info.min, as at alpha = 1e-320 or beta = 1e300), DomainError.
     """
@@ -198,8 +202,8 @@ def gamma_abs_product(alpha: float, beta: float, n_terms: int) -> float:
     if not (0.0 < alpha < 1.0 and math.isfinite(beta)):
         raise DomainError(f"need alpha in (0,1) and a finite beta, got {alpha}, {beta}")
     if not (isinstance(n_terms, (int, np.integer)) and not isinstance(n_terms, bool)
-            and n_terms >= 1):
-        raise DomainError(f"n_terms must be an integer >= 1, got {n_terms!r}")
+            and 1 <= n_terms <= MAX_PRODUCT_TERMS):
+        raise DomainError(f"n_terms must be an integer from 1 to {MAX_PRODUCT_TERMS}")
     v = np.arange(n_terms, dtype=float)
     v += alpha
     np.square(v, out=v)

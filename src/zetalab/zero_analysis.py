@@ -96,6 +96,9 @@ SEGMENT_STEPS = 97
 # root count.
 Z_GRID_GAP_FRACTION = 0.25
 Z_GRID_DOUBLINGS = 4
+# The most circle samples jensen_check takes, one fn call each: about 3
+# minutes at 0.18 ms a sample with f_on_disk at tol 1e-8 (2-CPU Xeon)
+JENSEN_MAX_SAMPLES = 10**6
 
 AnalyticFn = Callable[[complex], complex]
 
@@ -190,12 +193,14 @@ def _boundary_points(rect: RectangleRegion) -> np.ndarray:
 
 
 def _track_phase(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
-                 closed: bool) -> tuple[complex, float]:
-    """fn at points[0], and the change of arg fn along the polygon through points.
+                 closed: bool) -> tuple[float, float]:
+    """arg fn at points[0], and the change of arg fn along the polygon through points.
 
     The polygon runs through the points in order, and back to the first if
-    closed.  fn is called, steps are refined and the evaluation budget and
-    the 1e-12 floor are enforced as winding_count describes.
+    closed.  A step turns by the difference of the args at its ends, wrapped
+    into [-pi, pi): no arg overflows, even next to the float limit.  fn is
+    called, steps refined and the evaluation budget and the 1e-12 floor
+    enforced as winding_count describes.
     """
     evals = 0
 
@@ -219,25 +224,14 @@ def _track_phase(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
             )
         return v
 
-    # each step runs from (p1, v1) to (p2, v2)
-    p1 = points
-    v1 = values(p1)
-    start = complex(v1[0])
+    # each step runs from (p1, a1) to (p2, a2), a the arg of fn
+    p, a = points, np.angle(values(points))
     if closed:
-        p2, v2 = np.roll(p1, -1), np.roll(v1, -1)
-    else:
-        p1, v1, p2, v2 = p1[:-1], v1[:-1], p1[1:], v1[1:]
+        p, a = np.append(p, p[0]), np.append(a, a[0])
+    p1, a1, p2, a2 = p[:-1], a[:-1], p[1:], a[1:]
     total = 0.0
     for depth in range(49):
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = v2 / v1
-        d = np.angle(q)
-        # next to the float limit NumPy's division overflows to inf, NaN or 0,
-        # and no true quotient of two values with 1e-12 <= |v| < inf is 0:
-        # there the step is the wrapped difference of the two args
-        far = ~np.isfinite(q) | (q == 0)
-        if far.any():
-            d[far] = np.remainder(np.angle(v2[far]) - np.angle(v1[far]) + np.pi, _TWO_PI) - np.pi
+        d = np.remainder(a2 - a1 + np.pi, _TWO_PI) - np.pi
         settled = np.abs(d) <= _HALF_PI
         total += float(d[settled].sum())
         if settled.all():
@@ -245,12 +239,12 @@ def _track_phase(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
         if depth == 48:
             raise NonConvergence("phase step did not settle below pi/2")
         split = ~settled
-        p1, v1, p2, v2 = p1[split], v1[split], p2[split], v2[split]
+        p1, a1, p2, a2 = p1[split], a1[split], p2[split], a2[split]
         pm = 0.5 * (p1 + p2)
-        vm = values(pm)
-        p1, v1 = np.concatenate((p1, pm)), np.concatenate((v1, vm))
-        p2, v2 = np.concatenate((pm, p2)), np.concatenate((vm, v2))
-    return start, total
+        am = np.angle(values(pm))
+        p1, a1 = np.concatenate((p1, pm)), np.concatenate((a1, am))
+        p2, a2 = np.concatenate((pm, p2)), np.concatenate((am, a2))
+    return float(a[0]), total
 
 
 def _nearest_integer(x: float, what: str) -> int:
@@ -291,15 +285,20 @@ def _zero_count(tau: float) -> int:
     ordinate.  pi S(tau) = arg zeta(1/2 + i tau), followed continuously along
     the segment from 2 + i tau, where |zeta - 1| <= pi^2/6 - 1 < 1 makes the
     principal arg the start, down to 1/2 + i tau: the segment is
-    SEGMENT_STEPS = 97 steps refined as winding_count refines its boundary.
-    zeta is tracked rather than eta, which vanishes at 1 + 2 pi i k/log 2;
-    as 3 does not divide 97, no sample or midpoint falls on Re(s) = 1.
+    SEGMENT_STEPS = 97 steps refined as winding_count refines its boundary,
+    and _track_phase returns that start arg and the change.  zeta is tracked
+    rather than eta, which vanishes at 1 + 2 pi i k/log 2; as 3 does not
+    divide 97, no sample falls on Re(s) = 1.  Next to the pole (tau = 1e-310)
+    a midpoint rounds onto that line, where zeta is not finite: DomainError.
     """
     sigma = np.linspace(2.0, 0.5, SEGMENT_STEPS + 1)
-    zeta = lambda s: eta(s) / (1.0 - 2.0 ** (1.0 - s))
+
+    def zeta(s: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):  # _track_phase refuses inf and NaN
+            return eta(s) / (1.0 - 2.0 ** (1.0 - s))
+
     start, change = _track_phase(zeta, sigma + 1j * tau, closed=False)
-    return _nearest_integer(_theta(tau) / math.pi + 1.0 + (cmath.phase(start) + change) / math.pi,
-                            f"N({tau})")
+    return _nearest_integer(_theta(tau) / math.pi + 1.0 + (start + change) / math.pi, f"N({tau})")
 
 
 def _modulus(v: np.ndarray) -> np.ndarray:
@@ -524,11 +523,12 @@ def jensen_check(
     circle raises BoundaryZeroError, as does a circle sample with |fn| below
     1e-300, naming the sample.  A non-finite fn(0), sample or modulus, and a
     listed zero at the centre (where log(R/|z|) is infinite), raise
-    DomainError.  R must be positive and finite, and samples an integer >= 8.
+    DomainError.  R must be positive and finite, and samples an integer from
+    8 to JENSEN_MAX_SAMPLES = 10**6, checked before fn is called.
     """
     _check_positive_finite("R", (R,))
-    if not (isinstance(samples, (int, np.integer)) and samples >= 8):
-        raise DomainError(f"samples must be an integer >= 8, got {samples!r}")
+    if not (isinstance(samples, (int, np.integer)) and 8 <= samples <= JENSEN_MAX_SAMPLES):
+        raise DomainError(f"samples must be an integer from 8 to {JENSEN_MAX_SAMPLES}")
     f0_abs = finite_abs(complex(fn(0.0 + 0.0j)))
     if f0_abs < 1e-12:
         raise ZeroAtCenter(f"|fn(0)| = {f0_abs:.3e} below 1.0e-12")

@@ -199,6 +199,14 @@ class TestRunAudit:
         assert winding.note.startswith("infrastructure: the initial boundary of")
         assert budget.observed is winding.observed is None
 
+    def test_observed_of_another_type_is_written_as_its_repr(self, monkeypatch):
+        # a tuple is neither a number nor a string: the report holds its repr
+        record = claim_audit._CLAIMS["EQ25A"][0]
+        monkeypatch.setattr(claim_audit, "_CLAIMS", {
+            "PAIR": (replace(record, id="PAIR"), lambda ctx, tol, rng: (True, (1, 2.5), ""), "")})
+        [claim] = json.loads(report_to_json(run_audit()))["claims"].values()
+        assert claim["observed"] == "(1, 2.5)"
+
 
 class TestDeterminism:
     def test_two_runs_byte_identical(self, default_audit):

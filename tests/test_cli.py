@@ -12,6 +12,7 @@ import pytest
 
 import zetalab
 from zetalab import cli
+from zetalab import zero_analysis as za
 from zetalab.cli import _build_parser, main
 from zetalab.config import AuditConfig, dump_config
 from zetalab.errors import ZetaLabError
@@ -288,7 +289,7 @@ class TestJensen:
             raise AssertionError("a circle sample was computed")
 
         monkeypatch.setattr(smap, "f_on_disk", no_sample)
-        code, out, err = run(capsys, "jensen", "--samples", str(cli.JENSEN_MAX_SAMPLES + 1))
+        code, out, err = run(capsys, "jensen", "--samples", str(za.JENSEN_MAX_SAMPLES + 1))
         assert (code, out) == (3, "") and "--samples" in err and "<= 1000000" in err
 
 
@@ -504,12 +505,13 @@ class TestNoTraceback:
     # ROADMAP: no input ends in a traceback, and no exit code but the audit's
     # FAIL verdicts is 1.  The first three ended in a bare ValueError from the
     # quadrature's mesh (exit 1); zeta at 1 - 2^-53 in a ZeroDivisionError,
-    # gamma at 0.5 + 455i printed modulus = 0 (exit 0), and map past the
-    # float range in a bare OverflowError from abs (exit 1)
+    # gamma at 0.5 + 455i printed modulus = 0 (exit 0), map past the float
+    # range in a bare OverflowError from abs (exit 1), and zeros next to
+    # zeta's pole printed two RuntimeWarnings before exit 2
     @pytest.mark.parametrize("argv", ["eval F 1e-320 0", "eval F 0.001 0",
                                       "bounds --lo 0.001 --hi 0.001", "eval F 0.5 1e300", "eval zeta 0.5 1e300",
                                       "eval zeta 1e-320 5", "eval gamma 1e-320 0",
-                                      "zeros --tau 1e300", "rouche --tau 1e300",
+                                      "zeros --tau 1e300", "zeros --tau 5e-324", "rouche --tau 1e300",
                                       "eval gamma 1e308 1e308", "eval eta 1e308 1e308",
                                       "eval zeta 0.9999999999999999 0", "eval gamma 0.5 455",
                                       "map 1.7e308 1.7e308 0.5", "map -1.7e308 1e308 0.5"])

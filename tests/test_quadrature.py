@@ -121,6 +121,20 @@ class TestFermiMellin:
                            match=r"^quadrature budget 1000000 exhausted .* tol = 1\.000e-13\)$"):
             fermi_mellin(0.05 + 100j, 1e-13)
 
+    def test_budget_checked_before_each_sweep(self, monkeypatch):
+        # the budget was checked after each sweep, so this call evaluated
+        # 1,565,055 points before it raised
+        seen = []
+        integrate = quadrature._integrate
+
+        def spied(f, mesh, tol):
+            return integrate(lambda x: seen.append(x.size) or f(x), mesh, tol)
+
+        monkeypatch.setattr(quadrature, "_integrate", spied)
+        with pytest.raises(ToleranceNotMet, match="^quadrature budget 1000000 exhausted"):
+            fermi_mellin(0.1 + 120j, 1e-13)
+        assert 0 < sum(seen) <= quadrature.EVAL_BUDGET
+
     @pytest.mark.parametrize("s", [0.5 + 1e5j, 0.5 + 1e17j])
     def test_budget_checked_before_mesh(self, s):
         # 1.6 M panels at Im 1e5; at Im 1e17 the panel ratio rounds to 1

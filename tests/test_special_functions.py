@@ -149,6 +149,22 @@ class TestGammaAbsProduct:
             with pytest.raises(DomainError, match="beta"):
                 gamma_abs_product(0.5, beta, 10)
 
+    @pytest.mark.parametrize("n_terms", [10**20, 10**7 + 1, -10**5000],
+                             ids=["1e20", "limit+1", "-1e5000"])
+    def test_term_count_past_the_buffer_refused(self, n_terms):
+        # 10**20 raised a bare ValueError from np.arange, 10**7 + 1 took an
+        # 80 MB buffer (10**10 asks for 74.5 GiB), and the refusal of
+        # -10**5000 raised ValueError writing out the int
+        assert special_functions.MAX_PRODUCT_TERMS == 10**7
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="^n_terms must be an integer from 1 to 10000000$"):
+                gamma_abs_product(0.5, 1.0, n_terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     # a divide-by-zero warning, then a bare OverflowError from math.gamma; the
     # other two returned 0.0, an underflowed modulus shown as a value
     @pytest.mark.parametrize("alpha, beta", [(1e-320, 5.0), (1e-170, 5.0), (0.5, 1e300)])

@@ -1,6 +1,9 @@
+import ast
 import cmath
+import inspect
 import math
 import re
+import textwrap
 from collections import Counter
 
 import numpy as np
@@ -160,6 +163,80 @@ class TestWindingCount:
         with pytest.raises(NonConvergence, match="budget"):
             winding_count(lambda z: seen.append(z.size) or z, rect)
         assert seen == []
+
+    def test_phase_step_is_one_formula(self):
+        # a step turns by the wrapped difference of the args at its ends, one
+        # formula up to the float limit; the quotient v2/v1 it replaced
+        # overflowed there, and needed np.errstate and a fallback formula
+        tree = ast.parse(textwrap.dedent(inspect.getsource(zero_analysis._track_phase)))
+        divisions = [n for n in ast.walk(tree) if isinstance(getattr(n, "op", None), ast.Div)]
+        errstates = [n for n in ast.walk(tree)
+                     if getattr(n, "attr", getattr(n, "id", None)) == "errstate"]
+        assert divisions == [] and errstates == []
+
+
+def _recorded_batches(monkeypatch):
+    """The point batches each _track_phase call hands its fn, in call order."""
+    batches = []
+    track_phase = zero_analysis._track_phase
+
+    def recording(fn, points, closed):
+        batches.append([])
+        return track_phase(lambda p: batches[-1].append(p.copy()) or fn(p), points, closed)
+
+    monkeypatch.setattr(zero_analysis, "_track_phase", recording)
+    return batches
+
+
+def _vertical_step_midpoints(rect):
+    """Midpoints of the boundary steps on the two vertical sides of rect."""
+    points = zero_analysis._boundary_points(rect)
+    ends = np.append(points, points[0])
+    mid = 0.5 * (ends[:-1] + ends[1:])
+    return mid[ends[:-1].real == ends[1:].real]
+
+
+class TestPhaseTrackerWork:
+    # the points the tracker evaluates on every contour the audit, the zero
+    # search and the refining unit-square cases walk, as recorded when each
+    # step's turn was the arg of the quotient v2/v1: equal, not bounded
+    @pytest.mark.parametrize("tau, count", [(16.06, 1), (30.0, 3), (100.0, 29), (300.0, 138),
+                                            (420.0, 215)])
+    def test_segment(self, tau, count, monkeypatch):
+        batches = _recorded_batches(monkeypatch)
+        assert zero_analysis._zero_count(tau) == count
+        sigma = np.linspace(2.0, 0.5, zero_analysis.SEGMENT_STEPS + 1)
+        [[points]] = batches
+        assert np.array_equal(points, sigma + 1j * tau)
+
+    @pytest.mark.parametrize("contour", ["RVM30", "EQ45", "cube", "exp150"])
+    def test_rectangle(self, contour, monkeypatch):
+        lam = lambda_choice(1.0, 0.1, 0.01)
+        fn, rect, count, sizes = {
+            "RVM30": (eta, RectangleRegion(0.1, 0.9, 0.0, 30.0), 3, [3_944]),
+            # K(tau) at the default scan's tau = 16 and g = lam (eps + omega)
+            "EQ45": (lambda w: lam * (0.1 + w), RectangleRegion(0.0, 0.5, 0.0, 16.0), 0, [2_112]),
+            "cube": (lambda z: (z - 0.1) ** 3, UNIT_RECT, 3, [512]),
+            "exp150": (lambda z: 1.5e308 * np.exp(150.0 * (z - 1.0)), UNIT_RECT, 0, [512, 256]),
+        }[contour]
+        batches = _recorded_batches(monkeypatch)
+        assert winding_count(fn, rect) == count
+        [calls] = batches
+        assert [p.size for p in calls] == sizes
+        assert np.array_equal(calls[0], zero_analysis._boundary_points(rect))
+        if contour == "exp150":
+            # arg turns by 150 * 2/128 = 2.3 per step on the vertical sides
+            # and by 0 on the others: one round bisects exactly those steps
+            assert np.array_equal(np.sort_complex(calls[1]),
+                                  np.sort_complex(_vertical_step_midpoints(rect)))
+
+    @pytest.mark.parametrize("tau, count, points", [(16.06, 1, 176), (30.0, 3, 309),
+                                                    (100.0, 29, 1_985), (300.0, 138, 8_809),
+                                                    (420.0, 215, 13_513)])
+    def test_zero_search_eta_points(self, tau, count, points, monkeypatch):
+        seen = []
+        monkeypatch.setattr(zero_analysis, "eta", lambda s: seen.append(np.size(s)) or eta(s))
+        assert len(critical_line_zeros(tau)) == count and sum(seen) == points
 
 
 def _recursive_winding(fn, rect):
@@ -627,6 +704,25 @@ class TestZeroCount:
             zero_analysis._zero_count(10.0)
         assert seen == [98]
 
+    def test_leaked_phase_raises(self, monkeypatch):
+        # theta off by pi/2 puts N halfway between two integers
+        theta = zero_analysis._theta
+        monkeypatch.setattr(zero_analysis, "_theta", lambda t: theta(t) + math.pi / 2)
+        with pytest.raises(NonConvergence, match=re.escape("phase tracking leaked: N(20.0) = 1.5")):
+            critical_line_zeros(20.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tau, refused", [(5e-324, True), (1e-310, True), (1e-308, False),
+                                              (1e-300, False)])
+    def test_next_to_the_pole(self, tau, refused):
+        # at the two subnormal heights a refinement midpoint rounds onto
+        # Re(s) = 1, where zeta's quotient warned of overflow before refusing
+        if refused:
+            with pytest.raises(DomainError, match="is not finite"):
+                critical_line_zeros(tau)
+        else:
+            assert critical_line_zeros(tau).betas == ()
+
 
 class TestRiemannVonMangoldt:
     def test_at_thirty(self):
@@ -730,6 +826,20 @@ class TestJensen:
     def test_nan_radius_rejected(self):
         with pytest.raises(DomainError):
             jensen_check(lambda z: z - 2.0, [], math.nan, 64)
+
+    @pytest.mark.parametrize("samples", [10**6 + 1, 10**20, 10**5000, -10**5000],
+                             ids=["limit+1", "1e20", "1e5000", "-1e5000"])
+    def test_sample_limit_checked_before_fn(self, samples):
+        # 10**20 samples ran one fn call each for more than five minutes, and
+        # the refusal of -10**5000 raised ValueError writing out the int
+        limit = zero_analysis.JENSEN_MAX_SAMPLES
+        assert limit == 10**6
+
+        def fn(z):
+            raise AssertionError(f"fn called at {z}")
+
+        with pytest.raises(DomainError, match=f"^samples must be an integer from 8 to {limit}$"):
+            jensen_check(fn, [], 0.5, samples)
 
     def test_infinite_radius_and_fractional_samples_rejected(self):
         with pytest.raises(DomainError):
