@@ -768,23 +768,24 @@ def run_audit(config: AuditConfig | None = None) -> AuditReport:
     """Execute every registered check and assemble the report.
 
     Check failures become FAIL verdicts; budget/refinement exhaustion becomes
-    SKIPPED with the reason; flagged claims are never checked, only observed.
+    SKIPPED with the reason; flagged claims are never checked, only observed,
+    and an observer that raises gives the same SKIPPED or FAIL as a check.
     """
     cfg = config or AuditConfig()
     ctx = _Context(cfg)
     records: list[ClaimRecord] = []
     for cid in sorted(_CLAIMS):
         base, fn, flag_note = _CLAIMS[cid]
-        if base.check_kind == "flagged":
-            outcome = dict(verdict="NOT_NUMERIC", observed=fn(ctx), note=flag_note)
-        else:
-            try:
+        try:
+            if base.check_kind == "flagged":
+                outcome = dict(verdict="NOT_NUMERIC", observed=fn(ctx), note=flag_note)
+            else:
                 passed, observed, note = fn(ctx, base.tolerance, _claim_rng(cfg.seed, cid))
                 outcome = dict(verdict="PASS" if passed else "FAIL", observed=observed, note=note)
-            except (ToleranceNotMet, NonConvergence) as exc:
-                outcome = dict(verdict="SKIPPED", note=f"infrastructure: {exc}")
-            except ZetaLabError as exc:
-                outcome = dict(verdict="FAIL", note=f"error: {exc}")
+        except (ToleranceNotMet, NonConvergence) as exc:
+            outcome = dict(verdict="SKIPPED", note=f"infrastructure: {exc}")
+        except ZetaLabError as exc:
+            outcome = dict(verdict="FAIL", note=f"error: {exc}")
         records.append(replace(base, **outcome))
     totals = dict(Counter(r.verdict for r in records))
     return AuditReport(tuple(records), cfg.digest(), totals)

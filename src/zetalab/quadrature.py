@@ -135,48 +135,39 @@ _CHUNK_PANELS = 256
 _FLOOR_EPS = 64.0 * np.finfo(float).eps
 
 
-def _gk_chunk(f, a: np.ndarray, b: np.ndarray):
-    """GK15 on one pass of panels: (values, error estimates).
-
-    The nodes are a temporary of the call to f, so they are not held
-    during the sums.
-    """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    y = f((mid[:, None] + half[:, None] * _GK_X[None, :]).ravel()).reshape(len(a), len(_GK_X))
-    k15 = (y * _GK_WK).sum(axis=1) * half
-    g7 = (y[:, 1::2] * _G_W).sum(axis=1) * half
-    return k15, np.abs(k15 - g7)
-
-
 def _gk_batch(f, a: np.ndarray, b: np.ndarray):
-    """GK15 on a batch of panels, _CHUNK_PANELS at a time; returns (values, error estimates, n_evals).
+    """GK15 on a batch of panels, _CHUNK_PANELS at a time: (values, error estimates).
 
-    Each panel's values are the same 15-element sums in a chunk as in one
-    array of the whole batch, so the chunking changes no bit.
+    A panel's sums are the same whatever pass it falls in.  A pass's nodes are
+    a temporary of the call to f, and its values y are freed before the next
+    pass (held over, they made 1,000 panels 16% slower on the host above).
     """
-    n_evals = len(_GK_X) * len(a)
-    if len(a) <= _CHUNK_PANELS:
-        return (*_gk_chunk(f, a, b), n_evals)
-    chunks = [_gk_chunk(f, a[i : i + _CHUNK_PANELS], b[i : i + _CHUNK_PANELS])
-              for i in range(0, len(a), _CHUNK_PANELS)]
-    vals, errs = (np.concatenate(part) for part in zip(*chunks))
-    return vals, errs, n_evals
+    vals, errs = [], []
+    for i in range(0, len(a), _CHUNK_PANELS):
+        pa, pb = a[i : i + _CHUNK_PANELS], b[i : i + _CHUNK_PANELS]
+        mid, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
+        y = f((mid[:, None] + half[:, None] * _GK_X[None, :]).ravel()).reshape(len(mid), len(_GK_X))
+        k15 = (y * _GK_WK).sum(axis=1) * half
+        vals.append(k15)
+        errs.append(np.abs(k15 - (y[:, 1::2] * _G_W).sum(axis=1) * half))
+        del y
+    return np.concatenate(vals), np.concatenate(errs)
 
 
 def _integrate(f, mesh: np.ndarray, tol: float):
-    """Globally adaptive GK15 over an initial mesh.
+    """Globally adaptive GK15 over an initial mesh: (value, error estimate, evaluations).
 
     Splits every panel whose error exceeds its fair share each sweep; stops
     when the summed estimate is below 0.8 tol (the rest of tol is left to
     the head and tail bounds) or the rounding floor, whichever is larger.
-    Raises ToleranceNotMet, naming tol, before a sweep that would take the
-    evaluations past EVAL_BUDGET, so f never sees more than EVAL_BUDGET points.
+    Only here are evaluations counted, 15 a panel; ToleranceNotMet, naming
+    tol, is raised before a sweep that would take them past EVAL_BUDGET.
     """
     target = 0.8 * tol
     a = mesh[:-1]
     b = mesh[1:]
-    vals, errs, n_evals = _gk_batch(f, a, b)
+    vals, errs = _gk_batch(f, a, b)
+    n_evals = len(_GK_X) * len(a)
     while True:
         total_err = errs.sum()
         if total_err <= target or total_err <= _FLOOR_EPS * max(1.0, np.abs(vals).sum()):
@@ -186,18 +177,18 @@ def _integrate(f, mesh: np.ndarray, tol: float):
             split[np.argmax(errs)] = True
         keep = ~split
         left, right = a[split], b[split]
-        if n_evals + 2 * len(_GK_X) * len(left) > EVAL_BUDGET:
+        n_evals += 2 * len(_GK_X) * len(left)
+        if n_evals > EVAL_BUDGET:
             raise ToleranceNotMet(f"quadrature budget {EVAL_BUDGET} exhausted (error"
                                   f" {total_err:.3e} > 0.8 tol, tol = {tol:.3e})")
         mid = 0.5 * (left + right)
         new_a = np.concatenate([left, mid])
         new_b = np.concatenate([mid, right])
-        new_vals, new_errs, n = _gk_batch(f, new_a, new_b)
+        new_vals, new_errs = _gk_batch(f, new_a, new_b)
         a = np.concatenate([a[keep], new_a])
         b = np.concatenate([b[keep], new_b])
         vals = np.concatenate([vals[keep], new_vals])
         errs = np.concatenate([errs[keep], new_errs])
-        n_evals += n
 
 
 def _head_bound(alpha: float, k: int, t: float) -> float:

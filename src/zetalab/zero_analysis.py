@@ -131,12 +131,17 @@ class RectangleRegion:
 
 @dataclass(frozen=True)
 class CriticalZeroList:
-    """Ordered imaginary parts of critical-line zeros up to height tau."""
+    """Ordered imaginary parts of critical-line zeros up to height tau.
+
+    betas is stored as a tuple whatever sequence it is given, so the record
+    hashes and equals the one built from the same heights.
+    """
 
     betas: tuple[float, ...]
     tau: float
 
     def __post_init__(self):
+        object.__setattr__(self, "betas", tuple(self.betas))
         _check_positive_finite("zero heights and tau", (*self.betas, self.tau))
         if any(b2 <= b1 for b1, b2 in zip(self.betas, self.betas[1:])):
             raise DomainError("zero heights must be strictly increasing")
@@ -562,12 +567,11 @@ def _check_titchmarsh_args(M: float, f0_abs: float, delta: float) -> None:
 def titchmarsh_zero_bound(M: float, f0_abs: float, delta: float) -> float:
     """Upper bound log(M/|f(0)|) / log(1/delta) on zeros in the delta-subdisk.
 
-    Where M/|f(0)| passes the float range, log M - log|f(0)| stands for its log.
+    log(M/|f(0)|) is taken as log M - log|f(0)|, which stays finite where the
+    quotient M/|f(0)| passes the float range.
     """
     _check_titchmarsh_args(M, f0_abs, delta)
-    ratio = M / f0_abs
-    log_ratio = math.log(ratio) if ratio < math.inf else math.log(M) - math.log(f0_abs)
-    return log_ratio / math.log(1.0 / delta)
+    return (math.log(M) - math.log(f0_abs)) / math.log(1.0 / delta)
 
 
 def titchmarsh_zero_free(M: float, f0_abs: float, delta: float) -> bool:
@@ -582,12 +586,13 @@ def blaschke_L(omega, zeros):
     Numerator and denominator of each factor are complex conjugates (the
     heights b_j are real, and fl(b_j - y) = -fl(y - b_j)), so the product
     has modulus 1 to rounding, however close omega comes to a pole i*b_j.
-    A scalar omega gives a complex; an ndarray gives a complex array of its
-    shape, each entry the value the scalar call gives, bit for bit.  An
-    empty zero list gives ones.  An omega at a pole itself, where a factor
-    is 0/0, raises PoleProximity; a non-finite omega, a zero height that is
-    not a finite real, and a product that is not finite (an overflow in a
-    factor, as at -1.7e308 - 1.7e308i) raise DomainError.
+    A scalar omega (a 0-d array too) gives a complex; an omega with ndim > 0
+    (an ndarray, a list or a tuple) gives a complex array of its shape, each
+    entry the value the scalar call gives, bit for bit.  An empty zero list
+    gives ones.  An omega at a pole itself, where a factor is 0/0, raises
+    PoleProximity; a non-finite omega, a zero height that is not a finite
+    real, and a product that is not finite (an overflow in a factor, as at
+    -1.7e308 - 1.7e308i) raise DomainError.
     """
     w = np.asarray(omega, dtype=complex)
     betas = np.asarray([ensure_real(b) for b in zeros], dtype=float)
@@ -601,7 +606,7 @@ def blaschke_L(omega, zeros):
         value = ((w.conj()[..., None] + 1j * betas) / den).prod(axis=-1)
     if not np.isfinite(value).all():
         raise DomainError(f"blaschke_L is not finite at omega = {omega!r}")
-    return value if isinstance(omega, np.ndarray) else complex(value)
+    return value if w.ndim else complex(value)
 
 
 def lambda_choice(theta_abs: float, epsilon: float, nu: float) -> float:

@@ -18,6 +18,7 @@ from zetalab.claim_audit import (
     run_audit,
 )
 from zetalab.config import AuditConfig
+from zetalab.errors import DomainError, ToleranceNotMet
 
 # the default-config report, the one `zetalab audit` ships; a refactor must
 # keep it byte for byte, and a deliberate change regenerates it with each
@@ -198,6 +199,26 @@ class TestRunAudit:
         assert budget.note.startswith("infrastructure: quadrature budget 1000000 exhausted")
         assert winding.note.startswith("infrastructure: the initial boundary of")
         assert budget.observed is winding.observed is None
+
+    @pytest.mark.parametrize("exc, verdict, prefix", [
+        (ToleranceNotMet("budget gone"), "SKIPPED", "infrastructure: budget gone"),
+        (DomainError("b outside"), "FAIL", "error: b outside"),
+    ])
+    def test_flagged_observer_failure_is_guarded(self, exc, verdict, prefix, monkeypatch):
+        # a flagged claim's observer raises as a check does: the claim gets
+        # the check's verdict with the reason, and the next claim still runs
+        def observer(ctx):
+            raise exc
+
+        flagged = claim_audit._CLAIMS["EQ34G-DELTA"][0]
+        record, check, _ = claim_audit._CLAIMS["EQ25A"]
+        monkeypatch.setattr(claim_audit, "_CLAIMS", {
+            "EQ34G-DELTA": (flagged, observer, "never shown"),
+            "EQ35": (replace(record, id="EQ35"), check, "")})
+        report = run_audit()
+        assert [(c.id, c.verdict) for c in report.claims] == [
+            ("EQ34G-DELTA", verdict), ("EQ35", "PASS")]
+        assert report.claims[0].note == prefix and report.claims[0].observed is None
 
     def test_observed_of_another_type_is_written_as_its_repr(self, monkeypatch):
         # a tuple is neither a number nor a string: the report holds its repr

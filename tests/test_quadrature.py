@@ -1,5 +1,8 @@
+import ast
+import inspect
 import math
 import random
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -59,6 +62,22 @@ class TestFermiMellin:
     def test_counts_evaluations(self):
         est = fermi_mellin(0.5, 1e-8)
         assert est.n_evals > 0 and est.n_evals % 15 == 0
+
+    def test_count_is_the_points_seen(self, monkeypatch):
+        # n_evals is formed in _integrate alone: it equals the points the
+        # integrand saw, and a refused call showed it at most EVAL_BUDGET
+        calls = _counting_integrate(monkeypatch)
+        for s, tol in [(0.5, 1e-8), (0.3 + 20j, 1e-10), (0.05 + 95j, 1e-8), (1.0, 1e-13)]:
+            est = fermi_mellin(s, tol)
+            assert calls[-1] == [est.n_evals, est.n_evals]
+        for alpha, k, tol in [(0.6, 1, 1e-8), (0.6, 2, 1e-12), (0.1, 1, 1e-6)]:
+            m_star_derivative(alpha, k, tol)
+            seen, n_evals = calls[-1]
+            assert seen == n_evals > 0
+        with pytest.raises(ToleranceNotMet, match="^quadrature budget 1000000 exhausted"):
+            fermi_mellin(0.05 + 100j, 1e-13)
+        seen, n_evals = calls[-1]
+        assert 0 < seen <= quadrature.EVAL_BUDGET and n_evals is None
 
     def test_mesh_matches_sequential_loop(self):
         # the panel mesh is built with np.multiply.accumulate; it must equal,
@@ -173,6 +192,27 @@ class TestFermiMellin:
             fermi_mellin(0.5, 1e-8 + 0j)
 
 
+def _counting_integrate(monkeypatch):
+    """Spy on _integrate: one [points the integrand saw, n_evals returned] per
+    call, with None for the count of a call that raised."""
+    calls = []
+    integrate = quadrature._integrate
+
+    def spied(f, mesh, tol):
+        calls.append([0, None])
+
+        def counted(x):
+            calls[-1][0] += x.size
+            return f(x)
+
+        value, err, n_evals = integrate(counted, mesh, tol)
+        calls[-1][1] = n_evals
+        return value, err, n_evals
+
+    monkeypatch.setattr(quadrature, "_integrate", spied)
+    return calls
+
+
 def _integrand_of(s, k, monkeypatch):
     """The integrand _log_moment builds for s and k, taken from its _integrate call."""
     seen = []
@@ -202,9 +242,17 @@ class TestChunkedBatch:
         chunked = quadrature._gk_batch(f, a, b)
         monkeypatch.setattr(quadrature, "_CHUNK_PANELS", 10 * panels)
         whole = quadrature._gk_batch(f, a, b)
-        assert chunked[2] == whole[2] == 15 * panels
-        for got, want in zip(chunked[:2], whole[:2]):
+        for got, want in zip(chunked, whole):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_one_pass_path_and_no_second_count(self):
+        # a batch of any size runs one loop of passes, with no fork for a
+        # batch that fits one pass, and returns no evaluation count
+        tree = ast.parse(inspect.getsource(quadrature))
+        names = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        assert "_gk_chunk" not in names
+        batch = ast.parse(textwrap.dedent(inspect.getsource(quadrature._gk_batch)))
+        assert [n for n in ast.walk(batch) if isinstance(n, (ast.If, ast.IfExp))] == []
 
     def test_working_set_bounded(self):
         # the costliest call of the benchmark's streams, 456,555 evaluations;

@@ -463,6 +463,13 @@ class TestCriticalLineZeros:
             with pytest.raises(DomainError):
                 CriticalZeroList(betas, tau)
 
+    def test_betas_stored_as_a_tuple(self):
+        # a list was stored as given: the frozen record did not hash, and it
+        # was unequal to the same heights given as a tuple
+        zeros = CriticalZeroList([1.0], 2.0)
+        assert zeros.betas == (1.0,) and zeros == CriticalZeroList((1.0,), 2.0)
+        assert hash(zeros) == hash(CriticalZeroList((1.0,), 2.0))
+
 
 def _patch_hardy_z(monkeypatch, flip=lambda y: False, doubt=lambda y: False):
     """Make zero_analysis._hardy_z negate Z at the heights where flip holds and
@@ -898,6 +905,13 @@ class TestTitchmarsh:
         with pytest.raises(DomainError, match="real argument"):  # raised TypeError
             titchmarsh_zero_bound(2.0 + 0j, 1.0, 0.5)
 
+    def test_one_formula(self):
+        # log M - log|f(0)| everywhere, not log(M/|f(0)|) with a fallback for
+        # an overflowing quotient; at (1.5, 0.1) the two differ in the last bit
+        for big_m, f0, delta in [(1.25, 0.25, 0.6), (1.5, 0.1, 0.9)]:
+            expected = (math.log(big_m) - math.log(f0)) / math.log(1.0 / delta)
+            assert titchmarsh_zero_bound(big_m, f0, delta) == expected
+
     @pytest.mark.parametrize("big_m, f0", [(1.0 + 1e-320, 1e-320), (1e308, 1e-300)])
     def test_ratio_past_the_float_range(self, big_m, f0):
         # M/|f(0)| overflowed, and the bound was inf
@@ -923,6 +937,14 @@ class TestBlaschke:
             assert got.tolist() == [blaschke_L(w, betas) for w in points.tolist()]
         grid = omega[:6].reshape(2, 3)
         assert blaschke_L(grid, [40.5]).shape == (2, 3)
+
+    @pytest.mark.parametrize("omega", [(0.1 + 1j, 0.2 + 2j), [0.1 + 1j, 0.2 + 2j]])
+    def test_sequence_gives_an_array(self, omega):
+        # a tuple or a list was computed as an array, then complex() of the
+        # result raised a bare TypeError
+        got = blaschke_L(omega, [14.1])
+        assert isinstance(got, np.ndarray) and got.shape == (2,)
+        assert got.tolist() == [blaschke_L(w, [14.1]) for w in omega]
 
     def test_array_with_empty_zero_list_gives_ones(self):
         omega = np.array([0.1 + 1j, 0.4 + 25j, 0.0])
