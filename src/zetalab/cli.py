@@ -3,8 +3,9 @@
 Subcommands: eval, bounds, map, zeros, jensen, rouche, audit.  Complex
 arguments are passed as two positional reals (re, im).  Exit codes:
 0 success, 1 FAIL verdicts present in an audit, 2 numerical error,
-3 usage error (including a missing or malformed config file and an
-out-of-range config value or flag; a point outside the domain is exit 2),
+3 usage error (including a missing, unreadable or malformed config file, an
+--out that cannot be written and an out-of-range config value or flag; a
+point outside the domain is exit 2),
 141 stdout closed by its reader (as for a process ended by SIGPIPE).
 The config file holds the audit's inputs and applies to every subcommand; a
 flag whose dest is a config field overrides it.  Other settings are flags.
@@ -45,6 +46,11 @@ class _CliExit(Exception):
     def __init__(self, code: int, message: str = ""):
         super().__init__(message)
         self.code = code
+
+
+def _file_error(what: str, path, exc: OSError | UnicodeDecodeError) -> _CliExit:
+    """The usage error for a file that cannot be read or written, naming its path."""
+    return _CliExit(USAGE_EXIT, f"error: cannot {what} {path}: {getattr(exc, 'strerror', None) or exc}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -127,7 +133,8 @@ def _build_parser() -> _Parser:
 def _resolve_config(args) -> AuditConfig:
     """The config file (or the defaults) with every flag named after a field set.
 
-    A missing or malformed config file and an out-of-domain value are usage errors.
+    A missing, unreadable or malformed config file and an out-of-domain value
+    are usage errors.
     """
     path = None if args.config is None else Path(args.config)
     if path is not None and not path.exists():
@@ -138,6 +145,8 @@ def _resolve_config(args) -> AuditConfig:
         return replace(cfg, **{key: value for key, value in flags.items() if value is not None})
     except ZetaLabError as exc:
         raise _CliExit(USAGE_EXIT, f"error: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not text
+        raise _file_error("read config file", path, exc) from None
 
 
 def _fmt(x: float) -> str:
@@ -241,7 +250,10 @@ def _cmd_audit(args, cfg: AuditConfig) -> int:
     else:
         payload = claim_audit.report_to_json(report) + "\n"
     if args.out:
-        Path(args.out).write_text(payload)
+        try:
+            Path(args.out).write_text(payload)
+        except OSError as exc:  # a directory, a missing directory, no permission
+            raise _file_error("write report", args.out, exc) from None
     else:
         sys.stdout.write(payload)
     print(f"\nconfig digest: {report.config_digest[:16]}...", file=sys.stderr)

@@ -121,7 +121,7 @@ _G_W = np.array(
 )
 
 
-# Panels per array pass of _gk_batch.  256 x 15 complex values are 60 KiB,
+# Panels per array pass of _integrate.  256 x 15 complex values are 60 KiB,
 # under the 64 KiB at which glibc's free() checks whether to trim the heap
 # top, so a pass's temporaries are reused from the heap without returning
 # pages that the next pass faults in again.  Over the 900 fermi_mellin calls
@@ -135,40 +135,39 @@ _CHUNK_PANELS = 256
 _FLOOR_EPS = 64.0 * np.finfo(float).eps
 
 
-def _gk_batch(f, a: np.ndarray, b: np.ndarray):
-    """GK15 on a batch of panels, _CHUNK_PANELS at a time: (values, error estimates).
-
-    A panel's sums are the same whatever pass it falls in.  A pass's nodes are
-    a temporary of the call to f, and its values y are freed before the next
-    pass (held over, they made 1,000 panels 16% slower on the host above).
-    """
-    vals, errs = [], []
-    for i in range(0, len(a), _CHUNK_PANELS):
-        pa, pb = a[i : i + _CHUNK_PANELS], b[i : i + _CHUNK_PANELS]
-        mid, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
-        y = f((mid[:, None] + half[:, None] * _GK_X[None, :]).ravel()).reshape(len(mid), len(_GK_X))
-        k15 = (y * _GK_WK).sum(axis=1) * half
-        vals.append(k15)
-        errs.append(np.abs(k15 - (y[:, 1::2] * _G_W).sum(axis=1) * half))
-        del y
-    return np.concatenate(vals), np.concatenate(errs)
-
-
 def _integrate(f, mesh: np.ndarray, tol: float):
     """Globally adaptive GK15 over an initial mesh: (value, error estimate, evaluations).
 
-    Splits every panel whose error exceeds its fair share each sweep; stops
+    The mesh is the first sweep.  Every later sweep splits each panel whose
+    error exceeds its fair share and evaluates only the halves; it stops
     when the summed estimate is below 0.8 tol (the rest of tol is left to
     the head and tail bounds) or the rounding floor, whichever is larger.
-    Only here are evaluations counted, 15 a panel; ToleranceNotMet, naming
-    tol, is raised before a sweep that would take them past EVAL_BUDGET.
+    Panels are evaluated here only, _CHUNK_PANELS at a time, and a panel's
+    sums are the same whatever pass it falls in; a pass's values y are freed
+    before the next (held over, they made 1,000 panels 16% slower on the
+    host above).  Evaluations are counted here, 15 a panel; ToleranceNotMet,
+    naming tol, is raised before a refinement sweep that would take them
+    past EVAL_BUDGET.
     """
     target = 0.8 * tol
-    a = mesh[:-1]
-    b = mesh[1:]
-    vals, errs = _gk_batch(f, a, b)
-    n_evals = len(_GK_X) * len(a)
+    a, b = mesh[:-1], mesh[1:]
+    vals = errs = mesh[:0]  # the sums of the kept panels, the first len(vals) of a
+    n_evals, total_err = 0, math.inf
     while True:
+        n_evals += len(_GK_X) * (len(a) - len(vals))
+        if n_evals > EVAL_BUDGET:  # never on the mesh, which _log_moment checks first
+            raise ToleranceNotMet(f"quadrature budget {EVAL_BUDGET} exhausted (error"
+                                  f" {total_err:.3e} > 0.8 tol, tol = {tol:.3e})")
+        val_parts, err_parts = [vals], [errs]
+        for i in range(len(vals), len(a), _CHUNK_PANELS):
+            pa, pb = a[i : i + _CHUNK_PANELS], b[i : i + _CHUNK_PANELS]
+            mid, half = 0.5 * (pa + pb), 0.5 * (pb - pa)
+            y = f((mid[:, None] + half[:, None] * _GK_X[None, :]).ravel()).reshape(len(mid), len(_GK_X))
+            k15 = (y * _GK_WK).sum(axis=1) * half
+            val_parts.append(k15)
+            err_parts.append(np.abs(k15 - (y[:, 1::2] * _G_W).sum(axis=1) * half))
+            del y
+        vals, errs = np.concatenate(val_parts), np.concatenate(err_parts)
         total_err = errs.sum()
         if total_err <= target or total_err <= _FLOOR_EPS * max(1.0, np.abs(vals).sum()):
             return vals.sum(), float(total_err), n_evals
@@ -177,18 +176,10 @@ def _integrate(f, mesh: np.ndarray, tol: float):
             split[np.argmax(errs)] = True
         keep = ~split
         left, right = a[split], b[split]
-        n_evals += 2 * len(_GK_X) * len(left)
-        if n_evals > EVAL_BUDGET:
-            raise ToleranceNotMet(f"quadrature budget {EVAL_BUDGET} exhausted (error"
-                                  f" {total_err:.3e} > 0.8 tol, tol = {tol:.3e})")
         mid = 0.5 * (left + right)
-        new_a = np.concatenate([left, mid])
-        new_b = np.concatenate([mid, right])
-        new_vals, new_errs = _gk_batch(f, new_a, new_b)
-        a = np.concatenate([a[keep], new_a])
-        b = np.concatenate([b[keep], new_b])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
+        a = np.concatenate([a[keep], left, mid])
+        b = np.concatenate([b[keep], mid, right])
+        vals, errs = vals[keep], errs[keep]
 
 
 def _head_bound(alpha: float, k: int, t: float) -> float:
@@ -362,7 +353,7 @@ def m_star_derivative(alpha: float, order: int, tol: float = 1e-8) -> float:
     Negative for order 1 and positive for order 2 on [1/2, 1]; the evaluation
     itself is valid on all of (0, 1].
     """
-    if order not in (1, 2):
+    if not (np.ndim(order) == 0 and order in (1, 2)):  # an array has no one truth value
         raise DomainError("order must be 1 or 2")
     return _log_moment(ensure_real(alpha), order, tol).value.real
 

@@ -52,6 +52,8 @@ import numpy as np
 from .errors import DomainError, PoleError
 
 __all__ = [
+    "ensure_complex",
+    "ensure_complex_array",
     "ensure_finite",
     "ensure_real",
     "ensure_strip",
@@ -67,12 +69,36 @@ MAX_PRODUCT_TERMS = 10**7
 
 
 def ensure_finite(s) -> complex:
-    """Coerce to complex and reject NaN/Inf in either part, or a number past
-    the float range (an int beyond about 1.8e308)."""
+    """Coerce to complex and reject NaN/Inf in either part, a number past the
+    float range (an int beyond about 1.8e308), or anything not a number."""
+    if isinstance(s, str):  # ensure_complex's check, inline: about 66,000 calls an audit
+        raise DomainError("expected a number, got str")
     s = _coerce(complex, s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise DomainError(f"non-finite complex value {s!r}")
     return s
+
+
+def ensure_complex(x) -> complex:
+    """x as a complex; a string (which complex() would parse), anything else
+    not a number, or a number past the float range raises DomainError."""
+    if isinstance(x, str):
+        raise DomainError("expected a number, got str")
+    return _coerce(complex, x)
+
+
+def ensure_complex_array(x) -> np.ndarray:
+    """x as a complex ndarray of its shape, each entry refused as ensure_complex
+    refuses it; numeric entries keep the bits of np.asarray(x, dtype=complex)."""
+    try:
+        a = np.asarray(x)
+    except ValueError:  # a ragged nesting
+        raise DomainError(f"expected an array of numbers, got {type(x).__name__}") from None
+    if a.dtype.kind == "O":  # an int past int64, a None, a str among numbers
+        return np.array([ensure_complex(v) for v in a.flat], dtype=complex).reshape(a.shape)
+    if a.dtype.kind not in "biufc":
+        raise DomainError(f"expected an array of numbers, got dtype {a.dtype}")
+    return a.astype(complex, copy=False)
 
 
 def finite_abs(z: complex) -> float:
@@ -99,13 +125,15 @@ def ensure_real(x) -> float:
 
 
 def _coerce(kind: type, x):
-    """kind(x), where an int or fraction past the float range raises
-    DomainError naming its type only: str() of an int over 4,300 digits
-    raises ValueError."""
+    """kind(x), where an int or fraction past the float range, and anything
+    kind() does not take, raise DomainError naming its type only: str() of an
+    int over 4,300 digits raises ValueError."""
     try:
         return kind(x)
     except OverflowError:
         raise DomainError(f"{type(x).__name__} argument past the float range") from None
+    except (TypeError, ValueError):
+        raise DomainError(f"expected a number, got {type(x).__name__}") from None
 
 
 def ensure_strip(s) -> complex:
@@ -350,7 +378,7 @@ def _eta_rows(s: np.ndarray, n: np.ndarray) -> list[complex]:
 
 
 def _eta_array(s: np.ndarray) -> np.ndarray:
-    flat = np.asarray(s, dtype=complex).ravel()
+    flat = ensure_complex_array(s).ravel()
     bad = ~(np.isfinite(flat) & (flat.real > 0.0))
     if bad.any():
         raise DomainError(f"eta requires finite s with Re(s) > 0, got {complex(flat[bad][0])!r}")

@@ -55,7 +55,8 @@ from .errors import (
     ZeroAtCenter,
 )
 from .quadrature import f_shifted, m_star_half
-from .special_functions import _theta, ensure_finite, ensure_real, eta, finite_abs
+from .special_functions import (_theta, ensure_complex, ensure_complex_array, ensure_finite,
+                                ensure_real, eta, finite_abs)
 
 __all__ = [
     "RectangleRegion",
@@ -214,7 +215,7 @@ def _track_phase(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
         evals += p.size
         if evals > MAX_BOUNDARY_SAMPLES:
             raise NonConvergence(f"boundary refinement budget {MAX_BOUNDARY_SAMPLES} exhausted")
-        v = np.asarray(fn(p), dtype=complex)
+        v = ensure_complex_array(fn(p))
         if v.shape != p.shape:
             raise DomainError(f"fn returned shape {v.shape} for points of shape {p.shape}")
         bad = ~np.isfinite(v)
@@ -269,12 +270,13 @@ def winding_count(fn: Callable[[np.ndarray], np.ndarray], rect: RectangleRegion)
     boundary, SAMPLES_PER_UNIT = 64 samples per unit of side length (at least
     8 per side), and once per refinement round.  Each round bisects every
     step whose phase turns by more than pi/2 and evaluates all the midpoints
-    together, for at most 48 rounds.  A result whose shape is not its
-    argument's, or a value that is not finite, raises DomainError (naming the
-    first such point); a value below 1e-12 in modulus raises
-    BoundaryZeroError naming its point, and a batch that would take the
-    evaluations past MAX_BOUNDARY_SAMPLES = 500,000 raises NonConvergence
-    before fn sees it (the initial boundary before it is built).
+    together, for at most 48 rounds.  A result that is not numbers or whose
+    shape is not its argument's, or a value that is not finite, raises
+    DomainError (naming the first such point); a value below 1e-12 in
+    modulus raises BoundaryZeroError naming its point, and a batch that
+    would take the evaluations past MAX_BOUNDARY_SAMPLES = 500,000 raises
+    NonConvergence before fn sees it (the initial boundary before it is
+    built).
     """
     if _boundary_size(rect) > MAX_BOUNDARY_SAMPLES:
         raise NonConvergence(f"the initial boundary of {rect!r} exceeds the evaluation budget")
@@ -526,20 +528,21 @@ def jensen_check(
     converges geometrically for analytic fn with no zeros on the circle).
     |fn(0)| < 1e-12 raises ZeroAtCenter, and a zero within 1e-9 of the
     circle raises BoundaryZeroError, as does a circle sample with |fn| below
-    1e-300, naming the sample.  A non-finite fn(0), sample or modulus, and a
-    listed zero at the centre (where log(R/|z|) is infinite), raise
-    DomainError.  R must be positive and finite, and samples an integer from
-    8 to JENSEN_MAX_SAMPLES = 10**6, checked before fn is called.
+    1e-300, naming the sample.  An fn(0), sample or listed zero that is not
+    a number, a non-finite fn(0), sample or modulus, and a listed zero at
+    the centre (where log(R/|z|) is infinite), raise DomainError.  R must be
+    positive and finite, and samples an integer from 8 to
+    JENSEN_MAX_SAMPLES = 10**6, checked before fn is called.
     """
     _check_positive_finite("R", (R,))
     if not (isinstance(samples, (int, np.integer)) and 8 <= samples <= JENSEN_MAX_SAMPLES):
         raise DomainError(f"samples must be an integer from 8 to {JENSEN_MAX_SAMPLES}")
-    f0_abs = finite_abs(complex(fn(0.0 + 0.0j)))
+    f0_abs = finite_abs(ensure_complex(fn(0.0 + 0.0j)))
     if f0_abs < 1e-12:
         raise ZeroAtCenter(f"|fn(0)| = {f0_abs:.3e} below 1.0e-12")
     lhs = math.log(f0_abs)
     for z in zeros:
-        r = finite_abs(complex(z))
+        r = finite_abs(ensure_complex(z))
         if abs(r - R) < 1e-9:
             raise BoundaryZeroError(f"zero {z} lies on the circle |z| = {R}")
         if r > R:
@@ -550,7 +553,7 @@ def jensen_check(
     acc = 0.0
     for k in range(samples):
         zk = R * cmath.exp(2j * math.pi * k / samples)
-        fk_abs = finite_abs(complex(fn(zk)))
+        fk_abs = finite_abs(ensure_complex(fn(zk)))
         if fk_abs < 1e-300:
             raise BoundaryZeroError(f"|fn({zk})| = {fk_abs:.3e} below 1e-300 on the circle")
         acc += math.log(fk_abs)
@@ -590,11 +593,11 @@ def blaschke_L(omega, zeros):
     (an ndarray, a list or a tuple) gives a complex array of its shape, each
     entry the value the scalar call gives, bit for bit.  An empty zero list
     gives ones.  An omega at a pole itself, where a factor is 0/0, raises
-    PoleProximity; a non-finite omega, a zero height that is not a finite
-    real, and a product that is not finite (an overflow in a factor, as at
-    -1.7e308 - 1.7e308i) raise DomainError.
+    PoleProximity; an omega that is not numbers or not finite, a zero height
+    that is not a finite real, and a product that is not finite (an overflow
+    in a factor, as at -1.7e308 - 1.7e308i) raise DomainError.
     """
-    w = np.asarray(omega, dtype=complex)
+    w = ensure_complex_array(omega)
     betas = np.asarray([ensure_real(b) for b in zeros], dtype=float)
     if not (np.isfinite(w).all() and np.isfinite(betas).all()):
         raise DomainError(f"blaschke_L requires finite omega and zero heights, got {omega!r}")

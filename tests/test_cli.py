@@ -447,6 +447,24 @@ class TestUsageErrors:
         assert (code, out) == (3, "")
         assert f"{path}:2: expected key=value, got 'rouche_tau 16'" in err
 
+    # each was a bare traceback with exit 1, the audit's FAIL code: a config
+    # that is a directory or not text, and an --out that is a directory or
+    # lies in a missing one (those two after the whole audit had run)
+    @pytest.mark.parametrize("flag, name", [("--config", "."), ("--config", "binary.cfg"),
+                                            ("--out", "."), ("--out", "no/r.json")])
+    def test_unreadable_config_or_unwritable_out_exit_three(self, capsys, tmp_path,
+                                                             monkeypatch, flag, name):
+        claim = cli.claim_audit.ClaimRecord("EQ1", "ref", "claim", "equality", 0.0,
+                                            "PASS", 1.0, "note")
+        report = cli.claim_audit.AuditReport((claim,), AuditConfig().digest(), {"PASS": 1})
+        monkeypatch.setattr(cli.claim_audit, "run_audit", lambda cfg: report)
+        (tmp_path / "binary.cfg").write_bytes(b"\xff\n")
+        path = str(tmp_path / name)
+        argv = [flag, path, "audit"] if flag == "--config" else ["audit", flag, path]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: cannot ") and path in err and "Traceback" not in err
+
     @pytest.mark.parametrize("argv, message", [
         (("jensen", "--samples", "100.5"), "invalid int value"),
         (("--format", "xml", "audit"), "invalid choice"),

@@ -235,24 +235,37 @@ class TestChunkedBatch:
     @pytest.mark.parametrize("s, k", KINDS)
     @pytest.mark.parametrize("panels", [1, 255, 256, 257, 513, 5000])
     def test_chunks_equal_one_pass(self, s, k, panels, monkeypatch):
+        # whole _integrate results, so the invariance covers the refinement
+        # sweeps as well as the mesh
         f = _integrand_of(s, k, monkeypatch)
         rng = np.random.default_rng(panels)
-        a = np.sort(rng.uniform(1e-6, 40.0, panels))
-        b = a + rng.uniform(1e-9, 0.5, panels)
-        chunked = quadrature._gk_batch(f, a, b)
+        mesh = np.concatenate([[1e-6], np.sort(rng.uniform(1e-6, 40.0, panels - 1)), [40.0]])
+        chunked = quadrature._integrate(f, mesh, 1e-10)
         monkeypatch.setattr(quadrature, "_CHUNK_PANELS", 10 * panels)
-        whole = quadrature._gk_batch(f, a, b)
-        for got, want in zip(chunked, whole):
+        whole = quadrature._integrate(f, mesh, 1e-10)
+        assert chunked[2] > 15 * panels  # the tol forces refinement
+        assert chunked[2] == whole[2]
+        for got, want in zip(chunked[:2], whole[:2]):
+            got, want = np.asarray(got), np.asarray(want)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_one_pass_path_and_no_second_count(self):
-        # a batch of any size runs one loop of passes, with no fork for a
-        # batch that fits one pass, and returns no evaluation count
+        # the mesh is _integrate's first sweep: no batch helper, one call of
+        # the integrand in one loop of passes with no fork for a sweep that
+        # fits one pass, and one statement that adds to the evaluation count
         tree = ast.parse(inspect.getsource(quadrature))
         names = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
-        assert "_gk_chunk" not in names
-        batch = ast.parse(textwrap.dedent(inspect.getsource(quadrature._gk_batch)))
-        assert [n for n in ast.walk(batch) if isinstance(n, (ast.If, ast.IfExp))] == []
+        assert not names & {"_gk_batch", "_gk_chunk"}
+        loop = ast.parse(textwrap.dedent(inspect.getsource(quadrature._integrate)))
+        calls = [n for n in ast.walk(loop) if isinstance(n, ast.Call)
+                 and isinstance(n.func, ast.Name) and n.func.id == "f"]
+        assert len(calls) == 1
+        (passes,) = [n for n in ast.walk(loop) if isinstance(n, ast.For)]
+        assert [n for n in ast.walk(passes) if isinstance(n, (ast.If, ast.IfExp))] == []
+        counts = [n for n in ast.walk(loop) if isinstance(n, (ast.Assign, ast.AugAssign))
+                  and "n_evals" in {t.id for t in ast.walk(n) if isinstance(t, ast.Name)
+                                    and isinstance(t.ctx, ast.Store)}]
+        assert [type(n) for n in counts] == [ast.Assign, ast.AugAssign]
 
     def test_working_set_bounded(self):
         # the costliest call of the benchmark's streams, 456,555 evaluations;

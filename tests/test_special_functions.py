@@ -568,3 +568,32 @@ _PAST_FLOAT_RANGE = {
 def test_int_past_the_float_range_refused(call, x):
     with pytest.raises(DomainError, match="int argument past the float range"):
         call(x)
+
+
+_RECT = zero_analysis.RectangleRegion(0.1, 0.9, 1.0, 2.0)
+
+
+# each input that is not a number ended in a bare TypeError, ValueError or
+# OverflowError, or got an answer because complex() parses strings, while
+# ensure_real refused the same string
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: eta(None), id="eta(None)"),
+    pytest.param(lambda: gamma([0.5]), id="gamma([0.5])"),
+    pytest.param(lambda: quadrature.fermi_mellin(np.array([0.5, 0.6])), id="fermi_mellin(array)"),
+    pytest.param(lambda: strip_map.theta(None, 0.5), id="theta(None)"),
+    pytest.param(lambda: zero_analysis.triangle_equality_condition(None, 1.0), id="triangle(None)"),
+    pytest.param(lambda: zero_analysis.jensen_check(lambda z: None, [], 1.0, 8), id="jensen(fn None)"),
+    pytest.param(lambda: eta("0.5"), id="eta(str)"),
+    pytest.param(lambda: gamma("0.5"), id="gamma(str)"),
+    pytest.param(lambda: eta(np.array(["0.5"])), id="eta(str array)"),
+    pytest.param(lambda: zero_analysis.blaschke_L("0.1", [1.0]), id="blaschke_L(str)"),
+    pytest.param(lambda: eta(np.array([10**400], dtype=object)), id="eta(object int array)"),
+    pytest.param(lambda: zero_analysis.blaschke_L(10**400, [1.0]), id="blaschke_L(1e400)"),
+    pytest.param(lambda: quadrature.m_star_derivative(0.5, np.array([1, 2])), id="m_star_derivative(order array)"),
+    pytest.param(lambda: zero_analysis.winding_count(lambda p: "x", _RECT), id="winding_count(fn str)"),
+    pytest.param(lambda: zero_analysis.jensen_check(lambda z: "x", [], 1.0, 8), id="jensen(fn str)"),
+])
+def test_non_number_refused(call):
+    with pytest.raises(DomainError):
+        call()
