@@ -4,8 +4,9 @@ Subcommands: eval, bounds, map, zeros, jensen, rouche, audit.  Complex
 arguments are passed as two positional reals (re, im).  Exit codes:
 0 success, 1 FAIL verdicts present in an audit, 2 numerical error,
 3 usage error (including a missing, unreadable or malformed config file, an
---out that cannot be written and an out-of-range config value or flag; a
-point outside the domain is exit 2),
+--out that cannot be written, refused before the audit runs where it is a
+directory or its directory is missing, and an out-of-range config value or
+flag; a point outside the domain is exit 2),
 141 stdout closed by its reader (as for a process ended by SIGPIPE).
 The config file holds the audit's inputs and applies to every subcommand; a
 flag whose dest is a config field overrides it.  Other settings are flags.
@@ -14,6 +15,7 @@ flag whose dest is a config field overrides it.  Other settings are flags.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import re
@@ -244,6 +246,12 @@ def _cmd_rouche(args, cfg: AuditConfig) -> int:
 
 
 def _cmd_audit(args, cfg: AuditConfig) -> int:
+    if args.out:  # checked before the audit runs, and the file is created only after it
+        out = Path(args.out)
+        code = (errno.EISDIR if out.is_dir() else 0 if out.parent.is_dir()
+                else errno.ENOTDIR if out.parent.exists() else errno.ENOENT)
+        if code:
+            raise _file_error("write report", args.out, OSError(code, os.strerror(code)))
     report = claim_audit.run_audit(cfg)
     if args.format == "csv":
         payload = "\n".join(claim_audit.report_to_lines(report)) + "\n"
@@ -251,8 +259,8 @@ def _cmd_audit(args, cfg: AuditConfig) -> int:
         payload = claim_audit.report_to_json(report) + "\n"
     if args.out:
         try:
-            Path(args.out).write_text(payload)
-        except OSError as exc:  # a directory, a missing directory, no permission
+            out.write_text(payload)
+        except OSError as exc:  # no permission, a full disk
             raise _file_error("write report", args.out, exc) from None
     else:
         sys.stdout.write(payload)

@@ -269,7 +269,7 @@ def _log_moment(s, k: int, tol: float) -> QuadratureEstimate:
     s = ensure_finite(s)
     if not 0.0 < s.real <= 1.0:
         raise DomainError(f"Re(s) = {s.real} outside (0, 1]")
-    if not ensure_real(tol) > 0.0:  # also rejects NaN
+    if not (tol := ensure_real(tol)) > 0.0:  # also rejects NaN
         raise DomainError("tol must be positive")
     alpha, beta = s.real, s.imag
     h, head = _head_cut(alpha, k, tol)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,8 +55,7 @@ from .errors import (
     ZeroAtCenter,
 )
 from .quadrature import f_shifted, m_star_half
-from .special_functions import (_theta, ensure_complex, ensure_complex_array, ensure_finite,
-                                ensure_real, eta, finite_abs)
+from .special_functions import _theta, ensure_complex_array, ensure_finite, ensure_real, eta, finite_abs
 
 __all__ = [
     "RectangleRegion",
@@ -106,7 +105,7 @@ AnalyticFn = Callable[[complex], complex]
 
 @dataclass(frozen=True)
 class RectangleRegion:
-    """Axis-aligned rectangle in the complex plane."""
+    """Axis-aligned rectangle in the complex plane, each bound stored as a float."""
 
     re_min: float
     re_max: float
@@ -114,8 +113,9 @@ class RectangleRegion:
     im_max: float
 
     def __post_init__(self):
-        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
-        if not all(math.isfinite(ensure_real(v)) for v in bounds):
+        for f in fields(self):
+            object.__setattr__(self, f.name, ensure_real(getattr(self, f.name)))
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
             raise DomainError(f"non-finite rectangle {self!r}")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise DomainError(f"degenerate rectangle {self!r}")
@@ -134,16 +134,19 @@ class RectangleRegion:
 class CriticalZeroList:
     """Ordered imaginary parts of critical-line zeros up to height tau.
 
-    betas is stored as a tuple whatever sequence it is given, so the record
-    hashes and equals the one built from the same heights.
+    betas is stored as a tuple of floats and tau as a float, whatever
+    sequence and reals they are given as, so the record hashes and equals
+    the one built from the same heights; betas that is not a sequence (a
+    scalar, a 0-d array, None) raises DomainError.
     """
 
     betas: tuple[float, ...]
     tau: float
 
     def __post_init__(self):
-        object.__setattr__(self, "betas", tuple(self.betas))
-        _check_positive_finite("zero heights and tau", (*self.betas, self.tau))
+        *betas, tau = _positive_finite("zero heights and tau", *_zero_list(self.betas), self.tau)
+        object.__setattr__(self, "betas", tuple(betas))
+        object.__setattr__(self, "tau", tau)
         if any(b2 <= b1 for b1, b2 in zip(self.betas, self.betas[1:])):
             raise DomainError("zero heights must be strictly increasing")
         if any(b > self.tau for b in self.betas):
@@ -171,9 +174,20 @@ class RoucheScanResult:
     zeros: tuple[float, ...]
 
 
-def _check_positive_finite(what: str, values) -> None:
-    if not all(0.0 < ensure_real(v) < math.inf for v in values):  # also rejects NaN
+def _positive_finite(what: str, *values) -> tuple[float, ...]:
+    floats = tuple(map(ensure_real, values))
+    if not all(0.0 < v < math.inf for v in floats):  # also rejects NaN
         raise DomainError(f"{what} must be positive and finite")
+    return floats
+
+
+def _zero_list(zeros) -> tuple:
+    """The entries of a zero list; DomainError where zeros is not a sequence."""
+    try:
+        entries = iter(zeros)
+    except TypeError:  # a scalar, a 0-d array or None
+        raise DomainError(f"expected a sequence of zeros, got {type(zeros).__name__}") from None
+    return tuple(entries)
 
 
 def _side_samples(rect: RectangleRegion) -> tuple[float, float]:
@@ -442,10 +456,9 @@ def critical_line_zeros(tau: float, zero_tol: float = 1e-4) -> CriticalZeroList:
     for all N zeros, so a wrong sign anywhere raises instead of moving a
     zero.
     """
-    _check_positive_finite("tau", (tau,))
-    if not ensure_real(zero_tol) >= MIN_ZERO_TOL:  # also rejects NaN
+    (tau,) = _positive_finite("tau", tau)
+    if not (zero_tol := ensure_real(zero_tol)) >= MIN_ZERO_TOL:  # also rejects NaN
         raise DomainError(f"zero_tol = {zero_tol} below the minimum cell height {MIN_ZERO_TOL:g}")
-    tau = float(tau)
     n_zeros = _zero_count(tau)
     spacing = min(1.0, Z_GRID_GAP_FRACTION * _TWO_PI / math.log(max(tau / _TWO_PI, math.e)))
     n_grid = math.ceil(tau / spacing)
@@ -511,7 +524,7 @@ def riemann_von_mangoldt(T: float) -> float:
     of about 1.6e306 the estimate passes the float range and DomainError is
     raised.
     """
-    if not _TWO_PI_E <= ensure_real(T) < math.inf:  # also rejects NaN
+    if not _TWO_PI_E <= (T := ensure_real(T)) < math.inf:  # also rejects NaN
         raise DomainError(f"T = {T} outside [2*pi*e, inf), 2*pi*e = {_TWO_PI_E:.6f}")
     if (estimate := (T / _TWO_PI) * math.log(T / _TWO_PI_E) + 7.0 / 8.0) == math.inf:
         raise DomainError(f"the zero-count estimate at T = {T} is past the float range")
@@ -528,21 +541,22 @@ def jensen_check(
     converges geometrically for analytic fn with no zeros on the circle).
     |fn(0)| < 1e-12 raises ZeroAtCenter, and a zero within 1e-9 of the
     circle raises BoundaryZeroError, as does a circle sample with |fn| below
-    1e-300, naming the sample.  An fn(0), sample or listed zero that is not
-    a number, a non-finite fn(0), sample or modulus, and a listed zero at
-    the centre (where log(R/|z|) is infinite), raise DomainError.  R must be
+    1e-300, naming the sample.  A zeros that is not a sequence, an fn(0),
+    sample or listed zero that is not a finite number, a modulus past the
+    float range, and a listed zero at the centre (where log(R/|z|) is
+    infinite), raise DomainError.  R must be
     positive and finite, and samples an integer from 8 to
     JENSEN_MAX_SAMPLES = 10**6, checked before fn is called.
     """
-    _check_positive_finite("R", (R,))
+    (R,) = _positive_finite("R", R)
     if not (isinstance(samples, (int, np.integer)) and 8 <= samples <= JENSEN_MAX_SAMPLES):
         raise DomainError(f"samples must be an integer from 8 to {JENSEN_MAX_SAMPLES}")
-    f0_abs = finite_abs(ensure_complex(fn(0.0 + 0.0j)))
+    f0_abs = finite_abs(ensure_finite(fn(0.0 + 0.0j)))
     if f0_abs < 1e-12:
         raise ZeroAtCenter(f"|fn(0)| = {f0_abs:.3e} below 1.0e-12")
     lhs = math.log(f0_abs)
-    for z in zeros:
-        r = finite_abs(ensure_complex(z))
+    for z in _zero_list(zeros):
+        r = finite_abs(ensure_finite(z))
         if abs(r - R) < 1e-9:
             raise BoundaryZeroError(f"zero {z} lies on the circle |z| = {R}")
         if r > R:
@@ -553,18 +567,20 @@ def jensen_check(
     acc = 0.0
     for k in range(samples):
         zk = R * cmath.exp(2j * math.pi * k / samples)
-        fk_abs = finite_abs(ensure_complex(fn(zk)))
+        fk_abs = finite_abs(ensure_finite(fn(zk)))
         if fk_abs < 1e-300:
             raise BoundaryZeroError(f"|fn({zk})| = {fk_abs:.3e} below 1e-300 on the circle")
         acc += math.log(fk_abs)
     return lhs, acc / samples
 
 
-def _check_titchmarsh_args(M: float, f0_abs: float, delta: float) -> None:
-    if not 0.0 < ensure_real(delta) < 1.0:
+def _titchmarsh_args(M: float, f0_abs: float, delta: float) -> tuple[float, float, float]:
+    if not 0.0 < (delta := ensure_real(delta)) < 1.0:
         raise DomainError(f"delta = {delta} outside (0,1)")
-    if not 0.0 < ensure_real(f0_abs) <= ensure_real(M) < math.inf:
+    M, f0_abs = ensure_real(M), ensure_real(f0_abs)
+    if not 0.0 < f0_abs <= M < math.inf:
         raise DomainError(f"need 0 < |f(0)| <= M < inf, got |f(0)| = {f0_abs}, M = {M}")
+    return M, f0_abs, delta
 
 
 def titchmarsh_zero_bound(M: float, f0_abs: float, delta: float) -> float:
@@ -573,13 +589,13 @@ def titchmarsh_zero_bound(M: float, f0_abs: float, delta: float) -> float:
     log(M/|f(0)|) is taken as log M - log|f(0)|, which stays finite where the
     quotient M/|f(0)| passes the float range.
     """
-    _check_titchmarsh_args(M, f0_abs, delta)
+    M, f0_abs, delta = _titchmarsh_args(M, f0_abs, delta)
     return (math.log(M) - math.log(f0_abs)) / math.log(1.0 / delta)
 
 
 def titchmarsh_zero_free(M: float, f0_abs: float, delta: float) -> bool:
     """True iff delta*M < |f(0)|, which forces the bound below 1 (no zeros)."""
-    _check_titchmarsh_args(M, f0_abs, delta)
+    M, f0_abs, delta = _titchmarsh_args(M, f0_abs, delta)
     return delta * M < f0_abs
 
 
@@ -593,12 +609,13 @@ def blaschke_L(omega, zeros):
     (an ndarray, a list or a tuple) gives a complex array of its shape, each
     entry the value the scalar call gives, bit for bit.  An empty zero list
     gives ones.  An omega at a pole itself, where a factor is 0/0, raises
-    PoleProximity; an omega that is not numbers or not finite, a zero height
-    that is not a finite real, and a product that is not finite (an overflow
-    in a factor, as at -1.7e308 - 1.7e308i) raise DomainError.
+    PoleProximity; an omega that is not numbers or not finite, a zero list
+    that is not a sequence or holds a height that is not a finite real, and
+    a product that is not finite (an overflow in a factor, as at -1.7e308 -
+    1.7e308i) raise DomainError.
     """
     w = ensure_complex_array(omega)
-    betas = np.asarray([ensure_real(b) for b in zeros], dtype=float)
+    betas = np.asarray([ensure_real(b) for b in _zero_list(zeros)], dtype=float)
     if not (np.isfinite(w).all() and np.isfinite(betas).all()):
         raise DomainError(f"blaschke_L requires finite omega and zero heights, got {omega!r}")
     den = w[..., None] - 1j * betas
@@ -623,7 +640,7 @@ def lambda_choice(theta_abs: float, epsilon: float, nu: float) -> float:
     EQ50C checks.  A lam that is not positive and finite in floats
     (nu = 1e308, or epsilon = 1e-320) raises DomainError.
     """
-    _check_positive_finite("theta_abs, epsilon and nu", (theta_abs, epsilon, nu))
+    theta_abs, epsilon, nu = _positive_finite("theta_abs, epsilon and nu", theta_abs, epsilon, nu)
     den = theta_abs * epsilon  # 0.0 where the product underflows
     lam = (m_star_half() + nu) / den if den else math.inf
     if not 0.0 < lam < math.inf:
@@ -687,7 +704,7 @@ def rouche_scan(tau: float, epsilon: float, nu: float) -> RoucheScanResult:
     located, as does a lam that is not positive and finite, and a g or |g|
     that overflows at a sample raises DomainError before any quadrature.
     """
-    _check_positive_finite("tau, epsilon and nu", (tau, epsilon, nu))
+    tau, epsilon, nu = _positive_finite("tau, epsilon and nu", tau, epsilon, nu)
     lam = lambda_choice(1.0, epsilon, nu)
     n = _boundary_size(RectangleRegion(0.0, 0.5, 0.0, tau))
     if n > MAX_BOUNDARY_SAMPLES:
@@ -725,7 +742,7 @@ def rouche_scan(tau: float, epsilon: float, nu: float) -> RoucheScanResult:
     if margin[k] < -1e-10:
         raise NonConvergence(f"triangle margin {margin[k]:.3e} below -1e-10; numerical breakdown")
     return RoucheScanResult(
-        tau=float(tau), lam=float(lam), epsilon=float(epsilon), min_margin=float(margin[k]),
+        tau=tau, lam=lam, epsilon=epsilon, min_margin=float(margin[k]),
         argmin_omega=complex(samples[k]), boundary_samples=samples.size,
         min_f_abs=float(f_abs[m]), argmin_f_omega=complex(samples[m]), zeros=tuple(betas),
     )

@@ -449,21 +449,36 @@ class TestUsageErrors:
 
     # each was a bare traceback with exit 1, the audit's FAIL code: a config
     # that is a directory or not text, and an --out that is a directory or
-    # lies in a missing one (those two after the whole audit had run)
+    # lies in a missing one (those two after the whole audit had run); the
+    # audit must not run for them, and no file is created
     @pytest.mark.parametrize("flag, name", [("--config", "."), ("--config", "binary.cfg"),
-                                            ("--out", "."), ("--out", "no/r.json")])
+                                            ("--out", "."), ("--out", "no/r.json"),
+                                            ("--out", "binary.cfg/r.json")])
     def test_unreadable_config_or_unwritable_out_exit_three(self, capsys, tmp_path,
                                                              monkeypatch, flag, name):
-        claim = cli.claim_audit.ClaimRecord("EQ1", "ref", "claim", "equality", 0.0,
-                                            "PASS", 1.0, "note")
-        report = cli.claim_audit.AuditReport((claim,), AuditConfig().digest(), {"PASS": 1})
-        monkeypatch.setattr(cli.claim_audit, "run_audit", lambda cfg: report)
+        monkeypatch.setattr(cli.claim_audit, "run_audit", lambda cfg: pytest.fail("the audit ran"))
         (tmp_path / "binary.cfg").write_bytes(b"\xff\n")
         path = str(tmp_path / name)
         argv = [flag, path, "audit"] if flag == "--config" else ["audit", flag, path]
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert err.startswith("error: cannot ") and path in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["binary.cfg"]
+
+    def test_report_write_failing_after_the_audit_exits_three(self, capsys, tmp_path, monkeypatch):
+        claim = cli.claim_audit.ClaimRecord("EQ1", "ref", "claim", "equality", 0.0,
+                                            "PASS", 1.0, "note")
+        report = cli.claim_audit.AuditReport((claim,), AuditConfig().digest(), {"PASS": 1})
+        monkeypatch.setattr(cli.claim_audit, "run_audit", lambda cfg: report)
+
+        def refuse(self, data):  # as a file without write permission does
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(cli.Path, "write_text", refuse)
+        path = str(tmp_path / "r.json")
+        code, out, err = run(capsys, "audit", "--out", path)
+        assert (code, out) == (3, "")
+        assert err == f"error: cannot write report {path}: Permission denied\n"
 
     @pytest.mark.parametrize("argv, message", [
         (("jensen", "--samples", "100.5"), "invalid int value"),
